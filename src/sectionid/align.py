@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .corpus import AnnotatedDocument, Document, SectionAnnotation
 from .prediction import Prediction
@@ -46,16 +48,18 @@ class AlignmentResult:
         return [m.span for m in self.matches]
 
 
-def _line_starts(text: str) -> list[int]:
+def line_starts(text: str) -> list[int]:
+    """Offset of every line: 0, then one past each '\n' (len(text) included)."""
     starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
+    pos = text.find("\n")
+    while pos != -1:
+        starts.append(pos + 1)
+        pos = text.find("\n", pos + 1)
     return starts
 
 
 def _fuzzy_line_match(
-    text: str, line_starts: list[int], header: str, cursor: int, max_edit_ratio: float
+    text: str, starts: list[int], header: str, cursor: int, max_edit_ratio: float
 ) -> tuple[int, int] | None:
     """First line at/after the cursor whose prefix is within the edit budget.
 
@@ -65,9 +69,7 @@ def _fuzzy_line_match(
     """
     needle = header.lower()
     slack = math.ceil(max_edit_ratio * len(needle)) + 1
-    for start in line_starts:
-        if start < cursor:
-            continue
+    for start in islice(starts, bisect_left(starts, cursor), None):
         newline = text.find("\n", start)
         line_end = len(text) if newline == -1 else newline
         candidate = text[start:min(start + _LINE_PREFIX_LIMIT, line_end)]
@@ -77,7 +79,9 @@ def _fuzzy_line_match(
         hi = min(len(candidate), len(needle) + slack)
         if lo > hi:
             continue
-        row = prefix_distances(needle, candidate.lower())
+        # no prefix past hi is read; lowercase before slicing so a
+        # context-dependent mapping (final sigma) sees its right neighbour
+        row = prefix_distances(needle, candidate.lower()[:hi])
         best: tuple[float, int, int] | None = None
         for k in range(lo, hi + 1):
             ratio = row[k] / max(len(needle), k)
@@ -108,7 +112,7 @@ def align_headers(
             ]
         )
     text = doc.text
-    line_starts = _line_starts(text)
+    starts = line_starts(text)
     result = AlignmentResult()
     cursor = 0
     for i, header in enumerate(pred.headers):
@@ -127,7 +131,7 @@ def align_headers(
             result.matches.append(HeaderMatch(i, m.span(), CASE_INSENSITIVE))
             cursor = m.end()
             continue
-        fuzzy_span = _fuzzy_line_match(text, line_starts, header, cursor, max_edit_ratio)
+        fuzzy_span = _fuzzy_line_match(text, starts, header, cursor, max_edit_ratio)
         if fuzzy_span is not None:
             result.matches.append(HeaderMatch(i, fuzzy_span, FUZZY))
             cursor = fuzzy_span[1]

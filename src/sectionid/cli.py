@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import align, baselines, metrics, ontology
-from .corpus import AnnotatedDocument, corpus_stats, load_gold_corpus
-from .errors import SectionIdError
+from .corpus import AnnotatedDocument, _parse_span, corpus_stats, load_gold_corpus
+from .errors import FormatError, SectionIdError, SpanError
 from .llm import (
     CLOSE_ENDED,
     ONE_SHOT,
@@ -212,19 +212,46 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return OK
 
 
-def _load_predictions(path: str | Path) -> dict[str, Prediction]:
+def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
+    """Read predictions JSONL; every bad line fails with the file and line number."""
+    lengths = {doc.id: len(doc.text) for doc in docs}
     predictions: dict[str, Prediction] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{where}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+                raise FormatError(f"{where}: expected a JSON object with a string 'id'")
+            headers = obj.get("headers", [])
+            if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
+                raise FormatError(f"{where}: 'headers' must be a list of strings")
             spans = obj.get("spans")
-            headers = list(obj.get("headers", []))
             if spans is not None:
-                spans = [tuple(s) for s in spans]
+                if not isinstance(spans, list):
+                    raise FormatError(f"{where}: 'spans' must be a list or null")
+                try:
+                    spans = [_parse_span(s, "each span", lineno) for s in spans]
+                except FormatError as exc:
+                    raise FormatError(f"{path} {exc}") from exc
             # ungrounded predictions are re-aligned inside evaluate_run
-            predictions[obj["id"]] = Prediction(headers=headers, spans=spans)
+            try:
+                pred = Prediction(headers=headers, spans=spans)
+            except ValueError as exc:
+                raise SpanError(f"{where}: {exc}") from exc
+            length = lengths.get(obj["id"])
+            if pred.spans and length is not None and not (
+                0 <= pred.spans[0][0] and pred.spans[-1][1] <= length
+            ):
+                raise SpanError(
+                    f"{where}: spans must lie within document {obj['id']!r} "
+                    f"of {length} characters"
+                )
+            predictions[obj["id"]] = pred
     return predictions
 
 
@@ -233,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not config.get("corpus"):
         raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=bool(config.get("strict", True)))
-    predictions = _load_predictions(args.predictions)
+    predictions = _load_predictions(args.predictions, docs)
     ont = _load_ontology(config)
     run = metrics.evaluate_run(
         docs,

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..align import line_starts
 from ..corpus import Document
 from ..errors import SectionIdError
 from ..prediction import Prediction
 from .client import ChatClient, LLMConfig, complete
-from .parsing import parse_llm_response
+from .parsing import _dedupe_consecutive, parse_llm_response
 from .prompts import PromptStrategy, build_prompt
 
 log = logging.getLogger(__name__)
@@ -29,35 +31,24 @@ def chunk_text(text: str, budget: int, overlap: int = CHUNK_OVERLAP_CHARS) -> li
         raise ValueError("budget must be >= 1")
     if len(text) <= budget:
         return [text]
-    # line start offsets, treating each '\n' as a boundary
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n" and i + 1 < len(text):
-            starts.append(i + 1)
+    # a start at len(text) is never inside a window that ends before len(text)
+    starts = line_starts(text)
     chunks: list[str] = []
     begin = 0
     while begin < len(text):
         end = min(begin + budget, len(text))
         if end < len(text):
             # retreat to the last line boundary inside the window
-            candidates = [s for s in starts if begin < s <= end]
-            if candidates:
-                end = candidates[-1]
+            last = starts[bisect_right(starts, end) - 1]
+            if last > begin:
+                end = last
         chunks.append(text[begin:end])
         if end >= len(text):
             break
-        restart_floor = max(begin + 1, end - overlap)
-        back = [s for s in starts if restart_floor <= s <= end]
-        begin = back[0] if back else end
+        # restart at the first line boundary inside the overlap
+        first = bisect_left(starts, max(begin + 1, end - overlap))
+        begin = starts[first] if first < len(starts) and starts[first] <= end else end
     return chunks
-
-
-def _dedupe_consecutive(headers: list[str]) -> list[str]:
-    out: list[str] = []
-    for h in headers:
-        if not out or out[-1] != h:
-            out.append(h)
-    return out
 
 
 def extract_headers(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_synthetic_corpus, make_synthetic_doc, perturb_header
 from sectionid.align import (
@@ -10,6 +12,7 @@ from sectionid.align import (
     EXACT,
     FUZZY,
     align_headers,
+    line_starts,
     sections_from_alignment,
 )
 from sectionid.corpus import Document, validate_corpus
@@ -23,6 +26,11 @@ def test_levenshtein_basics():
     assert levenshtein("Allergles", "Allergies") == 1
     assert levenshtein("kitten", "sitting") == 3
     assert edit_ratio("Allergles", "Allergies") == pytest.approx(1 / 9)
+
+
+@given(st.text(alphabet="a\n\r ", max_size=50))
+def test_line_starts_follow_every_newline(text):
+    assert line_starts(text) == [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
 
 
 def test_exact_alignment_in_order():

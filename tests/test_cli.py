@@ -228,3 +228,43 @@ def test_unknown_segmenter_is_fatal(tmp_path, gold_path, capsys):
     code = main(["segment", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == FATAL
     assert "error:" in capsys.readouterr().err
+
+
+def _evaluate_bad_predictions(tmp_path, gold_path, capsys, lines):
+    preds_path = tmp_path / "preds.jsonl"
+    preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([
+        "evaluate", "--corpus", gold_path, "--predictions", str(preds_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{preds_path} line 2" in err
+    assert not (tmp_path / "eval" / "report.json").exists()
+    return err
+
+
+def test_evaluate_truncated_predictions_line_is_fatal(tmp_path, gold_path, capsys):
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+        '{"id": "fx2", "headers": ["HPI", "Impr',
+    ])
+    assert "malformed JSON" in err
+
+
+def test_evaluate_headers_spans_length_mismatch_is_fatal(tmp_path, gold_path, capsys):
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+        json.dumps({"id": "fx2", "headers": ["HPI", "Plan"], "spans": [[0, 3]]}),
+    ])
+    assert "1 spans for 2 headers" in err
+
+
+def test_evaluate_span_past_document_end_is_fatal(tmp_path, gold_path, capsys):
+    # fx1 is 44 characters long
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx2", "headers": ["HPI"], "spans": [[0, 3]]}),
+        json.dumps({"id": "fx1", "headers": ["Allergies"], "spans": [[0, 900]]}),
+    ])
+    assert "'fx1' of 44 characters" in err

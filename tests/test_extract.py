@@ -4,6 +4,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import StaticClient
 from sectionid.corpus import Document
@@ -58,6 +60,36 @@ def test_chunk_text_respects_budget_and_overlap():
 
 def test_chunk_text_short_input_is_single_chunk():
     assert chunk_text("short", 100) == ["short"]
+
+
+def _quadratic_chunk_text(text: str, budget: int, overlap: int) -> list[str]:
+    """Reference chunker: rescans every line start for each chunk."""
+    if len(text) <= budget:
+        return [text]
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n" and i + 1 < len(text)]
+    chunks: list[str] = []
+    begin = 0
+    while begin < len(text):
+        end = min(begin + budget, len(text))
+        if end < len(text):
+            candidates = [s for s in starts if begin < s <= end]
+            if candidates:
+                end = candidates[-1]
+        chunks.append(text[begin:end])
+        if end >= len(text):
+            break
+        back = [s for s in starts if max(begin + 1, end - overlap) <= s <= end]
+        begin = back[0] if back else end
+    return chunks
+
+
+@given(
+    st.text(alphabet="ab \n", max_size=300),
+    st.integers(1, 80),
+    st.integers(0, 60),
+)
+def test_chunk_text_matches_reference_chunker(text, budget, overlap):
+    assert chunk_text(text, budget, overlap) == _quadratic_chunk_text(text, budget, overlap)
 
 
 def test_chunked_extraction_dedupes_at_seams():
