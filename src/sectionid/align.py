@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import AnnotatedDocument, Document, SectionAnnotation
+from .corpus import Document, SectionAnnotation
 from .prediction import Prediction
 from .textdist import prefix_distances
 
@@ -42,7 +42,6 @@ class HeaderMatch:
 class AlignmentResult:
     matches: list[HeaderMatch] = field(default_factory=list)
     unmatched_predictions: list[int] = field(default_factory=list)
-    cursor_policy: str = "in_order"
 
     def matched_spans(self) -> list[tuple[int, int]]:
         return [m.span for m in self.matches]
@@ -159,9 +158,3 @@ def sections_from_alignment(
             )
         )
     return sections
-
-
-def aligned_document(
-    doc: Document, pred: Prediction, alignment: AlignmentResult
-) -> AnnotatedDocument:
-    return AnnotatedDocument(doc, sections_from_alignment(doc, pred, alignment))

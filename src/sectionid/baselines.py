@@ -13,8 +13,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
+from .align import line_starts
 from .corpus import Document
 from .errors import InvalidPattern
 from .prediction import Prediction
@@ -61,7 +62,6 @@ class Rule:
 
     name: str
     matcher: MatchFn
-    pattern: str | None = None
 
 
 def _is_header_word(word: str) -> bool:
@@ -121,7 +121,7 @@ def _regex_rule(name: str, pattern: str) -> Rule:
             return None
         return (start, end)
 
-    return Rule(name=name, matcher=match, pattern=pattern)
+    return Rule(name=name, matcher=match)
 
 
 def default_rules() -> list[Rule]:
@@ -158,14 +158,6 @@ def load_ruleset(path: str | Path, **kwargs: object) -> RuleConfig:
     return RuleConfig(patterns=rules, **kwargs)  # type: ignore[arg-type]
 
 
-def _iter_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (absolute offset, line content) for each newline-delimited line."""
-    pos = 0
-    for line in text.split("\n"):
-        yield pos, line
-        pos += len(line) + 1
-
-
 def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     """Match lexicon entries at line starts, longest entry first.
 
@@ -178,7 +170,7 @@ def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     folded = [(entry, fold(entry)) for entry in ordered]
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
-    for line_start, line in _iter_lines(doc.text):
+    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
         folded_content = fold(content)
@@ -202,7 +194,7 @@ def regex_segment(doc: Document, config: RuleConfig | None = None) -> Prediction
         config = RuleConfig()
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
-    for line_start, line in _iter_lines(doc.text):
+    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         for rule in config.patterns:
             rel = rule.matcher(line, config)
             if rel is None:

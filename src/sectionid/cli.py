@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import align, baselines, metrics, ontology
 from .corpus import AnnotatedDocument, _parse_span, corpus_stats, load_gold_corpus
@@ -50,10 +51,8 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "lexicon": None,
     "ruleset": None,
     "out": "runs",
-    "seed": 0,
     "replay": None,
     "record": None,
-    "workers": None,
     "strict": True,
     "close_ended_eval": False,
     "alignment": {"max_edit_ratio": align.DEFAULT_MAX_EDIT_RATIO},
@@ -65,9 +64,16 @@ def _load_config(path: str | None) -> dict:
     resolved = json.loads(json.dumps(_CONFIG_DEFAULTS))
     if path:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise FormatError(f"{path}: expected a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(resolved.get(key), dict):
+            if isinstance(resolved.get(key), dict):
+                if not isinstance(value, dict):
+                    raise FormatError(f"{path}: {key!r} must be a JSON object")
                 resolved[key].update(value)
             else:
                 resolved[key] = value
@@ -77,12 +83,14 @@ def _load_config(path: str | None) -> dict:
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     direct = (
         "corpus", "segmenter", "strategy", "ontology", "lexicon",
-        "ruleset", "out", "replay", "workers",
+        "ruleset", "out", "replay",
     )
     for key in direct:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    if getattr(args, "workers", None) is not None:
+        config["llm"]["max_in_flight"] = args.workers
     if getattr(args, "max_edit_ratio", None) is not None:
         config["alignment"]["max_edit_ratio"] = args.max_edit_ratio
     if getattr(args, "strict", None) is not None:
@@ -97,10 +105,6 @@ def _write_snapshot(config: dict, out_dir: Path) -> None:
     with open(out_dir / "run_config.json", "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
-
-
-def _load_ontology(config: dict) -> ontology.Ontology:
-    return ontology.load_ontology(config.get("ontology"))
 
 
 def _build_strategy(config: dict) -> PromptStrategy:
@@ -123,13 +127,9 @@ def _build_strategy(config: dict) -> PromptStrategy:
     return PromptStrategy(kind)
 
 
-def _llm_config(config: dict, workers: int | None) -> LLMConfig:
+def _llm_config(config: dict) -> LLMConfig:
     known = {f for f in LLMConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in config.get("llm", {}).items() if k in known}
-    llm = LLMConfig(**kwargs)
-    if workers is not None:
-        llm.max_in_flight = workers
-    return llm
+    return LLMConfig(**{k: v for k, v in config.get("llm", {}).items() if k in known})
 
 
 def _segment_docs(
@@ -143,7 +143,7 @@ def _segment_docs(
         if not config.get("replay") and not config.get("llm", {}).get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
         strategy = _build_strategy(config)
-        llm = _llm_config(config, config.get("workers"))
+        llm = _llm_config(config)
         if config.get("replay"):
             client = ReplayClient(config["replay"])
         else:
@@ -181,7 +181,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if not config.get("corpus"):
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=bool(config.get("strict", True)))
-    ont = _load_ontology(config)
+    ont = ontology.load_ontology(config.get("ontology"))
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
     predictions, failed = _segment_docs(docs, config)
@@ -212,10 +212,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return OK
 
 
-def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
-    """Read predictions JSONL; every bad line fails with the file and line number."""
-    lengths = {doc.id: len(doc.text) for doc in docs}
-    predictions: dict[str, Prediction] = {}
+def _jsonl_objects(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """(line number, "<path> line <n>", object) per non-blank line; a non-object fails."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -225,33 +223,43 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                raise FormatError(f"{where}: expected a JSON object with a string 'id'")
-            headers = obj.get("headers", [])
-            if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
-                raise FormatError(f"{where}: 'headers' must be a list of strings")
-            spans = obj.get("spans")
-            if spans is not None:
-                if not isinstance(spans, list):
-                    raise FormatError(f"{where}: 'spans' must be a list or null")
-                try:
-                    spans = [_parse_span(s, "each span", lineno) for s in spans]
-                except FormatError as exc:
-                    raise FormatError(f"{path} {exc}") from exc
-            # ungrounded predictions are re-aligned inside evaluate_run
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            yield lineno, where, obj
+
+
+def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
+    """Read predictions JSONL; every bad line fails with the file and line number."""
+    lengths = {doc.id: len(doc.text) for doc in docs}
+    predictions: dict[str, Prediction] = {}
+    for lineno, where, obj in _jsonl_objects(path):
+        if not isinstance(obj.get("id"), str):
+            raise FormatError(f"{where}: 'id' must be a string")
+        headers = obj.get("headers", [])
+        if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
+            raise FormatError(f"{where}: 'headers' must be a list of strings")
+        spans = obj.get("spans")
+        if spans is not None:
+            if not isinstance(spans, list):
+                raise FormatError(f"{where}: 'spans' must be a list or null")
             try:
-                pred = Prediction(headers=headers, spans=spans)
-            except ValueError as exc:
-                raise SpanError(f"{where}: {exc}") from exc
-            length = lengths.get(obj["id"])
-            if pred.spans and length is not None and not (
-                0 <= pred.spans[0][0] and pred.spans[-1][1] <= length
-            ):
-                raise SpanError(
-                    f"{where}: spans must lie within document {obj['id']!r} "
-                    f"of {length} characters"
-                )
-            predictions[obj["id"]] = pred
+                spans = [_parse_span(s, "each span", lineno) for s in spans]
+            except FormatError as exc:
+                raise FormatError(f"{path} {exc}") from exc
+        # ungrounded predictions are re-aligned inside evaluate_run
+        try:
+            pred = Prediction(headers=headers, spans=spans)
+        except ValueError as exc:
+            raise SpanError(f"{where}: {exc}") from exc
+        length = lengths.get(obj["id"])
+        if pred.spans and length is not None and not (
+            0 <= pred.spans[0][0] and pred.spans[-1][1] <= length
+        ):
+            raise SpanError(
+                f"{where}: spans must lie within document {obj['id']!r} "
+                f"of {length} characters"
+            )
+        predictions[obj["id"]] = pred
     return predictions
 
 
@@ -261,7 +269,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=bool(config.get("strict", True)))
     predictions = _load_predictions(args.predictions, docs)
-    ont = _load_ontology(config)
+    ont = ontology.load_ontology(config.get("ontology"))
     run = metrics.evaluate_run(
         docs,
         predictions,
@@ -288,6 +296,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return OK
 
 
+def _emit_json(payload: dict, out: str | None, name: str) -> None:
+    """Print ``payload`` as JSON; with ``out``, also write it to ``out/name``."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text + "\n", encoding="utf-8")
+    print(text)
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     docs = load_gold_corpus(args.corpus, strict=args.strict if args.strict is not None else True)
     stats = corpus_stats(docs)
@@ -298,12 +316,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "mean_sections_per_doc": stats.mean_sections_per_doc,
         "stddev_sections_per_doc": stats.stddev_sections_per_doc,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "corpus_stats.json").write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit_json(payload, args.out, "corpus_stats.json")
     return OK
 
 
@@ -326,24 +339,19 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def cmd_iaa(args: argparse.Namespace) -> int:
     pairs: list[tuple[list[str], list[str]]] = []
     ids: list[str] = []
-    with open(args.pairs, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            pairs.append((list(obj["a"]), list(obj["b"])))
-            ids.append(str(obj.get("id", lineno)))
+    for lineno, where, obj in _jsonl_objects(args.pairs):
+        for side in ("a", "b"):
+            names = obj.get(side)
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise FormatError(f"{where}: {side!r} must be a list of strings")
+        pairs.append((obj["a"], obj["b"]))
+        ids.append(str(obj.get("id", lineno)))
     report = metrics.iaa_report(pairs, ids)
     payload = {
         "mean_jaccard": report.mean_jaccard,
         "per_pair": [{"id": pid, "jaccard": value} for pid, value in report.per_pair],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "iaa.json").write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit_json(payload, args.out, "iaa.json")
     return OK
 
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Protocol
 
 import requests
 
-from ..errors import AuthError, ReplayMiss, TransportError, TruncationWarning
+from ..errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
 from .prompts import split_prompt
 
 log = logging.getLogger(__name__)
@@ -126,14 +127,20 @@ class ReplayClient:
         path = self.store_dir / f"{key}.json"
         if not path.exists():
             raise ReplayMiss(f"no recorded interaction {key} in {self.store_dir}")
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: malformed replay record: {exc}") from exc
+        content = record.get("response_content") if isinstance(record, dict) else None
+        if not isinstance(content, str):
+            raise FormatError(f"{path}: replay record needs a string 'response_content'")
         return ChatResult(
             status=200,
             body={
                 "choices": [
                     {
-                        "message": {"content": record["response_content"]},
+                        "message": {"content": content},
                         "finish_reason": "stop",
                     }
                 ]
@@ -142,7 +149,12 @@ class ReplayClient:
 
 
 class RecordingClient:
-    """Wrap another client and persist each successful interaction."""
+    """Wrap another client and persist each successful interaction.
+
+    Each record is written to a temporary file and moved into place, so no
+    reader ever sees a half-written record, whether other threads are
+    recording at the same time or a write is interrupted.
+    """
 
     def __init__(self, inner: ChatClient, store_dir: str | Path):
         self.inner = inner
@@ -160,9 +172,12 @@ class RecordingClient:
                     "request": payload,
                     "response_content": content,
                 }
-                with open(self.store_dir / f"{key}.json", "w", encoding="utf-8") as fh:
+                path = self.store_dir / f"{key}.json"
+                tmp = path.with_name(f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+                with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(record, fh, indent=2, sort_keys=True, ensure_ascii=False)
                     fh.write("\n")
+                os.replace(tmp, path)
         return result
 
 

@@ -14,6 +14,7 @@ import re
 from ..errors import ParseError
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
+_BRACKET_RE = re.compile(r"[\[\]]")
 
 
 def _headers_from_item(item: object) -> str | None:
@@ -27,9 +28,10 @@ def _headers_from_item(item: object) -> str | None:
 
 
 def _try_json(text: str) -> list[str] | None:
+    # nesting deeper than the interpreter's recursion limit counts as no JSON
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return None
     if isinstance(value, dict):
         header = _headers_from_item(value)
@@ -50,7 +52,7 @@ def _try_object_lines(text: str) -> list[str] | None:
             continue
         try:
             value = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         found_structure = True
         header = _headers_from_item(value)
@@ -60,20 +62,19 @@ def _try_object_lines(text: str) -> list[str] | None:
 
 
 def _try_embedded_array(text: str) -> list[str] | None:
-    start = text.find("[")
-    while start != -1:
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == "[":
-                depth += 1
-            elif text[i] == "]":
-                depth -= 1
-                if depth == 0:
-                    result = _try_json(text[start:i + 1])
-                    if result is not None:
-                        return result
-                    break
-        start = text.find("[", start + 1)
+    # pair every '[' with its closing ']' in one pass, then try the
+    # bracketed spans in order of their opening position
+    opened: list[int] = []
+    close_of: dict[int, int] = {}
+    for m in _BRACKET_RE.finditer(text):
+        if m.group() == "[":
+            opened.append(m.start())
+        elif opened:
+            close_of[opened.pop()] = m.start()
+    for start in sorted(close_of):
+        result = _try_json(text[start:close_of[start] + 1])
+        if result is not None:
+            return result
     return None
 
 

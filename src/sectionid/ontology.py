@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 from .corpus import AnnotatedDocument
 from .errors import DanglingCategory, EmptyCorpus, FormatError
@@ -169,9 +169,6 @@ class CategoryStats:
     rows: dict[str, CategoryCount]
     total_sections: int
 
-    def sorted_rows(self) -> list[tuple[str, CategoryCount]]:
-        return sorted(self.rows.items(), key=lambda kv: (-kv[1].frequency, kv[0]))
-
 
 def category_stats(docs: list[AnnotatedDocument], ont: Ontology) -> CategoryStats:
     """Per-category distinct surface forms, occurrences, and percentage share."""
@@ -247,7 +244,3 @@ def default_lexicon_entries() -> set[str]:
     entries = set(top_section_names())
     entries.update(load_ontology().surface_map.keys())
     return entries
-
-
-def categorize_all(names: Iterable[str], ont: Ontology, **kwargs) -> list[tuple[str, str]]:
-    return [(name, categorize(name, ont, **kwargs)) for name in names]

@@ -268,3 +268,86 @@ def test_evaluate_span_past_document_end_is_fatal(tmp_path, gold_path, capsys):
         json.dumps({"id": "fx1", "headers": ["Allergies"], "spans": [[0, 900]]}),
     ])
     assert "'fx1' of 44 characters" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    (json.dumps({"id": "p2", "a": ["Plan"]}), "'b' must be a list of strings"),
+    ('{"id": "p2", "a": ["Plan"], "b": ["Pl', "malformed JSON"),
+    (json.dumps(["Plan", "Plan"]), "expected a JSON object"),
+    (json.dumps({"id": "p2", "a": "Plan", "b": ["Plan"]}), "'a' must be a list of strings"),
+    (json.dumps({"id": "p2", "a": ["Plan"], "b": [{"name": "Plan"}]}), "'b' must be a list"),
+])
+def test_iaa_bad_pair_line_is_fatal(tmp_path, capsys, line, message):
+    pairs = tmp_path / "pairs.jsonl"
+    good = json.dumps({"id": "p1", "a": ["Plan"], "b": ["Plan"]})
+    pairs.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    code = main(["iaa", "--pairs", str(pairs), "--out", str(tmp_path / "i")])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{pairs} line 2: {message}" in err
+    assert not (tmp_path / "i" / "iaa.json").exists()
+
+
+def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys):
+    from conftest import StaticClient
+    from sectionid.corpus import Document
+    from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
+
+    texts = {"good": "Plan: rest\n", "corrupt": "History: none\n"}
+    corpus_path = tmp_path / "two.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"id": doc_id, "text": text, "sections": []}) + "\n"
+        for doc_id, text in texts.items()
+    ), encoding="utf-8")
+    store = tmp_path / "store"
+    config = LLMConfig(backoff_base=0.0)
+    for doc_id, text in texts.items():
+        client = RecordingClient(StaticClient('[{"section_title": "Plan"}]'), store)
+        extract_headers(Document(doc_id, text), PromptStrategy.zero_shot(), config, client)
+    records = sorted(store.glob("*.json"))
+    assert len(records) == 2
+    for record in records:
+        if "History" in record.read_text(encoding="utf-8"):
+            record.write_text(record.read_text(encoding="utf-8")[:40], encoding="utf-8")
+
+    code = main([
+        "segment", "--corpus", str(corpus_path), "--segmenter", "llm",
+        "--replay", str(store), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == PARTIAL
+    assert "Traceback" not in err
+    assert "1 document(s) failed: corrupt" in err
+    out = read_jsonl(tmp_path / "o" / "predictions.jsonl")
+    assert [(r["id"], r["headers"]) for r in out] == [("good", ["Plan"]), ("corrupt", [])]
+
+
+def test_workers_flag_sets_llm_max_in_flight(tmp_path, gold_path):
+    out = tmp_path / "run"
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "regex",
+        "--workers", "3", "--out", str(out),
+    ])
+    assert code == OK
+    snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot["llm"]["max_in_flight"] == 3
+    assert "seed" not in snapshot and "workers" not in snapshot
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"corpus": "x", ', "malformed JSON"),
+    ('["segmenter", "regex"]', "expected a JSON object"),
+    ('{"llm": null}', "'llm' must be a JSON object"),
+])
+def test_bad_config_file_is_fatal(tmp_path, gold_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(content, encoding="utf-8")
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", "regex",
+        "--workers", "2", "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{config}: {message}" in err

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from sectionid.errors import AuthError, ReplayMiss, TransportError, TruncationWarning
+from sectionid.errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
 from sectionid.llm import (
     LLMConfig,
     RecordingClient,
@@ -180,3 +181,55 @@ def test_http_client_posts_bearer_token(monkeypatch):
     assert captured["headers"]["Authorization"] == "Bearer sekrit"
     assert captured["body"]["model"] == config.model_name
     assert captured["timeout"] == config.timeout
+
+
+@pytest.mark.parametrize("content", [
+    '{"prompt_hash": "x", "response_con',
+    '{"response_content": 7}',
+    '["not", "a", "record"]',
+])
+def test_bad_replay_record_is_format_error_naming_the_file(tmp_path, content):
+    payload = build_payload(CONFIG, "a prompt")
+    path = tmp_path / f"{prompt_hash(payload)}.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(FormatError, match=str(path)):
+        ReplayClient(tmp_path).send(payload)
+
+
+def test_concurrent_recording_leaves_only_finished_records(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    class EchoClient:
+        def send(self, payload):
+            return ChatResult(200, ok_body(payload["messages"][-1]["content"] * 50))
+
+    recording = RecordingClient(EchoClient(), tmp_path)
+    payloads = [build_payload(CONFIG, f"prompt {i % 4}") for i in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(recording.send, payloads, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {f"{prompt_hash(p)}.json" for p in payloads}
+    )
+    replay = ReplayClient(tmp_path)
+    for i in range(4):
+        assert complete(CONFIG, f"prompt {i}", replay) == f"prompt {i}" * 50
+
+
+def test_interrupted_recording_leaves_no_record(tmp_path, monkeypatch):
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"prompt_hash": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr("sectionid.llm.client.json.dump", dump_then_fail)
+    recording = RecordingClient(ScriptedClient([ChatResult(200, ok_body("x"))]), tmp_path)
+    payload = build_payload(CONFIG, "a prompt")
+    with pytest.raises(OSError):
+        recording.send(payload)
+    monkeypatch.undo()
+    with pytest.raises(ReplayMiss):
+        ReplayClient(tmp_path).send(payload)

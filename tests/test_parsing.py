@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionid.errors import ParseError
 from sectionid.llm import parse_llm_response
@@ -80,3 +82,29 @@ def test_never_returns_blank_headers():
     for raw in samples:
         for header in parse_llm_response(raw):
             assert header.strip() == header and header
+
+
+def test_nesting_past_the_recursion_limit_is_not_json():
+    # json.loads raises RecursionError here; the parser must not leak it
+    for raw in ("[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000):
+        try:
+            headers = parse_llm_response(raw)
+        except ParseError:
+            continue
+        assert headers == []
+
+
+_RESPONSE_PIECES = st.sampled_from([
+    "[", "]", "{", "}", ",", ":", '"', "\n", " ", "```", "```json\n",
+    '"section_title"', '"Plan"', "null", "1", "prose",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), st.lists(_RESPONSE_PIECES, max_size=60).map("".join)))
+def test_arbitrary_text_yields_headers_or_parse_error(raw):
+    try:
+        headers = parse_llm_response(raw)
+    except ParseError:
+        return
+    assert all(isinstance(h, str) and h and h == h.strip() for h in headers)
