@@ -112,7 +112,7 @@ def _regex_rule(name: str, pattern: str) -> Rule:
         raise InvalidPattern(f"rule {name!r}: {exc}") from exc
 
     def match(line: str, config: RuleConfig) -> tuple[int, int] | None:
-        m = compiled.match(line) if config.require_line_start else compiled.search(line)
+        m = compiled.match(line)
         if m is None:
             return None
         group = 1 if compiled.groups else 0
@@ -135,7 +135,6 @@ def default_rules() -> list[Rule]:
 class RuleConfig:
     patterns: list[Rule] = field(default_factory=default_rules)
     max_header_tokens: int = 8
-    require_line_start: bool = True
 
     def __post_init__(self) -> None:
         if not self.patterns:

@@ -17,10 +17,9 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from . import align, baselines, metrics, ontology
-from .corpus import AnnotatedDocument, _parse_span, corpus_stats, load_gold_corpus
+from .corpus import AnnotatedDocument, _jsonl_objects, _parse_span, corpus_stats, load_gold_corpus
 from .errors import FormatError, SectionIdError, SpanError
 from .llm import (
     CLOSE_ENDED,
@@ -58,6 +57,11 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "alignment": {"max_edit_ratio": align.DEFAULT_MAX_EDIT_RATIO},
     "llm": {},
 }
+# The keys a config file may set inside each object-valued entry.
+_NESTED_KEYS: dict[str, set[str]] = {
+    "alignment": set(_CONFIG_DEFAULTS["alignment"]),
+    "llm": {*LLMConfig.__dataclass_fields__, "example_doc", "example_headers", "label_set"},
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -71,9 +75,14 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise FormatError(f"{path}: expected a JSON object")
         for key, value in user.items():
-            if isinstance(resolved.get(key), dict):
+            if key not in resolved:
+                raise FormatError(f"{path}: unknown config key {key!r}")
+            if key in _NESTED_KEYS:
                 if not isinstance(value, dict):
                     raise FormatError(f"{path}: {key!r} must be a JSON object")
+                for sub in value:
+                    if sub not in _NESTED_KEYS[key]:
+                        raise FormatError(f"{path}: unknown config key '{key}.{sub}'")
                 resolved[key].update(value)
             else:
                 resolved[key] = value
@@ -128,8 +137,8 @@ def _build_strategy(config: dict) -> PromptStrategy:
 
 
 def _llm_config(config: dict) -> LLMConfig:
-    known = {f for f in LLMConfig.__dataclass_fields__}
-    return LLMConfig(**{k: v for k, v in config.get("llm", {}).items() if k in known})
+    fields = LLMConfig.__dataclass_fields__
+    return LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
 
 
 def _segment_docs(
@@ -212,27 +221,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return OK
 
 
-def _jsonl_objects(path: str | Path) -> Iterator[tuple[int, str, dict]]:
-    """(line number, "<path> line <n>", object) per non-blank line; a non-object fails."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{where}: expected a JSON object")
-            yield lineno, where, obj
-
-
 def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
     """Read predictions JSONL; every bad line fails with the file and line number."""
     lengths = {doc.id: len(doc.text) for doc in docs}
     predictions: dict[str, Prediction] = {}
-    for lineno, where, obj in _jsonl_objects(path):
+    for _, where, obj in _jsonl_objects(path):
         if not isinstance(obj.get("id"), str):
             raise FormatError(f"{where}: 'id' must be a string")
         headers = obj.get("headers", [])
@@ -242,10 +235,7 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
         if spans is not None:
             if not isinstance(spans, list):
                 raise FormatError(f"{where}: 'spans' must be a list or null")
-            try:
-                spans = [_parse_span(s, "each span", lineno) for s in spans]
-            except FormatError as exc:
-                raise FormatError(f"{path} {exc}") from exc
+            spans = [_parse_span(s, "each span", where) for s in spans]
         # ungrounded predictions are re-aligned inside evaluate_run
         try:
             pred = Prediction(headers=headers, spans=spans)
@@ -274,7 +264,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         docs,
         predictions,
         ont,
-        method=config.get("method", config["segmenter"]),
+        method=config["segmenter"],
         corpus_name=str(config["corpus"]),
         max_edit_ratio=float(config["alignment"]["max_edit_ratio"]),
         close_ended=bool(config.get("close_ended_eval", False)),

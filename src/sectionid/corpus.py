@@ -19,10 +19,10 @@ import logging
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import EmptyCorpus, FormatError, SpanError
-from .tokenizer import Token, tokenize
+from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -85,145 +85,170 @@ class ValidationIssue:
     kind: str
     doc_id: str | None
     message: str
+    section: int | None = None
 
 
-def _section_problems(
-    text: str, label: str, header_span: tuple[int, int], body_span: tuple[int, int] | None,
-    raw_header: str | None, next_header_start: int | None,
-) -> tuple[str, str] | None:
-    """Return (issue_kind, message) for the first violated invariant, else None."""
-    start, end = header_span
-    if not (0 <= start < end <= len(text)):
-        return OUT_OF_BOUNDS, f"header_span ({start}, {end}) outside text of length {len(text)}"
-    if raw_header is not None and text[start:end] != raw_header:
-        return SUBSTRING_MISMATCH, (
-            f"raw_header {raw_header!r} != text slice {text[start:end]!r} at ({start}, {end})"
-        )
-    if body_span is not None:
-        b_start, b_end = body_span
-        if not (0 <= b_start < b_end <= len(text)):
-            return BODY_SPAN_INVALID, f"body_span ({b_start}, {b_end}) outside text"
-        if b_start < end:
-            return BODY_SPAN_INVALID, f"body_span starts at {b_start} before header end {end}"
-        if next_header_start is not None and b_end > next_header_start:
-            return BODY_SPAN_INVALID, (
-                f"body_span ends at {b_end} past next header start {next_header_start}"
+def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:
+    """Yield (section index, kind, message) for each broken invariant of ``doc``.
+
+    A header issue (bounds, ``raw_header``, order, overlap) drops its
+    section, so the sections after it are checked against the kept ones
+    only. A body issue drops only the body, which must lie in the text,
+    start at or after its header's end and end by the next kept header.
+    """
+    text = doc.text
+    prev_start, prev_end = -1, 0
+    open_body: tuple[int, int] | None = None  # (index, end) of the last kept body
+    for i, sec in enumerate(doc.sections):
+        start, end = sec.header_span
+        if not 0 <= start < end <= len(text):
+            yield i, OUT_OF_BOUNDS, (
+                f"section {i}: header_span ({start}, {end}) outside text of length {len(text)}"
             )
-    return None
+            continue
+        if text[start:end] != sec.raw_header:
+            yield i, SUBSTRING_MISMATCH, (
+                f"section {i}: raw_header {sec.raw_header!r} != text slice "
+                f"{text[start:end]!r} at ({start}, {end})"
+            )
+            continue
+        if start < prev_start:
+            yield i, UNSORTED_SECTIONS, (
+                f"section {i} starts at {start}, before previous start {prev_start}"
+            )
+            continue
+        if start < prev_end:
+            yield i, OVERLAPPING_SPANS, (
+                f"section {i} at ({start}, {end}) overlaps the previous header ending at {prev_end}"
+            )
+            continue
+        if open_body is not None and open_body[1] > start:
+            yield open_body[0], BODY_SPAN_INVALID, (
+                f"section {open_body[0]}: body_span ends at {open_body[1]} "
+                f"past next header start {start}"
+            )
+        prev_start, prev_end = start, end
+        open_body = None
+        if sec.body_span is not None:
+            b_start, b_end = sec.body_span
+            if not 0 <= b_start < b_end <= len(text):
+                yield i, BODY_SPAN_INVALID, (
+                    f"section {i}: body_span ({b_start}, {b_end}) outside text of length {len(text)}"
+                )
+            elif b_start < end:
+                yield i, BODY_SPAN_INVALID, (
+                    f"section {i}: body_span starts at {b_start} before header end {end}"
+                )
+            else:
+                open_body = (i, b_end)
 
 
-def _parse_span(value: object, what: str, lineno: int) -> tuple[int, int]:
+def _jsonl_objects(
+    path: str | Path, skip_malformed: bool = False
+) -> Iterator[tuple[int, str, dict]]:
+    """(line number, "<path> line <n>", object) per non-blank line of a JSONL file.
+
+    A non-object line fails. A line that is not JSON fails too, unless
+    ``skip_malformed``, which logs and skips it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if skip_malformed:
+                    log.warning("%s: skipping malformed JSON line", where)
+                    continue
+                raise FormatError(f"{where}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            yield lineno, where, obj
+
+
+def _parse_span(value: object, what: str, where: str) -> tuple[int, int]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
     ):
-        raise FormatError(f"line {lineno}: {what} must be a [start, end] pair of ints")
+        raise FormatError(f"{where}: {what} must be a [start, end] pair of ints")
     return (value[0], value[1])
 
 
 def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDocument]:
     """Load an annotated corpus from JSONL.
 
-    In strict mode any invariant violation raises (FormatError for malformed
-    lines and fields, SpanError for span problems, naming the document). In
-    lenient mode violating sections are dropped with a logged warning, but
-    documents themselves are always kept.
+    Every error names the file and line. In strict mode any invariant
+    violation raises (FormatError for malformed lines and fields, SpanError
+    for span problems, naming the document). In lenient mode a line that is
+    not JSON is skipped, and exactly the sections and bodies that
+    ``validate_corpus`` flags are dropped with a logged warning; documents
+    themselves are always kept.
     """
-    path = Path(path)
     docs: list[AnnotatedDocument] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise FormatError(f"line {lineno}: malformed JSON: {exc}") from exc
-                log.warning("%s line %d: skipping malformed JSON line", path, lineno)
-                continue
-            if not isinstance(obj, dict):
-                raise FormatError(f"line {lineno}: expected a JSON object")
-            doc_id = obj.get("id")
-            text = obj.get("text")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise FormatError(f"line {lineno}: 'id' must be a non-empty string")
-            if not isinstance(text, str):
-                raise FormatError(f"line {lineno}: 'text' must be a string")
-            source_kind = obj.get("source_kind", "ehr_clean")
-            if source_kind not in SOURCE_KINDS:
-                if strict:
-                    raise FormatError(
-                        f"line {lineno}: unknown source_kind {source_kind!r} for document {doc_id!r}"
-                    )
-                log.warning("document %s: unknown source_kind %r, using ehr_clean", doc_id, source_kind)
-                source_kind = "ehr_clean"
-            if doc_id in seen_ids:
-                if strict:
-                    raise FormatError(f"line {lineno}: duplicate document id {doc_id!r}")
-                log.warning("duplicate document id %r kept in lenient mode", doc_id)
-            seen_ids.add(doc_id)
+    for _, where, obj in _jsonl_objects(path, skip_malformed=not strict):
+        doc_id = obj.get("id")
+        text = obj.get("text")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise FormatError(f"{where}: 'id' must be a non-empty string")
+        if not isinstance(text, str):
+            raise FormatError(f"{where}: 'text' must be a string")
+        source_kind = obj.get("source_kind", "ehr_clean")
+        if source_kind not in SOURCE_KINDS:
+            if strict:
+                raise FormatError(
+                    f"{where}: unknown source_kind {source_kind!r} for document {doc_id!r}"
+                )
+            log.warning("%s: document %s: unknown source_kind %r, using ehr_clean",
+                        where, doc_id, source_kind)
+            source_kind = "ehr_clean"
+        if doc_id in seen_ids:
+            if strict:
+                raise FormatError(f"{where}: duplicate document id {doc_id!r}")
+            log.warning("%s: duplicate document id %r kept in lenient mode", where, doc_id)
+        seen_ids.add(doc_id)
 
-            raw_sections = obj.get("sections", [])
-            if not isinstance(raw_sections, list):
-                raise FormatError(f"line {lineno}: 'sections' must be a list")
-            sections: list[SectionAnnotation] = []
-            prev_end = 0
-            for raw in raw_sections:
-                if not isinstance(raw, dict) or "label" not in raw or "header_span" not in raw:
-                    raise FormatError(
-                        f"line {lineno}: section needs 'label' and 'header_span' (document {doc_id!r})"
-                    )
-                header_span = _parse_span(raw["header_span"], "header_span", lineno)
-                body_span = (
-                    _parse_span(raw["body_span"], "body_span", lineno)
-                    if raw.get("body_span") is not None
-                    else None
+        raw_sections = obj.get("sections", [])
+        if not isinstance(raw_sections, list):
+            raise FormatError(f"{where}: 'sections' must be a list")
+        sections: list[SectionAnnotation] = []
+        for raw in raw_sections:
+            if not isinstance(raw, dict) or "label" not in raw or "header_span" not in raw:
+                raise FormatError(
+                    f"{where}: section needs 'label' and 'header_span' (document {doc_id!r})"
                 )
-                problem = _section_problems(
-                    text, raw["label"], header_span, body_span,
-                    raw.get("raw_header"), next_header_start=None,
+            start, end = _parse_span(raw["header_span"], "header_span", where)
+            raw_header = raw.get("raw_header")
+            body_span = raw.get("body_span")
+            if body_span is not None:
+                body_span = _parse_span(body_span, "body_span", where)
+            sections.append(
+                SectionAnnotation(
+                    label=str(raw["label"]),
+                    header_span=(start, end),
+                    raw_header=text[start:end] if raw_header is None else raw_header,
+                    body_span=body_span,
                 )
-                if problem is None and header_span[0] < prev_end:
-                    problem = (
-                        OVERLAPPING_SPANS,
-                        f"header_span {header_span} overlaps or precedes previous header end {prev_end}",
-                    )
-                if problem is not None:
-                    kind, message = problem
-                    if kind == BODY_SPAN_INVALID:
-                        # body problems never discard the header annotation
-                        if strict:
-                            raise SpanError(f"document {doc_id!r}: {message}")
-                        log.warning("document %s: dropping body_span: %s", doc_id, message)
-                        body_span = None
-                    else:
-                        if strict:
-                            raise SpanError(f"document {doc_id!r}: {message}")
-                        log.warning("document %s: dropping section: %s", doc_id, message)
-                        continue
-                sections.append(
-                    SectionAnnotation(
-                        label=str(raw["label"]),
-                        header_span=header_span,
-                        raw_header=text[header_span[0]:header_span[1]],
-                        body_span=body_span,
-                    )
-                )
-                prev_end = header_span[1]
-            for sec, nxt in zip(sections, sections[1:]):
-                if sec.body_span is not None and sec.body_span[1] > nxt.header_span[0]:
-                    message = (
-                        f"body_span {sec.body_span} of {sec.label!r} runs past the "
-                        f"next header at {nxt.header_span[0]}"
-                    )
-                    if strict:
-                        raise SpanError(f"document {doc_id!r}: {message}")
-                    log.warning("document %s: dropping body_span: %s", doc_id, message)
-                    sec.body_span = None
-            docs.append(AnnotatedDocument(Document(doc_id, text, source_kind), sections))
+            )
+        doc = AnnotatedDocument(Document(doc_id, text, source_kind), sections)
+        dropped: set[int] = set()
+        # the walk reads a body before it reports it, so dropping one here is safe
+        for i, kind, message in _issues(doc):
+            if strict:
+                raise SpanError(f"{where}: document {doc_id!r}: {message}")
+            if kind == BODY_SPAN_INVALID:
+                log.warning("%s: document %s: dropping body_span: %s", where, doc_id, message)
+                sections[i].body_span = None
+            else:
+                log.warning("%s: document %s: dropping section: %s", where, doc_id, message)
+                dropped.add(i)
+        if dropped:
+            doc.sections = [sec for i, sec in enumerate(sections) if i not in dropped]
+        docs.append(doc)
     return docs
 
 
@@ -253,7 +278,10 @@ def save_gold_corpus(docs: Iterable[AnnotatedDocument], path: str | Path) -> Non
 def validate_corpus(docs: list[AnnotatedDocument]) -> list[ValidationIssue]:
     """Diagnose invariant violations without raising.
 
-    Returns one issue per violation; an empty list means the corpus is valid.
+    Returns one issue per violation, from the same walk that
+    ``load_gold_corpus`` runs; an empty list means the corpus is valid. A
+    section with a header issue counts as dropped for the checks after it,
+    just as a lenient load drops it.
     """
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
@@ -261,47 +289,17 @@ def validate_corpus(docs: list[AnnotatedDocument]) -> list[ValidationIssue]:
         if doc.id in seen:
             issues.append(ValidationIssue(DUPLICATE_ID, doc.id, f"document id {doc.id!r} repeats"))
         seen.add(doc.id)
-        prev_start = -1
-        prev_end = 0
-        ordered = True
-        for i, sec in enumerate(doc.sections):
-            next_start = (
-                doc.sections[i + 1].header_span[0] if i + 1 < len(doc.sections) else None
-            )
-            problem = _section_problems(
-                doc.text, sec.label, sec.header_span, sec.body_span, sec.raw_header, next_start
-            )
-            if problem is not None:
-                issues.append(ValidationIssue(problem[0], doc.id, problem[1]))
-                continue
-            start, end = sec.header_span
-            if start < prev_start:
-                issues.append(
-                    ValidationIssue(
-                        UNSORTED_SECTIONS, doc.id,
-                        f"section {i} starts at {start}, before previous start {prev_start}",
-                    )
-                )
-                ordered = False
-            elif ordered and start < prev_end:
-                issues.append(
-                    ValidationIssue(
-                        OVERLAPPING_SPANS, doc.id,
-                        f"section {i} at ({start}, {end}) overlaps previous header",
-                    )
-                )
-            prev_start, prev_end = start, max(prev_end, end)
+        issues.extend(
+            ValidationIssue(kind, doc.id, message, i) for i, kind, message in _issues(doc)
+        )
     return issues
 
 
-def corpus_stats(
-    docs: list[AnnotatedDocument],
-    tokenizer: Callable[[str], list[Token]] = tokenize,
-) -> CorpusStats:
+def corpus_stats(docs: list[AnnotatedDocument]) -> CorpusStats:
     """Mean and population standard deviation of tokens and sections per document."""
     if not docs:
         raise EmptyCorpus("corpus_stats needs at least one document")
-    token_counts = [len(tokenizer(doc.text)) for doc in docs]
+    token_counts = [len(tokenize(doc.text)) for doc in docs]
     section_counts = [len(doc.sections) for doc in docs]
     return CorpusStats(
         document_count=len(docs),

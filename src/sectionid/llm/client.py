@@ -130,6 +130,8 @@ class ReplayClient:
         try:
             with open(path, encoding="utf-8") as fh:
                 record = json.load(fh)
+        except OSError as exc:
+            raise FormatError(f"{path}: unreadable replay record: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: malformed replay record: {exc}") from exc
         content = record.get("response_content") if isinstance(record, dict) else None

@@ -24,7 +24,7 @@ UNKNOWN = "UNKNOWN"
 COARSE = "coarse"
 FINE = "fine"
 
-DEFAULT_FUZZY_RATIO = 0.15
+FUZZY_RATIO = 0.15
 
 
 def data_path(name: str):
@@ -121,14 +121,13 @@ def categorize(
     name: str,
     ont: Ontology,
     fuzzy: bool = True,
-    max_ratio: float = DEFAULT_FUZZY_RATIO,
     level: str | None = None,
 ) -> str:
     """Map a section name to its canonical category, falling back to UNKNOWN.
 
     Exact lookup happens on the normalized surface form; with ``fuzzy`` the
     nearest surface by normalized edit distance wins when its ratio is at
-    most ``max_ratio``. ``level`` restricts candidates to coarse or fine
+    most ``FUZZY_RATIO``. ``level`` restricts candidates to coarse or fine
     entries.
     """
     surface = normalize_surface(name)
@@ -143,14 +142,14 @@ def categorize(
         return hit
     if fuzzy:
         best: tuple[float, str] | None = None
-        limit = math.floor(max_ratio * max(len(surface), 1)) + 1
+        limit = math.floor(FUZZY_RATIO * max(len(surface), 1)) + 1
         for candidate in ont.surface_map:
             if not allowed(candidate):
                 continue
             if abs(len(candidate) - len(surface)) > limit:
                 continue
             ratio = edit_ratio(surface, candidate)
-            if ratio <= max_ratio and (best is None or (ratio, candidate) < best):
+            if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
                 best = (ratio, candidate)
         if best is not None:
             return ont.surface_map[best[1]]

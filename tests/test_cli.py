@@ -289,7 +289,9 @@ def test_iaa_bad_pair_line_is_fatal(tmp_path, capsys, line, message):
     assert not (tmp_path / "i" / "iaa.json").exists()
 
 
-def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys):
+def _segment_with_one_broken_record(tmp_path, capsys, break_record):
+    """Record a zero-shot answer for two notes, break one record, and check
+    that segment fails only that note."""
     from conftest import StaticClient
     from sectionid.corpus import Document
     from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
@@ -309,7 +311,7 @@ def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys)
     assert len(records) == 2
     for record in records:
         if "History" in record.read_text(encoding="utf-8"):
-            record.write_text(record.read_text(encoding="utf-8")[:40], encoding="utf-8")
+            break_record(record)
 
     code = main([
         "segment", "--corpus", str(corpus_path), "--segmenter", "llm",
@@ -321,6 +323,22 @@ def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys)
     assert "1 document(s) failed: corrupt" in err
     out = read_jsonl(tmp_path / "o" / "predictions.jsonl")
     assert [(r["id"], r["headers"]) for r in out] == [("good", ["Plan"]), ("corrupt", [])]
+
+
+def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys):
+    def truncate(record):
+        record.write_text(record.read_text(encoding="utf-8")[:40], encoding="utf-8")
+
+    _segment_with_one_broken_record(tmp_path, capsys, truncate)
+
+
+def test_segment_unreadable_replay_record_fails_only_its_document(tmp_path, capsys, caplog):
+    def replace_with_directory(record):
+        record.unlink()
+        record.mkdir()
+
+    _segment_with_one_broken_record(tmp_path, capsys, replace_with_directory)
+    assert "unreadable replay record" in caplog.text
 
 
 def test_workers_flag_sets_llm_max_in_flight(tmp_path, gold_path):
@@ -339,6 +357,10 @@ def test_workers_flag_sets_llm_max_in_flight(tmp_path, gold_path):
     ('{"corpus": "x", ', "malformed JSON"),
     ('["segmenter", "regex"]', "expected a JSON object"),
     ('{"llm": null}', "'llm' must be a JSON object"),
+    ('{"segmentr": "keyword"}', "unknown config key 'segmentr'"),
+    ('{"workers": 3}', "unknown config key 'workers'"),
+    ('{"llm": {"max_inflight": 2}}', "unknown config key 'llm.max_inflight'"),
+    ('{"alignment": {"max_ratio": 0.3}}', "unknown config key 'alignment.max_ratio'"),
 ])
 def test_bad_config_file_is_fatal(tmp_path, gold_path, capsys, content, message):
     config = tmp_path / "config.json"
@@ -351,3 +373,59 @@ def test_bad_config_file_is_fatal(tmp_path, gold_path, capsys, content, message)
     assert code == FATAL
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{config}: {message}" in err
+
+
+def test_config_accepts_every_declared_key(tmp_path, gold_path):
+    settings = {
+        "corpus": gold_path, "segmenter": "regex", "strategy": "close_ended",
+        "ontology": None, "lexicon": None, "ruleset": None,
+        "out": str(tmp_path / "o"), "replay": None, "record": None,
+        "strict": True, "close_ended_eval": False,
+        "alignment": {"max_edit_ratio": 0.25},
+        "llm": {
+            "model_name": "m", "max_context_chars": 900,
+            "example_doc": "Plan: rest", "example_headers": ["Plan"], "label_set": ["Plan"],
+        },
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    assert main(["segment", "--config", str(config)]) == OK
+    snapshot = json.loads((tmp_path / "o" / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot == settings
+
+
+def test_lenient_run_drops_overlapping_section_with_bad_body(tmp_path, caplog):
+    # Beta overlaps Alpha and also has a bad body: a lenient load used to
+    # keep Beta without its body, and evaluate then refused the gold spans
+    corpus = tmp_path / "overlap.jsonl"
+    corpus.write_text(json.dumps({
+        "id": "d1", "text": "Alpha: one\nBeta: two\n", "sections": [
+            {"label": "Alpha", "header_span": [0, 10]},
+            {"label": "Beta", "header_span": [5, 15], "body_span": [2, 3]},
+        ],
+    }) + "\n", encoding="utf-8")
+    common = ["--corpus", str(corpus), "--no-strict"]
+    assert main(["segment", *common, "--segmenter", "regex", "--out", str(tmp_path / "s")]) == OK
+    assert main([
+        "evaluate", *common, "--predictions", str(tmp_path / "s" / "predictions.jsonl"),
+        "--out", str(tmp_path / "e"),
+    ]) == OK
+    assert f"{corpus} line 1: document d1: dropping section: section 1 at (5, 15)" in caplog.text
+    assert "body_span" not in caplog.text
+
+
+@pytest.mark.parametrize("command", [["stats"], ["segment", "--segmenter", "regex"]])
+def test_bad_corpus_error_names_file_and_line(tmp_path, capsys, command):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "d0", "text": "Plan: rest", "sections": []}) + "\n"
+        + json.dumps({"id": "d1", "text": "short", "sections": [
+            {"label": "X", "header_span": [0, 99]},
+        ]}) + "\n",
+        encoding="utf-8",
+    )
+    code = main([*command, "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith(f"error: {corpus} line 2: document 'd1': ")
+    assert "header_span (0, 99) outside text of length 5" in err

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_synthetic_corpus
+from conftest import make_synthetic_corpus, make_synthetic_doc
 from sectionid.corpus import (
+    BODY_SPAN_INVALID,
     DUPLICATE_ID,
     OVERLAPPING_SPANS,
     SUBSTRING_MISMATCH,
@@ -239,3 +243,84 @@ def test_synthetic_corpora_are_valid():
     corpus = make_synthetic_corpus(rng, 30)
     assert validate_corpus(corpus) == []
     assert statistics.fmean([len(d.sections) for d in corpus]) >= 0
+
+
+def _with_bodies(doc):
+    """Give each section the body from its header's end to the next header."""
+    nexts = [sec.header_span[0] for sec in doc.sections[1:]] + [len(doc.text)]
+    for sec, nxt in zip(doc.sections, nexts):
+        if sec.header_span[1] < nxt:
+            sec.body_span = (sec.header_span[1], nxt)
+    return doc
+
+
+def _mutate(rng, doc):
+    """Break one span invariant of ``doc``, or none, at random."""
+    n = len(doc.text)
+    i = rng.randrange(len(doc.sections))
+    sec = doc.sections[i]
+    what = rng.randrange(5)
+    if what == 0:  # move the header anywhere, half the time keeping raw_header in step
+        start, end = rng.randint(-2, n + 2), rng.randint(-2, n + 2)
+        sec.header_span = (start, end)
+        if rng.random() < 0.5 and 0 <= start:
+            sec.raw_header = doc.text[start:end]
+    elif what == 1:  # nudge the header by a few characters
+        start, end = (p + rng.randint(-3, 3) for p in sec.header_span)
+        sec.header_span = (start, end)
+        if 0 <= start:
+            sec.raw_header = doc.text[start:end]
+    elif what == 2:  # move the body anywhere
+        sec.body_span = (rng.randint(-2, n + 2), rng.randint(-2, n + 2))
+    elif what == 3 and sec.body_span is not None:  # nudge the body
+        sec.body_span = tuple(p + rng.randint(-3, 3) for p in sec.body_span)
+    else:  # swap two sections
+        j = rng.randrange(len(doc.sections))
+        doc.sections[i], doc.sections[j] = doc.sections[j], doc.sections[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_load_agrees_with_validate_on_mutated_notes(tmp_path_factory, rng, n_mutations):
+    docs = [_with_bodies(make_synthetic_doc(rng, f"d{k}", min_sections=1)) for k in range(3)]
+    for _ in range(n_mutations):
+        _mutate(rng, rng.choice(docs))
+    issues = validate_corpus(docs)
+    path = tmp_path_factory.mktemp("mutated") / "corpus.jsonl"
+    save_gold_corpus(docs, path)
+
+    if issues:
+        with pytest.raises(SpanError):
+            load_gold_corpus(path, strict=True)
+    else:
+        assert load_gold_corpus(path, strict=True) == docs
+
+    flagged = {(issue.doc_id, issue.section, issue.kind == BODY_SPAN_INVALID) for issue in issues}
+    expected = [
+        AnnotatedDocument(doc.document, [
+            dataclasses.replace(
+                sec, body_span=None if (doc.id, i, True) in flagged else sec.body_span
+            )
+            for i, sec in enumerate(doc.sections)
+            if (doc.id, i, False) not in flagged
+        ])
+        for doc in docs
+    ]
+    lenient = load_gold_corpus(path, strict=False)
+    assert lenient == expected
+    assert validate_corpus(lenient) == []
+
+
+def test_lenient_load_drops_overlapping_section_with_bad_body(tmp_path):
+    text = "Alpha: one\nBeta: two\n"
+    doc = AnnotatedDocument(Document("d1", text), [
+        SectionAnnotation("Alpha", (0, 10), text[0:10]),
+        SectionAnnotation("Beta", (5, 15), text[5:15], body_span=(2, 3)),
+    ])
+    assert [(i.kind, i.section) for i in validate_corpus([doc])] == [(OVERLAPPING_SPANS, 1)]
+    path = tmp_path / "overlap.jsonl"
+    save_gold_corpus([doc], path)
+    with pytest.raises(SpanError, match=f"{path} line 1: document 'd1': section 1 "):
+        load_gold_corpus(path, strict=True)
+    docs = load_gold_corpus(path, strict=False)
+    assert [s.label for s in docs[0].sections] == ["Alpha"]
