@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable
 
 from .align import line_starts
-from .corpus import Document
-from .errors import InvalidPattern
+from .corpus import Document, _not_utf8
+from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
 from .tokenizer import tokenize
 
@@ -46,10 +46,13 @@ def load_lexicon(path: str | Path, case_sensitive: bool = False) -> HeaderLexico
     """Read a lexicon file: one surface form per line, '#' starts a comment."""
     entries: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            form = line.split("#", 1)[0].strip()
-            if form:
-                entries.add(form)
+        try:
+            for line in fh:
+                form = line.split("#", 1)[0].strip()
+                if form:
+                    entries.add(form)
+        except UnicodeDecodeError as exc:
+            raise FormatError(_not_utf8(path)) from exc
     return HeaderLexicon(entries=entries, case_sensitive=case_sensitive)
 
 
@@ -144,16 +147,31 @@ class RuleConfig:
 
 
 def load_ruleset(path: str | Path, **kwargs: object) -> RuleConfig:
-    """Read a JSON list of {"name": str, "pattern": str} rules."""
+    """Read a JSON list of {"name": str, "pattern": str} rules.
+
+    A file that is not UTF-8 JSON raises FormatError; a list of the wrong
+    shape, or a pattern that does not compile, raises InvalidPattern. Both
+    name the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(_not_utf8(path)) from exc
     if not isinstance(raw, list):
-        raise InvalidPattern("ruleset file must be a JSON list of {name, pattern} objects")
+        raise InvalidPattern(
+            f"{path}: ruleset file must be a JSON list of {{name, pattern}} objects"
+        )
     rules = []
     for item in raw:
         if not isinstance(item, dict) or "name" not in item or "pattern" not in item:
-            raise InvalidPattern("each rule needs 'name' and 'pattern'")
-        rules.append(_regex_rule(str(item["name"]), str(item["pattern"])))
+            raise InvalidPattern(f"{path}: each rule needs 'name' and 'pattern'")
+        try:
+            rules.append(_regex_rule(str(item["name"]), str(item["pattern"])))
+        except InvalidPattern as exc:
+            raise InvalidPattern(f"{path}: {exc}") from exc
     return RuleConfig(patterns=rules, **kwargs)  # type: ignore[arg-type]
 
 
@@ -164,16 +182,22 @@ def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     the next character, if any, is not alphanumeric, so 'Plan' never fires
     inside 'Planning'. At most one match per line.
     """
-    ordered = sorted(lexicon.entries, key=lambda e: (-len(e), e))
     fold = (lambda s: s) if lexicon.case_sensitive else str.lower
-    folded = [(entry, fold(entry)) for entry in ordered]
+    # A folded line can only start with an entry whose folded form has the
+    # same first character, so each line scans one bucket, longest entry
+    # first. A first-token key would also need folding never to move a token
+    # boundary, and the tail check below reads the unfolded line.
+    by_first: dict[str, list[tuple[str, str]]] = {}
+    for entry in sorted(lexicon.entries, key=lambda e: (-len(e), e)):
+        folded_entry = fold(entry)
+        by_first.setdefault(folded_entry[:1], []).append((entry, folded_entry))
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
         folded_content = fold(content)
-        for entry, folded_entry in folded:
+        for entry, folded_entry in by_first.get(folded_content[:1], ()):
             if not folded_content.startswith(folded_entry):
                 continue
             tail = content[len(entry):]

@@ -19,7 +19,14 @@ import sys
 from pathlib import Path
 
 from . import align, baselines, metrics, ontology
-from .corpus import AnnotatedDocument, _jsonl_objects, _parse_span, corpus_stats, load_gold_corpus
+from .corpus import (
+    AnnotatedDocument,
+    _jsonl_objects,
+    _not_utf8,
+    _parse_span,
+    corpus_stats,
+    load_gold_corpus,
+)
 from .errors import FormatError, SectionIdError, SpanError
 from .llm import (
     CLOSE_ENDED,
@@ -64,6 +71,14 @@ _NESTED_KEYS: dict[str, set[str]] = {
 }
 
 
+def _check_llm_value(key: str, value: object, source: str) -> None:
+    """Raise FormatError naming ``source`` when LLMConfig refuses ``value`` for ``key``."""
+    try:
+        LLMConfig(**{key: value})
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     resolved = json.loads(json.dumps(_CONFIG_DEFAULTS))
     if path:
@@ -72,6 +87,8 @@ def _load_config(path: str | None) -> dict:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise FormatError(_not_utf8(path)) from exc
         if not isinstance(user, dict):
             raise FormatError(f"{path}: expected a JSON object")
         for key, value in user.items():
@@ -80,9 +97,11 @@ def _load_config(path: str | None) -> dict:
             if key in _NESTED_KEYS:
                 if not isinstance(value, dict):
                     raise FormatError(f"{path}: {key!r} must be a JSON object")
-                for sub in value:
+                for sub, sub_value in value.items():
                     if sub not in _NESTED_KEYS[key]:
                         raise FormatError(f"{path}: unknown config key '{key}.{sub}'")
+                    if key == "llm" and sub in LLMConfig.__dataclass_fields__:
+                        _check_llm_value(sub, sub_value, f"{path}: config key 'llm.{sub}'")
                 resolved[key].update(value)
             else:
                 resolved[key] = value
@@ -99,6 +118,7 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
         if value is not None:
             config[key] = value
     if getattr(args, "workers", None) is not None:
+        _check_llm_value("max_in_flight", args.workers, "--workers")
         config["llm"]["max_in_flight"] = args.workers
     if getattr(args, "max_edit_ratio", None) is not None:
         config["alignment"]["max_edit_ratio"] = args.max_edit_ratio
@@ -314,11 +334,14 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     ont = ontology.load_ontology(args.ontology)
     lines: list[str] = []
     with open(args.names, encoding="utf-8") as fh:
-        for line in fh:
-            name = line.rstrip("\n")
-            if not name.strip() or name.lstrip().startswith("#"):
-                continue
-            lines.append(f"{name}\t{ontology.categorize(name, ont)}")
+        try:
+            for line in fh:
+                name = line.rstrip("\n")
+                if not name.strip() or name.lstrip().startswith("#"):
+                    continue
+                lines.append(f"{name}\t{ontology.categorize(name, ont)}")
+        except UnicodeDecodeError as exc:
+            raise FormatError(_not_utf8(args.names)) from exc
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")

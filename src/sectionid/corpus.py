@@ -149,23 +149,50 @@ def _jsonl_objects(
     """(line number, "<path> line <n>", object) per non-blank line of a JSONL file.
 
     A non-object line fails. A line that is not JSON fails too, unless
-    ``skip_malformed``, which logs and skips it.
+    ``skip_malformed``, which logs and skips it. A file that is not UTF-8
+    fails whatever ``skip_malformed`` says.
     """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if skip_malformed:
-                    log.warning("%s: skipping malformed JSON line", where)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                raise FormatError(f"{where}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{where}: expected a JSON object")
-            yield lineno, where, obj
+                where = f"{path} line {lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if skip_malformed:
+                        log.warning("%s: skipping malformed JSON line", where)
+                        continue
+                    raise FormatError(f"{where}: malformed JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise FormatError(f"{where}: expected a JSON object")
+                yield lineno, where, obj
+        except UnicodeDecodeError as exc:
+            raise FormatError(_not_utf8(path)) from exc
+
+
+def _not_utf8(path: str | Path) -> str:
+    """Name the line and offset of the first byte of ``path`` that is not UTF-8.
+
+    Every reader of a user file turns a ``UnicodeDecodeError`` into a
+    ``FormatError`` with this message.
+
+    Text mode decodes a block at a time, so the error it raises does not say
+    which line holds the byte. Decoding the whole file does, and counting
+    line breaks as text mode does (LF, CRLF and a lone CR) gives the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data[: exc.start].decode("utf-8")
+        lineno = good.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return (
+            f"{path} line {lineno}: not UTF-8: byte 0x{data[exc.start]:02x} "
+            f"at offset {exc.start}"
+        )
+    return f"{path}: not UTF-8"
 
 
 def _parse_span(value: object, what: str, where: str) -> tuple[int, int]:

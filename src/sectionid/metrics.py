@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .align import align_headers
@@ -98,20 +99,27 @@ def _rates(counts: Counts) -> tuple[float, float, float, float, float]:
 def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
     if len(gold_tags) != len(pred_tags):
         raise LengthMismatch(f"{len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
-    if not is_well_formed(list(gold_tags)) or not is_well_formed(list(pred_tags)):
+    gold, pred = list(gold_tags), list(pred_tags)
+    if not is_well_formed(gold) or not is_well_formed(pred):
         raise MalformedTags("tag sequences must be well-formed IOB")
-    counts = Counts(total_tokens=len(gold_tags))
-    for g, p in zip(gold_tags, pred_tags):
-        gold_header = g != O
-        pred_header = p != O
-        counts.gold_tokens += gold_header
-        counts.pred_tokens += pred_header
-        counts.tp += gold_header and pred_header
-        counts.fp += pred_header and not gold_header
-        counts.fn += gold_header and not pred_header
-        counts.role_correct += gold_header and g == p
-        counts.equal_tokens += g == p
-    return counts
+    # Header tokens are the tags other than O. Counting O tags, O/O pairs and
+    # equal pairs in C gives every count by inclusion-exclusion.
+    total = len(gold)
+    gold_tokens = total - gold.count(O)
+    pred_tokens = total - pred.count(O)
+    both_outside = list(zip(gold, pred)).count((O, O))
+    tp = gold_tokens + pred_tokens - total + both_outside
+    equal = sum(map(eq, gold, pred))
+    return Counts(
+        tp=tp,
+        fp=pred_tokens - tp,
+        fn=gold_tokens - tp,
+        gold_tokens=gold_tokens,
+        pred_tokens=pred_tokens,
+        role_correct=equal - both_outside,
+        total_tokens=total,
+        equal_tokens=equal,
+    )
 
 
 def token_metrics(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> TokenMetrics:

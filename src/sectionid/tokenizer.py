@@ -9,7 +9,9 @@ token of a header span, I the rest, O everything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import LengthMismatch, MalformedTags, OverlapError
 
@@ -23,11 +25,14 @@ IOB_TAGS = (B, I, O)
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int
     end: int
+
+
+_start = attrgetter("start")
+_end = attrgetter("end")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -57,21 +62,20 @@ def spans_to_iob(tokens: list[Token], header_spans: list[tuple[int, int]]) -> li
     """Tag each token B/I/O against a sorted, non-overlapping span list.
 
     A token belongs to a span when their character ranges overlap at all,
-    so spans that cut through a token still claim it. The first token of
-    each span gets B, later ones I.
+    so spans that cut through a token still claim it; a token that overlaps
+    two spans belongs to the first. The first token of each span gets B,
+    later ones I. ``tokens`` are in text order, as ``tokenize`` returns them,
+    so the tokens a span overlaps are one run, found by bisection.
     """
     _check_spans(header_spans)
-    tags: list[str] = []
-    idx = 0
-    opened = -1  # index of the span whose B we already emitted
-    for tok in tokens:
-        while idx < len(header_spans) and header_spans[idx][1] <= tok.start:
-            idx += 1
-        if idx < len(header_spans) and header_spans[idx][0] < tok.end:
-            tags.append(I if opened == idx else B)
-            opened = idx
-        else:
-            tags.append(O)
+    tags = [O] * len(tokens)
+    claimed = 0  # tokens before this index belong to an earlier span
+    for start, end in header_spans:
+        first = max(claimed, bisect_right(tokens, start, key=_end))
+        last = bisect_left(tokens, end, key=_start)
+        if first < last:
+            tags[first:last] = [B] + [I] * (last - first - 1)
+            claimed = last
     return tags
 
 

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from sectionid.align import line_starts
+from sectionid.baselines import HeaderLexicon
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation, load_gold_corpus
+from sectionid.errors import LengthMismatch, MalformedTags
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
+from sectionid.metrics import Counts
+from sectionid.prediction import Prediction
+from sectionid.tokenizer import B, I, O, is_well_formed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,6 +101,68 @@ def perturb_header(rng: random.Random, header: str) -> str:
             replacement = rng.choice("abcdefghijklmnopqrstuvwxyz")
         chars[pos] = replacement
     return "".join(chars)
+
+
+def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
+    """Oracle for ``baselines.keyword_segment``: every line scans the whole
+    lexicon, longest entry first."""
+    ordered = sorted(lexicon.entries, key=lambda e: (-len(e), e))
+    fold = (lambda s: s) if lexicon.case_sensitive else str.lower
+    folded = [(entry, fold(entry)) for entry in ordered]
+    headers: list[str] = []
+    spans: list[tuple[int, int]] = []
+    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+        content = line.lstrip()
+        indent = len(line) - len(content)
+        folded_content = fold(content)
+        for entry, folded_entry in folded:
+            if not folded_content.startswith(folded_entry):
+                continue
+            tail = content[len(entry):]
+            if tail and tail[0].isalnum():
+                continue
+            start = line_start + indent
+            end = start + len(entry)
+            headers.append(doc.text[start:end])
+            spans.append((start, end))
+            break
+    return Prediction(headers=headers, spans=spans)
+
+
+def reference_spans_to_iob(tokens, header_spans) -> list[str]:
+    """Oracle for ``tokenizer.spans_to_iob``: one Python step per token."""
+    tags: list[str] = []
+    idx = 0
+    opened = -1  # index of the span whose B we already emitted
+    for tok in tokens:
+        while idx < len(header_spans) and header_spans[idx][1] <= tok.start:
+            idx += 1
+        if idx < len(header_spans) and header_spans[idx][0] < tok.end:
+            tags.append(I if opened == idx else B)
+            opened = idx
+        else:
+            tags.append(O)
+    return tags
+
+
+def reference_token_counts(gold_tags, pred_tags) -> Counts:
+    """Oracle for ``metrics.token_counts``: one Python step per token pair."""
+    if len(gold_tags) != len(pred_tags):
+        raise LengthMismatch(f"{len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
+    if not is_well_formed(list(gold_tags)) or not is_well_formed(list(pred_tags)):
+        raise MalformedTags("tag sequences must be well-formed IOB")
+    counts = Counts(total_tokens=len(gold_tags))
+    for g, p in zip(gold_tags, pred_tags):
+        gold_header = g != O
+        pred_header = p != O
+        counts.gold_tokens += gold_header
+        counts.pred_tokens += pred_header
+        counts.tp += gold_header and pred_header
+        counts.fp += pred_header and not gold_header
+        counts.fn += gold_header and not pred_header
+        counts.role_correct += gold_header and g == p
+        counts.equal_tokens += g == p
+    return counts
 
 
 class StaticClient:

@@ -4,8 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_synthetic_corpus
+from conftest import make_synthetic_corpus, reference_keyword_segment
 from sectionid.baselines import (
     HeaderLexicon,
     RuleConfig,
@@ -161,3 +163,45 @@ def test_segmenters_deterministic():
     assert regex_segment(doc) == regex_segment(doc)
     assert keyword_segment(doc, LEX) == keyword_segment(doc, LEX)
     assert rule_segment(doc, LEX) == rule_segment(doc, LEX)
+
+
+# Pieces of lexicon entries. Some are prefixes of others, some start with
+# punctuation, and some fold in awkward ways: 'İ' lowercases to two
+# characters, 'ẞ' to 'ß', the Kelvin sign to 'k', and final and medial sigma
+# both uppercase to 'Σ'.
+_ATOMS = [
+    "Plan", "Pl", "plan", "PLAN", "Plan of Care", "A", "Assessment", "Hx", "(Hx)",
+    "- Meds", "#1", "1.", "İd", "i\u0307d", "ß", "SS", "ẞ", "\u212a", "K", "k",
+    "Σ", "σ", "ς", "ΟΣ", "Straße",
+]
+# Phrases of one to three pieces, some led by a space or punctuation.
+_ENTRIES = st.builds(
+    lambda lead, atoms: lead + " ".join(atoms),
+    st.sampled_from(["", "", " ", "-", "("]),
+    st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3),
+)
+_CHARS = "aZ9 :-.(\tİiıßẞ\u212akKΣσς\u0307\u2028"
+_CASES = [str, str.upper, str.lower, str.title, str.swapcase, str.casefold]
+
+
+@st.composite
+def _lexicon_and_text(draw):
+    entries = draw(st.lists(_ENTRIES, min_size=1, max_size=8, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        indent = draw(st.sampled_from(["", " ", "\t ", "   "]))
+        if draw(st.booleans()):
+            head = draw(st.sampled_from(_CASES))(draw(st.sampled_from(entries)))
+        else:
+            head = draw(st.text(_CHARS, max_size=6))
+        lines.append(indent + head + draw(st.text(_CHARS, max_size=4)))
+    return entries, "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lexicon_and_text(), st.booleans())
+def test_keyword_segment_equals_linear_scan(lexicon_and_text, case_sensitive):
+    entries, text = lexicon_and_text
+    lexicon = HeaderLexicon(entries=set(entries), case_sensitive=case_sensitive)
+    doc = Document("d", text)
+    assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)

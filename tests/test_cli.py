@@ -429,3 +429,81 @@ def test_bad_corpus_error_names_file_and_line(tmp_path, capsys, command):
     assert code == FATAL
     assert err.startswith(f"error: {corpus} line 2: document 'd1': ")
     assert "header_span (0, 99) outside text of length 5" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'[{"name": "x", ', "malformed JSON"),
+    (b'{"name": "x", "pattern": "Plan"}', "ruleset file must be a JSON list"),
+    (b'[{"name": "x"}]', "each rule needs 'name' and 'pattern'"),
+])
+def test_bad_ruleset_file_is_fatal(tmp_path, gold_path, capsys, content, message):
+    ruleset = tmp_path / "rules.json"
+    ruleset.write_bytes(content)
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "rules",
+        "--ruleset", str(ruleset), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith(f"error: {ruleset}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, message", [
+    ({"llm": {"max_in_flight": 0}}, "{config}: config key 'llm.max_in_flight': "),
+    ({"llm": {"max_tokens": "many"}}, "{config}: config key 'llm.max_tokens': "),
+    (["--workers", "0"], "--workers: "),
+])
+def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, capsys, source, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(source if isinstance(source, dict) else {}), encoding="utf-8")
+    flags = source if isinstance(source, list) else []
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", "llm",
+        "--replay", str(replay_store), *flags, "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: " + message.format(config=config)) and "Traceback" not in err
+    assert not (tmp_path / "o" / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--ruleset", ["segment", "--segmenter", "rules"]),
+    ("--lexicon", ["segment", "--segmenter", "keyword"]),
+    ("--config", ["segment", "--segmenter", "regex"]),
+    ("--names", ["normalize"]),
+])
+def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
+    path = tmp_path / "input"
+    path.write_bytes(b"Plan\n\xff\xfe\n")
+    corpus = ["--corpus", gold_path, "--out", str(tmp_path / "o")] if args[0] == "segment" else []
+    code = main([*args, *corpus, flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {path} line 2: not UTF-8: byte 0xff at offset 5\n"
+
+
+def test_stats_on_corpus_that_is_not_utf8_is_fatal(tmp_path, capsys):
+    corpus = tmp_path / "utf16.jsonl"
+    corpus.write_bytes(b"\xff\xfe" + json.dumps({"id": "d", "text": "x"}).encode("utf-16-le"))
+    code = main(["stats", "--corpus", str(corpus)])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {corpus} line 1: not UTF-8: byte 0xff at offset 0\n"
+
+
+def test_evaluate_predictions_not_utf8_names_the_line(tmp_path, gold_path, capsys):
+    # a lone CR ends line 1 in text mode, so the Latin-1 byte is on line 2
+    first = json.dumps({"id": "fx1", "headers": ["Allergies"]}).encode() + b"\r"
+    second = b'{"id": "fx2", "headers": ["caf\xe9"]}\n'
+    preds_path = tmp_path / "preds.jsonl"
+    preds_path.write_bytes(first + second)
+    code = main([
+        "evaluate", "--corpus", gold_path, "--predictions", str(preds_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    offset = len(first) + second.index(b"\xe9")
+    assert err == f"error: {preds_path} line 2: not UTF-8: byte 0xe9 at offset {offset}\n"
+    assert not (tmp_path / "eval" / "report.json").exists()

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_synthetic_corpus
+from conftest import make_synthetic_corpus, reference_token_counts
 from sectionid.errors import EmptyInput, LengthMismatch, MalformedTags
 from sectionid.metrics import (
     evaluate_run,
@@ -14,6 +14,7 @@ from sectionid.metrics import (
     jaccard,
     render_report,
     report_from_json,
+    token_counts,
     token_metrics,
 )
 from sectionid.ontology import load_ontology
@@ -294,3 +295,33 @@ def test_render_report_json_roundtrips():
     payload = render_report(run, "json")
     assert report_from_json(payload) == run
     assert render_report(report_from_json(payload), "json") == payload
+
+
+@st.composite
+def _well_formed_pair(draw):
+    n = draw(st.integers(0, 60))
+    tags = st.lists(st.sampled_from([B, I, O]), min_size=n, max_size=n).map(
+        lambda ts: [B if t == I and (i == 0 or ts[i - 1] == O) else t for i, t in enumerate(ts)]
+    )
+    return draw(tags), draw(tags)
+
+
+@given(_well_formed_pair())
+def test_token_counts_equals_per_token_loop(pair):
+    gold, pred = pair
+    assert token_counts(gold, pred) == reference_token_counts(gold, pred)
+    assert token_counts(tuple(gold), tuple(pred)) == reference_token_counts(gold, pred)
+
+
+@given(
+    st.lists(st.sampled_from([B, I, O, "X", "b"]), max_size=12),
+    st.lists(st.sampled_from([B, I, O, "X", "b"]), max_size=12),
+)
+def test_token_counts_refuses_what_the_loop_refuses(gold, pred):
+    try:
+        expected = reference_token_counts(gold, pred)
+    except (LengthMismatch, MalformedTags) as exc:
+        with pytest.raises(type(exc)):
+            token_counts(gold, pred)
+    else:
+        assert token_counts(gold, pred) == expected

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
+from conftest import (
+    make_synthetic_corpus,
+    reference_keyword_segment,
+    reference_spans_to_iob,
+    reference_token_counts,
+)
+from sectionid import baselines, metrics
+from sectionid.cli import OK, main
+from sectionid.corpus import save_gold_corpus
 from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus
 from sectionid.metrics import evaluate_run, render_report
+from sectionid.ontology import default_lexicon_entries
 
 
 def run_pipeline(gold_small, replay_store, replay_llm_config):
@@ -53,3 +65,33 @@ def test_replay_per_doc_scores(gold_small, replay_store, replay_llm_config):
     assert by_id["fx4"].em == 1.0
     assert by_id["fx5"].em == 0.5
     assert by_id["fx3"].unmatched_headers == ["Patient Information and Visit Details"]
+
+
+def test_rules_cli_outputs_equal_reference_scan_and_counts(tmp_path, monkeypatch):
+    """``segment --segmenter rules`` then ``evaluate`` writes the same bytes
+    with the bucketed lexicon, bisected IOB tags and C-level counts as with
+    the linear scan and the per-token loops."""
+    docs = make_synthetic_corpus(random.Random(11), 12, min_sections=4, max_sections=10)
+    lexicon = baselines.HeaderLexicon(entries=default_lexicon_entries())
+    buckets = {
+        h[0].lower() for d in docs for h in baselines.keyword_segment(d.document, lexicon).headers
+    }
+    assert len(buckets) >= 5
+    corpus = tmp_path / "corpus.jsonl"
+    save_gold_corpus(docs, corpus)
+
+    def run(out):
+        assert main([
+            "segment", "--corpus", str(corpus), "--segmenter", "rules", "--out", str(out / "s"),
+        ]) == OK
+        assert main([
+            "evaluate", "--corpus", str(corpus), "--segmenter", "rules",
+            "--predictions", str(out / "s" / "predictions.jsonl"), "--out", str(out / "e"),
+        ]) == OK
+        return [(out / name).read_bytes() for name in ("s/predictions.jsonl", "e/report.json")]
+
+    outputs = run(tmp_path / "fast")
+    monkeypatch.setattr(baselines, "keyword_segment", reference_keyword_segment)
+    monkeypatch.setattr(metrics, "spans_to_iob", reference_spans_to_iob)
+    monkeypatch.setattr(metrics, "token_counts", reference_token_counts)
+    assert run(tmp_path / "reference") == outputs

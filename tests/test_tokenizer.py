@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_spans_to_iob
 from sectionid.errors import LengthMismatch, MalformedTags, OverlapError
 from sectionid.tokenizer import (
     B, I, O, Token, iob_to_spans, is_well_formed, spans_to_iob, tokenize,
@@ -16,6 +17,17 @@ def test_tokenize_word_colon_word():
     assert [(t.text, t.start, t.end) for t in tokens] == [
         ("Allergies", 0, 9), (":", 9, 10), ("none", 11, 15),
     ]
+
+
+def test_token_fields_immutability_and_repr():
+    tok = Token("Plan", 0, 4)
+    assert tuple(tok) == ("Plan", 0, 4)
+    assert (tok.text, tok.start, tok.end) == ("Plan", 0, 4)
+    assert repr(tok) == "Token(text='Plan', start=0, end=4)"
+    with pytest.raises(AttributeError):
+        tok.start = 1  # type: ignore[misc]
+    assert hash(tok) == hash(Token("Plan", 0, 4))
+    assert tokenize("Plan")[0] == tok
 
 
 def test_tokenize_empty():
@@ -143,3 +155,17 @@ def test_spans_to_iob_always_well_formed(data):
         (s, e) for s, e in zip(bounds[::2], bounds[1::2]) if s < e
     ]
     assert is_well_formed(spans_to_iob(tokens, spans))
+
+
+@given(
+    st.text(alphabet="ab_:. \n", max_size=40),
+    st.lists(st.tuples(st.integers(0, 44), st.booleans()), max_size=16),
+)
+def test_spans_to_iob_equals_per_token_loop(text, marks):
+    # spans between consecutive marked offsets: they may touch, cut through
+    # a token, cover several, lie in whitespace or run past the text
+    bounds = sorted({offset for offset, _ in marks})
+    keep = dict(marks)
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if keep[a]]
+    tokens = tokenize(text)
+    assert spans_to_iob(tokens, spans) == reference_spans_to_iob(tokens, spans)
