@@ -8,7 +8,6 @@ keeps false positives out of prose.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -16,8 +15,8 @@ from pathlib import Path
 from typing import Callable
 
 from .align import line_starts
-from .corpus import Document, _not_utf8
-from .errors import FormatError, InvalidPattern
+from .corpus import Document, comment_lines, read_json
+from .errors import InvalidPattern
 from .prediction import Prediction
 from .tokenizer import tokenize
 
@@ -44,16 +43,7 @@ class HeaderLexicon:
 
 def load_lexicon(path: str | Path, case_sensitive: bool = False) -> HeaderLexicon:
     """Read a lexicon file: one surface form per line, '#' starts a comment."""
-    entries: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                form = line.split("#", 1)[0].strip()
-                if form:
-                    entries.add(form)
-        except UnicodeDecodeError as exc:
-            raise FormatError(_not_utf8(path)) from exc
-    return HeaderLexicon(entries=entries, case_sensitive=case_sensitive)
+    return HeaderLexicon(entries=set(comment_lines(path)), case_sensitive=case_sensitive)
 
 
 MatchFn = Callable[[str, "RuleConfig"], "tuple[int, int] | None"]
@@ -153,13 +143,7 @@ def load_ruleset(path: str | Path, **kwargs: object) -> RuleConfig:
     shape, or a pattern that does not compile, raises InvalidPattern. Both
     name the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(_not_utf8(path)) from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise InvalidPattern(
             f"{path}: ruleset file must be a JSON list of {{name, pattern}} objects"

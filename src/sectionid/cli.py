@@ -22,10 +22,11 @@ from . import align, baselines, metrics, ontology
 from .corpus import (
     AnnotatedDocument,
     _jsonl_objects,
-    _not_utf8,
     _parse_span,
     corpus_stats,
     load_gold_corpus,
+    open_text,
+    read_json,
 )
 from .errors import FormatError, SectionIdError, SpanError
 from .llm import (
@@ -82,13 +83,7 @@ def _check_llm_value(key: str, value: object, source: str) -> None:
 def _load_config(path: str | None) -> dict:
     resolved = json.loads(json.dumps(_CONFIG_DEFAULTS))
     if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: malformed JSON: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise FormatError(_not_utf8(path)) from exc
+        user = read_json(path)
         if not isinstance(user, dict):
             raise FormatError(f"{path}: expected a JSON object")
         for key, value in user.items():
@@ -145,8 +140,7 @@ def _build_strategy(config: dict) -> PromptStrategy:
         example_doc = llm_cfg.get("example_doc")
         example_headers = llm_cfg.get("example_headers")
         if not example_doc or not example_headers:
-            with ontology.data_path("one_shot_example.json").open("r", encoding="utf-8") as fh:
-                example = json.load(fh)
+            example = read_json(ontology.data_path("one_shot_example.json"))
             example_doc = example["text"]
             example_headers = example["headers"]
         return PromptStrategy.one_shot(example_doc, example_headers)
@@ -333,15 +327,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_normalize(args: argparse.Namespace) -> int:
     ont = ontology.load_ontology(args.ontology)
     lines: list[str] = []
-    with open(args.names, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                name = line.rstrip("\n")
-                if not name.strip() or name.lstrip().startswith("#"):
-                    continue
-                lines.append(f"{name}\t{ontology.categorize(name, ont)}")
-        except UnicodeDecodeError as exc:
-            raise FormatError(_not_utf8(args.names)) from exc
+    with open_text(args.names) as fh:
+        for line in fh:
+            name = line.rstrip("\n")
+            if not name.strip() or name.lstrip().startswith("#"):
+                continue
+            lines.append(f"{name}\t{ontology.categorize(name, ont)}")
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")

@@ -17,12 +17,16 @@ from __future__ import annotations
 import json
 import logging
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import EmptyCorpus, FormatError, SpanError
 from .tokenizer import tokenize
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 log = logging.getLogger(__name__)
 
@@ -143,6 +147,37 @@ def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:
                 open_body = (i, b_end)
 
 
+@contextmanager
+def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
+    """Open a user file, or a bundled ``data_path`` resource, as UTF-8 text.
+
+    Every reader of a user file opens it here. A ``UnicodeDecodeError``
+    raised inside the ``with`` body becomes a FormatError naming the line and
+    offset of the first byte that is not UTF-8. Text mode stays, so a lone
+    CR still ends a line.
+    """
+    with (Path(src) if isinstance(src, str) else src).open(encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(_not_utf8(src)) from exc
+
+
+def read_json(src: str | Path | Traversable) -> object:
+    """``json.load`` a UTF-8 file; malformed JSON raises FormatError naming it."""
+    with open_text(src) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{src}: malformed JSON: {exc}") from exc
+
+
+def comment_lines(src: str | Path | Traversable) -> list[str]:
+    """The non-blank lines of a UTF-8 file, '#' comments and surrounding space removed."""
+    with open_text(src) as fh:
+        return [form for line in fh if (form := line.split("#", 1)[0].strip())]
+
+
 def _jsonl_objects(
     path: str | Path, skip_malformed: bool = False
 ) -> Iterator[tuple[int, str, dict]]:
@@ -152,37 +187,31 @@ def _jsonl_objects(
     ``skip_malformed``, which logs and skips it. A file that is not UTF-8
     fails whatever ``skip_malformed`` says.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if skip_malformed:
+                    log.warning("%s: skipping malformed JSON line", where)
                     continue
-                where = f"{path} line {lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if skip_malformed:
-                        log.warning("%s: skipping malformed JSON line", where)
-                        continue
-                    raise FormatError(f"{where}: malformed JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{where}: expected a JSON object")
-                yield lineno, where, obj
-        except UnicodeDecodeError as exc:
-            raise FormatError(_not_utf8(path)) from exc
+                raise FormatError(f"{where}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            yield lineno, where, obj
 
 
-def _not_utf8(path: str | Path) -> str:
+def _not_utf8(path: str | Path | Traversable) -> str:
     """Name the line and offset of the first byte of ``path`` that is not UTF-8.
-
-    Every reader of a user file turns a ``UnicodeDecodeError`` into a
-    ``FormatError`` with this message.
 
     Text mode decodes a block at a time, so the error it raises does not say
     which line holds the byte. Decoding the whole file does, and counting
     line breaks as text mode does (LF, CRLF and a lone CR) gives the line.
     """
-    data = Path(path).read_bytes()
+    data = (Path(path) if isinstance(path, str) else path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

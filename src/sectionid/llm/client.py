@@ -25,12 +25,28 @@ from typing import Protocol
 
 import requests
 
+from ..corpus import read_json
 from ..errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
 from .prompts import split_prompt
 
 log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+
+# What each LLMConfig annotation accepts. A bool is never a number here,
+# though Python counts it as an int.
+_FIELD_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    "str": ((str,), "a string"),
+    "float": ((int, float), "a number"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
+# The least value of each bounded field; timeout must also be above 0. The
+# penalties are unbounded.
+_MINIMUMS = (
+    ("temperature", 0), ("max_tokens", 1), ("max_in_flight", 1),
+    ("max_retries", 0), ("backoff_base", 0), ("max_context_chars", 1),
+)
 
 
 @dataclass
@@ -49,12 +65,19 @@ class LLMConfig:
     max_context_chars: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        """Raise TypeError for a value of the wrong type, ValueError for one out of range."""
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            types, described = _FIELD_TYPES[spec.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise TypeError(f"{name} must be {described}, not {value!r}")
+        for name, least in _MINIMUMS:
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if value is not None and not value >= least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
 
 
 @dataclass
@@ -128,12 +151,9 @@ class ReplayClient:
         if not path.exists():
             raise ReplayMiss(f"no recorded interaction {key} in {self.store_dir}")
         try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
+            record = read_json(path)
         except OSError as exc:
             raise FormatError(f"{path}: unreadable replay record: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: malformed replay record: {exc}") from exc
         content = record.get("response_content") if isinstance(record, dict) else None
         if not isinstance(content, str):
             raise FormatError(f"{path}: replay record needs a string 'response_content'")

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO
 
-from .corpus import AnnotatedDocument
+from .corpus import AnnotatedDocument, comment_lines, open_text
 from .errors import DanglingCategory, EmptyCorpus, FormatError
 from .textdist import edit_ratio
 
@@ -30,12 +29,6 @@ FUZZY_RATIO = 0.15
 def data_path(name: str):
     """Importable path to a bundled data file."""
     return resources.files("sectionid").joinpath("data", name)
-
-
-def _open_text(src) -> IO[str]:
-    if isinstance(src, (str, Path)):
-        return open(src, encoding="utf-8")
-    return src.open("r", encoding="utf-8")
 
 
 def normalize_surface(name: str) -> str:
@@ -81,25 +74,28 @@ def load_ontology(path: str | Path | object | None = None) -> Ontology:
     Categories are declared implicitly by appearing in the category column; a
     row with an empty surface form declares its category without mapping any
     surface. ``UNKNOWN`` is always added. Defaults to the bundled taxonomy.
+    Every error names the file, and the row where there is one.
     """
     src = data_path("taxonomy.csv") if path is None else path
     categories: set[str] = set()
     surface_map: dict[str, str] = {}
     levels: dict[str, str] = {}
-    with _open_text(src) as fh:
+    with open_text(src) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["surface_form", "category"]:
-            raise FormatError("taxonomy file must start with a surface_form,category,level header")
+            raise FormatError(
+                f"{src}: taxonomy file must start with a surface_form,category,level header"
+            )
         for row_no, row in enumerate(reader, 2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2 or not row[1].strip():
-                raise FormatError(f"taxonomy row {row_no}: missing category")
+                raise FormatError(f"{src} row {row_no}: missing category")
             category = row[1].strip()
             level = row[2].strip().lower() if len(row) > 2 and row[2].strip() else COARSE
             if level not in (COARSE, FINE):
-                raise FormatError(f"taxonomy row {row_no}: level must be coarse or fine")
+                raise FormatError(f"{src} row {row_no}: level must be coarse or fine")
             categories.add(category)
             surface = normalize_surface(row[0])
             if not surface:
@@ -107,12 +103,12 @@ def load_ontology(path: str | Path | object | None = None) -> Ontology:
             previous = surface_map.get(surface)
             if previous is not None and previous != category:
                 raise FormatError(
-                    f"taxonomy row {row_no}: surface {surface!r} already maps to {previous!r}"
+                    f"{src} row {row_no}: surface {surface!r} already maps to {previous!r}"
                 )
             surface_map[surface] = category
             levels[surface] = level
     if not categories:
-        raise FormatError(f"taxonomy declares no categories, not even {UNKNOWN!r}")
+        raise FormatError(f"{src}: taxonomy declares no categories, not even {UNKNOWN!r}")
     categories.add(UNKNOWN)
     return Ontology(categories=categories, surface_map=surface_map, levels=levels)
 
@@ -203,23 +199,25 @@ def load_reference_counts(path: str | Path | object | None = None) -> CategorySt
     """
     src = data_path("category_counts.csv") if path is None else path
     raw: dict[str, tuple[int, int]] = {}
-    with _open_text(src) as fh:
+    with open_text(src) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != [
             "category", "section_count", "frequency",
         ]:
-            raise FormatError("reference counts need a category,section_count,frequency header")
+            raise FormatError(
+                f"{src}: reference counts need a category,section_count,frequency header"
+            )
         for row_no, row in enumerate(reader, 2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
                 raw[row[0].strip()] = (int(row[1]), int(row[2]))
             except (IndexError, ValueError) as exc:
-                raise FormatError(f"reference counts row {row_no}: {exc}") from exc
+                raise FormatError(f"{src} row {row_no}: {exc}") from exc
     total = sum(freq for _, freq in raw.values())
     if total == 0:
-        raise FormatError("reference counts sum to zero")
+        raise FormatError(f"{src}: reference counts sum to zero")
     rows = {
         cat: CategoryCount(section_count=sc, frequency=freq, frequency_pct=freq / total * 100.0)
         for cat, (sc, freq) in raw.items()
@@ -229,13 +227,7 @@ def load_reference_counts(path: str | Path | object | None = None) -> CategorySt
 
 def top_section_names() -> list[str]:
     """The bundled most-frequent section names, in file order."""
-    names: list[str] = []
-    with _open_text(data_path("top50_sections.txt")) as fh:
-        for line in fh:
-            form = line.split("#", 1)[0].strip()
-            if form:
-                names.append(form)
-    return names
+    return comment_lines(data_path("top50_sections.txt"))
 
 
 def default_lexicon_entries() -> set[str]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_synthetic_corpus, make_synthetic_doc, perturb_header
@@ -87,6 +87,55 @@ def test_matches_strictly_increase():
         spans = result.matched_spans()
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
         assert all(a[0] < b[0] for a, b in zip(spans, spans[1:]))
+
+
+# Texts with line breaks, header punctuation and letters whose case mapping
+# changes length ("İ", "ß") or depends on context ("Σ").
+_ALIGN_ALPHABET = "abAB \n\r\t:-İßΣσ"
+
+
+@st.composite
+def _text_and_headers(draw):
+    """A text and headers drawn from its substrings, case-flipped
+    substrings and random strings."""
+    text = draw(st.text(alphabet=_ALIGN_ALPHABET, max_size=80))
+    headers = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("substring", "swapcase", "random")))
+        if kind == "random" or not text:
+            headers.append(draw(st.text(alphabet=_ALIGN_ALPHABET, max_size=10)))
+            continue
+        start = draw(st.integers(0, len(text) - 1))
+        piece = text[start:draw(st.integers(start + 1, len(text)))]
+        headers.append(piece.swapcase() if kind == "swapcase" else piece)
+    return text, headers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_and_headers(), st.sampled_from((0.0, 0.2, 0.5)))
+def test_matched_spans_are_in_bounds_sorted_and_disjoint(case, ratio):
+    text, headers = case
+    spans = align_headers(Document("d", text), Prediction(headers=headers), ratio).matched_spans()
+    assert all(0 <= start < end <= len(text) for start, end in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_and_headers(), st.sampled_from((0.0, 0.2, 0.5)))
+def test_every_header_is_matched_or_unmatched_never_both(case, ratio):
+    text, headers = case
+    result = align_headers(Document("d", text), Prediction(headers=headers), ratio)
+    matched = [m.prediction_index for m in result.matches]
+    assert sorted(matched + result.unmatched_predictions) == list(range(len(headers)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_and_headers())
+def test_exact_match_slices_to_the_stripped_header(case):
+    text, headers = case
+    for m in align_headers(Document("d", text), Prediction(headers=headers)).matches:
+        if m.match_kind == EXACT:
+            assert text[m.span[0]:m.span[1]] == headers[m.prediction_index].strip()
 
 
 def test_gold_echo_recovers_gold_spans_exactly():

@@ -341,6 +341,22 @@ def test_segment_unreadable_replay_record_fails_only_its_document(tmp_path, caps
     assert "unreadable replay record" in caplog.text
 
 
+def test_segment_replay_record_not_utf8_fails_only_its_document(tmp_path, capsys, caplog):
+    where = {}
+
+    def latin1(record):
+        data = record.read_bytes().replace(b"History", b"Hist\xf6ry", 1)
+        record.write_bytes(data)
+        offset = data.index(b"\xf6")
+        where.update(path=record, line=data[:offset].count(b"\n") + 1, offset=offset)
+
+    _segment_with_one_broken_record(tmp_path, capsys, latin1)
+    assert (
+        f"{where['path']} line {where['line']}: not UTF-8: byte 0xf6 "
+        f"at offset {where['offset']}"
+    ) in caplog.text
+
+
 def test_workers_flag_sets_llm_max_in_flight(tmp_path, gold_path):
     out = tmp_path / "run"
     code = main([
@@ -452,6 +468,10 @@ def test_bad_ruleset_file_is_fatal(tmp_path, gold_path, capsys, content, message
     ({"llm": {"max_in_flight": 0}}, "{config}: config key 'llm.max_in_flight': "),
     ({"llm": {"max_tokens": "many"}}, "{config}: config key 'llm.max_tokens': "),
     (["--workers", "0"], "--workers: "),
+    ({"llm": {"max_context_chars": "900"}}, "{config}: config key 'llm.max_context_chars': "),
+    ({"llm": {"max_context_chars": 0}}, "{config}: config key 'llm.max_context_chars': "),
+    ({"llm": {"max_retries": -1}}, "{config}: config key 'llm.max_retries': "),
+    ({"llm": {"timeout": "soon"}}, "{config}: config key 'llm.timeout': "),
 ])
 def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, capsys, source, message):
     config = tmp_path / "config.json"
@@ -472,6 +492,7 @@ def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, caps
     ("--lexicon", ["segment", "--segmenter", "keyword"]),
     ("--config", ["segment", "--segmenter", "regex"]),
     ("--names", ["normalize"]),
+    ("--ontology", ["normalize", "--names", str(FIXTURES / "order_variants.txt")]),
 ])
 def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
     path = tmp_path / "input"
@@ -481,6 +502,24 @@ def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
     err = capsys.readouterr().err
     assert code == FATAL
     assert err == f"error: {path} line 2: not UTF-8: byte 0xff at offset 5\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("surface_form,category,level\nplan,,coarse\n", " row 2: missing category"),
+    ("surface_form,category,level\nplan,A,coarse\nrest,A,medium\n",
+     " row 3: level must be coarse or fine"),
+    ("plan,A,coarse\n", ": taxonomy file must start with a surface_form,category,level header"),
+], ids=["missing_category", "bad_level", "bad_header"])
+def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, rows, message):
+    taxonomy = tmp_path / "tax.csv"
+    taxonomy.write_text(rows, encoding="utf-8")
+    code = main([
+        "normalize", "--names", str(FIXTURES / "order_variants.txt"),
+        "--ontology", str(taxonomy),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {taxonomy}{message}\n"
 
 
 def test_stats_on_corpus_that_is_not_utf8_is_fatal(tmp_path, capsys):

@@ -157,6 +157,38 @@ def test_config_validation():
         LLMConfig(max_in_flight=0)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("endpoint_url", None, TypeError),
+    ("model_name", 4, TypeError),
+    ("temperature", "0", TypeError),
+    ("temperature", float("nan"), ValueError),
+    ("frequency_penalty", True, TypeError),
+    ("presence_penalty", None, TypeError),
+    ("max_tokens", 2.0, TypeError),
+    ("max_tokens", True, TypeError),
+    ("timeout", "soon", TypeError),
+    ("timeout", 0, ValueError),
+    ("max_retries", -1, ValueError),
+    ("max_in_flight", False, TypeError),
+    ("backoff_base", -0.5, ValueError),
+    ("api_key_env", 1, TypeError),
+    ("max_context_chars", "900", TypeError),
+    ("max_context_chars", 0, ValueError),
+    # accepted: an int for a float, null context, the lower bounds, any penalty
+    ("timeout", 5, None),
+    ("max_context_chars", None, None),
+    ("max_retries", 0, None),
+    ("backoff_base", 0, None),
+    ("frequency_penalty", -2.0, None),
+])
+def test_config_checks_every_field(field, value, error):
+    if error is None:
+        assert getattr(LLMConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(error, match=f"^{field} must be "):
+            LLMConfig(**{field: value})
+
+
 def test_http_client_posts_bearer_token(monkeypatch):
     captured = {}
 

@@ -4,11 +4,13 @@ import dataclasses
 import json
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sectionid
 from conftest import make_synthetic_corpus, make_synthetic_doc
 from sectionid.corpus import (
     BODY_SPAN_INVALID,
@@ -324,3 +326,13 @@ def test_lenient_load_drops_overlapping_section_with_bad_body(tmp_path):
         load_gold_corpus(path, strict=True)
     docs = load_gold_corpus(path, strict=False)
     assert [s.label for s in docs[0].sections] == ["Alpha"]
+
+
+def test_only_corpus_decodes_user_files():
+    """Every reader opens a user file through ``corpus.open_text``, so no other
+    module meets a decode error or calls ``json.load`` on a file itself."""
+    package = Path(sectionid.__file__).parent
+    sources = {path.relative_to(package).as_posix(): path.read_text(encoding="utf-8")
+               for path in package.rglob("*.py")}
+    for token in ("UnicodeDecodeError", "json.load("):
+        assert [name for name, code in sources.items() if token in code] == ["corpus.py"]
