@@ -80,6 +80,12 @@ def _check_llm_value(key: str, value: object, source: str) -> None:
         raise FormatError(f"{source}: {exc}") from exc
 
 
+def _check_edit_ratio(value: object, source: str) -> None:
+    """Raise FormatError naming ``source`` unless ``value`` is a number in [0, 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
+        raise FormatError(f"{source}: max_edit_ratio must be a number in [0, 1), got {value!r}")
+
+
 def _load_config(path: str | None) -> dict:
     resolved = json.loads(json.dumps(_CONFIG_DEFAULTS))
     if path:
@@ -97,8 +103,14 @@ def _load_config(path: str | None) -> dict:
                         raise FormatError(f"{path}: unknown config key '{key}.{sub}'")
                     if key == "llm" and sub in LLMConfig.__dataclass_fields__:
                         _check_llm_value(sub, sub_value, f"{path}: config key 'llm.{sub}'")
+                    if key == "alignment":
+                        _check_edit_ratio(sub_value, f"{path}: config key 'alignment.{sub}'")
                 resolved[key].update(value)
             else:
+                if key in ("strict", "close_ended_eval") and not isinstance(value, bool):
+                    raise FormatError(
+                        f"{path}: config key {key!r} must be true or false, got {value!r}"
+                    )
                 resolved[key] = value
     return resolved
 
@@ -116,6 +128,7 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
         _check_llm_value("max_in_flight", args.workers, "--workers")
         config["llm"]["max_in_flight"] = args.workers
     if getattr(args, "max_edit_ratio", None) is not None:
+        _check_edit_ratio(args.max_edit_ratio, "--max-edit-ratio")
         config["alignment"]["max_edit_ratio"] = args.max_edit_ratio
     if getattr(args, "strict", None) is not None:
         config["strict"] = args.strict
@@ -203,12 +216,12 @@ def cmd_segment(args: argparse.Namespace) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     if not config.get("corpus"):
         raise SectionIdError("segment needs --corpus")
-    docs = load_gold_corpus(config["corpus"], strict=bool(config.get("strict", True)))
+    docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = ontology.load_ontology(config.get("ontology"))
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
     predictions, failed = _segment_docs(docs, config)
-    max_ratio = float(config["alignment"]["max_edit_ratio"])
+    max_ratio = config["alignment"]["max_edit_ratio"]
     with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:
             pred = predictions.get(doc.id, Prediction(headers=[]))
@@ -271,7 +284,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     if not config.get("corpus"):
         raise SectionIdError("evaluate needs --corpus")
-    docs = load_gold_corpus(config["corpus"], strict=bool(config.get("strict", True)))
+    docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     predictions = _load_predictions(args.predictions, docs)
     ont = ontology.load_ontology(config.get("ontology"))
     run = metrics.evaluate_run(
@@ -280,8 +293,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ont,
         method=config["segmenter"],
         corpus_name=str(config["corpus"]),
-        max_edit_ratio=float(config["alignment"]["max_edit_ratio"]),
-        close_ended=bool(config.get("close_ended_eval", False)),
+        max_edit_ratio=config["alignment"]["max_edit_ratio"],
+        close_ended=config["close_ended_eval"],
     )
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)

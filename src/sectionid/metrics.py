@@ -25,7 +25,7 @@ from .corpus import AnnotatedDocument
 from .errors import EmptyInput, LengthMismatch, MalformedTags
 from .ontology import Ontology, categorize, normalize_surface
 from .prediction import Prediction
-from .tokenizer import O, is_well_formed, spans_to_iob, tokenize
+from .tokenizer import O, _check_spans, count_tokens, is_well_formed, splits_token
 
 
 @dataclass
@@ -119,6 +119,76 @@ def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
         role_correct=equal - both_outside,
         total_tokens=total,
         equal_tokens=equal,
+    )
+
+
+def span_counts(
+    text: str,
+    gold_spans: Sequence[tuple[int, int]],
+    pred_spans: Sequence[tuple[int, int]],
+) -> Counts:
+    """``token_counts`` of the IOB tags both span lists give over ``text``.
+
+    Equal to ``token_counts(spans_to_iob(tokenize(text), gold_spans),
+    spans_to_iob(tokenize(text), pred_spans))``, and the spans are checked
+    the same way, but no token or tag is built. Each span claims a run of
+    token indices, found from the number of tokens that start before each of
+    its offsets; every count follows from the two run lists.
+    """
+    _check_spans(gold_spans)
+    _check_spans(pred_spans)
+    n = len(text)
+    offsets = {min(max(p, 0), n) for span in (*gold_spans, *pred_spans) for p in span}
+    # before[p]: tokens that start before p. Counting from a alone also
+    # counts the tail of a token cut at a, which started before a.
+    before = {0: 0}
+    a = 0
+    for b in sorted(offsets | {n}):
+        if b > a:
+            before[b] = before[a] + count_tokens(text, a, b) - splits_token(text, a)
+            a = b
+
+    def runs(spans: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        # the [first, last) token runs that spans_to_iob tags B, I...; a
+        # token cut by two spans belongs to the first
+        out = []
+        claimed = 0
+        for start, end in spans:
+            start, end = min(max(start, 0), n), min(max(end, 0), n)
+            first = max(claimed, before[start] - splits_token(text, start))
+            last = before[end]
+            if first < last:
+                out.append((first, last))
+                claimed = last
+        return out
+
+    gold, pred = runs(gold_spans), runs(pred_spans)
+    gold_tokens = sum(last - first for first, last in gold)
+    pred_tokens = sum(last - first for first, last in pred)
+    # Overlapping runs share header tokens; the first shared token has the
+    # same role in both only when the runs start together, the rest are I/I.
+    tp = role_correct = i = j = 0
+    while i < len(gold) and j < len(pred):
+        (g0, g1), (p0, p1) = gold[i], pred[j]
+        overlap = min(g1, p1) - max(g0, p0)
+        if overlap > 0:
+            tp += overlap
+            role_correct += overlap - (g0 != p0)
+        if g1 <= p1:
+            i += 1
+        else:
+            j += 1
+    total = before[n]
+    both_outside = total - gold_tokens - pred_tokens + tp
+    return Counts(
+        tp=tp,
+        fp=pred_tokens - tp,
+        fn=gold_tokens - tp,
+        gold_tokens=gold_tokens,
+        pred_tokens=pred_tokens,
+        role_correct=role_correct,
+        total_tokens=total,
+        equal_tokens=both_outside + role_correct,
     )
 
 
@@ -217,8 +287,8 @@ def evaluate_run(
 ) -> RunReport:
     """Score one segmenter run against gold annotations.
 
-    Open mode grounds each prediction (module ``align``), converts both gold
-    and predicted spans to token IOB tags, and micro-averages token counts;
+    Open mode grounds each prediction (module ``align``), counts gold and
+    predicted spans as token IOB tags (``span_counts``), and micro-averages;
     exact match is macro-averaged per document. Close-ended mode instead
     compares the categorized label sets, which requires an ontology.
     Documents without a prediction are scored against an empty one.
@@ -238,10 +308,7 @@ def evaluate_run(
             unmatched: list[str] = []
         else:
             alignment = align_headers(doc.document, pred, max_edit_ratio=max_edit_ratio)
-            tokens = tokenize(doc.text)
-            gold_tags = spans_to_iob(tokens, doc.header_spans())
-            pred_tags = spans_to_iob(tokens, alignment.matched_spans())
-            counts = token_counts(gold_tags, pred_tags)
+            counts = span_counts(doc.text, doc.header_spans(), alignment.matched_spans())
             counts.gold_headers = len(doc.sections)
             counts.matched_exact = exact_match_count(doc.header_texts(), pred.headers)
             em = (

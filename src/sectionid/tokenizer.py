@@ -46,6 +46,24 @@ def tokenize(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
+def count_tokens(text: str, start: int = 0, end: int | None = None) -> int:
+    """``len(tokenize(text[start:end]))`` for offsets in ``[0, len(text)]``.
+
+    The tokens are counted in C and never built. A token that straddles
+    ``start`` or ``end`` counts once, for its part inside the range.
+    """
+    return len(_TOKEN_RE.findall(text, start, len(text) if end is None else end))
+
+
+def splits_token(text: str, offset: int) -> bool:
+    """Whether ``offset`` falls strictly inside a token of ``text``.
+
+    Only a maximal alphanumeric run spans several characters, so an offset
+    cuts a token exactly when the characters on both sides are alphanumeric.
+    """
+    return 0 < offset < len(text) and text[offset - 1].isalnum() and text[offset].isalnum()
+
+
 def _check_spans(spans: list[tuple[int, int]]) -> None:
     prev_end = None
     for start, end in spans:

@@ -15,7 +15,7 @@ from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_he
 from sectionid.llm.client import ChatResult
 from sectionid.metrics import Counts
 from sectionid.prediction import Prediction
-from sectionid.tokenizer import B, I, O, is_well_formed
+from sectionid.tokenizer import B, I, O, is_well_formed, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -163,6 +163,14 @@ def reference_token_counts(gold_tags, pred_tags) -> Counts:
         counts.role_correct += gold_header and g == p
         counts.equal_tokens += g == p
     return counts
+
+
+def reference_span_counts(text, gold_spans, pred_spans) -> Counts:
+    """Oracle for ``metrics.span_counts``: tokens, per-token tags, per-pair counts."""
+    tokens = tokenize(text)
+    return reference_token_counts(
+        reference_spans_to_iob(tokens, gold_spans), reference_spans_to_iob(tokens, pred_spans)
+    )
 
 
 class StaticClient:

@@ -546,3 +546,47 @@ def test_evaluate_predictions_not_utf8_names_the_line(tmp_path, gold_path, capsy
     offset = len(first) + second.index(b"\xe9")
     assert err == f"error: {preds_path} line 2: not UTF-8: byte 0xe9 at offset {offset}\n"
     assert not (tmp_path / "eval" / "report.json").exists()
+
+
+@pytest.mark.parametrize("source, message", [
+    ({"alignment": {"max_edit_ratio": "x"}}, "{config}: config key 'alignment.max_edit_ratio': "),
+    ({"alignment": {"max_edit_ratio": 1.5}}, "{config}: config key 'alignment.max_edit_ratio': "),
+    ({"alignment": {"max_edit_ratio": True}}, "{config}: config key 'alignment.max_edit_ratio': "),
+    (["--max-edit-ratio", "1.5"], "--max-edit-ratio: "),
+    (["--max-edit-ratio", "-0.1"], "--max-edit-ratio: "),
+])
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_out_of_range_edit_ratio_is_fatal(tmp_path, gold_path, capsys, source, message, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(source if isinstance(source, dict) else {}), encoding="utf-8")
+    flags = source if isinstance(source, list) else []
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    code = main([
+        command, "--config", str(config), "--corpus", gold_path, "--segmenter", "regex",
+        *extra, *flags, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: " + message.format(config=config)) and "Traceback" not in err
+    assert "max_edit_ratio must be a number in [0, 1)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("strict", "no"), ("strict", None), ("close_ended_eval", 1), ("close_ended_eval", "false"),
+])
+def test_config_switch_must_be_boolean(tmp_path, gold_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", "regex",
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {config}: config key {key!r} must be true or false, got {value!r}\n"
+    assert not out.exists()

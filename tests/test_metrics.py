@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_synthetic_corpus, reference_token_counts
-from sectionid.errors import EmptyInput, LengthMismatch, MalformedTags
+from sectionid import metrics, tokenizer
+from sectionid.errors import EmptyInput, LengthMismatch, MalformedTags, OverlapError
+from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus
 from sectionid.metrics import (
     evaluate_run,
     exact_match,
@@ -14,12 +17,13 @@ from sectionid.metrics import (
     jaccard,
     render_report,
     report_from_json,
+    span_counts,
     token_counts,
     token_metrics,
 )
 from sectionid.ontology import load_ontology
 from sectionid.prediction import Prediction
-from sectionid.tokenizer import B, I, O
+from sectionid.tokenizer import B, I, O, spans_to_iob, tokenize
 
 
 def brute_force_counts(gold, pred):
@@ -325,3 +329,68 @@ def test_token_counts_refuses_what_the_loop_refuses(gold, pred):
             token_counts(gold, pred)
     else:
         assert token_counts(gold, pred) == expected
+
+
+def token_path_counts(text, gold_spans, pred_spans):
+    """The per-token path that ``span_counts`` replaces: tokens, tags, counts."""
+    tokens = tokenize(text)
+    return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
+
+
+# letters, digits, underscore, punctuation, whitespace, letters whose case
+# mapping changes length or context (İ, ß, Σ/ς) and a combining acute accent
+_COUNTER_ALPHABET = "aZ9_.:-, \n\tİßΣς\u0301"
+
+
+@st.composite
+def _text_and_spans(draw):
+    text = draw(st.text(alphabet=_COUNTER_ALPHABET, max_size=40))
+
+    def spans():
+        # spans between consecutive marked offsets: sorted and disjoint, they
+        # may touch, cut a token, lie in whitespace or run past either end
+        marks = draw(st.lists(st.tuples(st.integers(-3, len(text) + 3), st.booleans())))
+        bounds = sorted({offset for offset, _ in marks})
+        keep = dict(marks)
+        return [(a, b) for a, b in zip(bounds, bounds[1:]) if keep[a]]
+
+    return text, spans(), spans()
+
+
+@given(_text_and_spans())
+def test_span_counts_equals_token_path(case):
+    text, gold, pred = case
+    assert span_counts(text, gold, pred) == token_path_counts(text, gold, pred)
+
+
+@pytest.mark.parametrize("bad", [[(3, 3)], [(5, 2)], [(4, 8), (0, 2)], [(0, 5), (3, 8)]])
+@pytest.mark.parametrize("side", ["gold", "pred"])
+def test_span_counts_refuses_what_the_token_path_refuses(bad, side):
+    text = "Plan: rest and fluids"
+    gold, pred = (bad, [(0, 4)]) if side == "gold" else ([(0, 4)], bad)
+    with pytest.raises(OverlapError) as expected:
+        token_path_counts(text, gold, pred)
+    with pytest.raises(OverlapError, match=re.escape(str(expected.value))):
+        span_counts(text, gold, pred)
+
+
+def test_evaluate_builds_no_tokens_or_tags(gold_small, replay_store, replay_llm_config, monkeypatch):
+    # replayed answers include a fuzzy and an unmatched header, so the
+    # counts are not all equal
+    predictions, _ = extract_corpus(
+        [d.document for d in gold_small], PromptStrategy.zero_shot(), replay_llm_config,
+        ReplayClient(replay_store),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "span_counts", token_path_counts)
+        expected = render_report(evaluate_run(gold_small, predictions), "json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_run must not build tokens or tags")
+
+    assert not hasattr(metrics, "tokenize") and not hasattr(metrics, "spans_to_iob")
+    monkeypatch.setattr(tokenizer, "tokenize", refuse)
+    monkeypatch.setattr(tokenizer, "spans_to_iob", refuse)
+    run = evaluate_run(gold_small, predictions)
+    assert run.report.counts.fp and run.report.counts.fn
+    assert render_report(run, "json") == expected

@@ -7,8 +7,7 @@ import random
 from conftest import (
     make_synthetic_corpus,
     reference_keyword_segment,
-    reference_spans_to_iob,
-    reference_token_counts,
+    reference_span_counts,
 )
 from sectionid import baselines, metrics
 from sectionid.cli import OK, main
@@ -69,8 +68,8 @@ def test_replay_per_doc_scores(gold_small, replay_store, replay_llm_config):
 
 def test_rules_cli_outputs_equal_reference_scan_and_counts(tmp_path, monkeypatch):
     """``segment --segmenter rules`` then ``evaluate`` writes the same bytes
-    with the bucketed lexicon, bisected IOB tags and C-level counts as with
-    the linear scan and the per-token loops."""
+    with the bucketed lexicon and the span-run counter as with the linear
+    scan and the per-token loops."""
     docs = make_synthetic_corpus(random.Random(11), 12, min_sections=4, max_sections=10)
     lexicon = baselines.HeaderLexicon(entries=default_lexicon_entries())
     buckets = {
@@ -92,6 +91,5 @@ def test_rules_cli_outputs_equal_reference_scan_and_counts(tmp_path, monkeypatch
 
     outputs = run(tmp_path / "fast")
     monkeypatch.setattr(baselines, "keyword_segment", reference_keyword_segment)
-    monkeypatch.setattr(metrics, "spans_to_iob", reference_spans_to_iob)
-    monkeypatch.setattr(metrics, "token_counts", reference_token_counts)
+    monkeypatch.setattr(metrics, "span_counts", reference_span_counts)
     assert run(tmp_path / "reference") == outputs
