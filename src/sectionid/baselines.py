@@ -27,12 +27,15 @@ _MINOR_WORDS = {
     "a", "an", "and", "as", "at", "by", "for", "from", "in", "of",
     "on", "or", "per", "the", "to", "with",
 }
+# A line-pattern header has at most this many word tokens.
+_MAX_HEADER_TOKENS = 8
 
 
 @dataclass
 class HeaderLexicon:
+    """Header surface forms, matched case-insensitively."""
+
     entries: set[str]
-    case_sensitive: bool = False
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -41,12 +44,12 @@ class HeaderLexicon:
             raise ValueError("lexicon entries must not be whitespace-only")
 
 
-def load_lexicon(path: str | Path, case_sensitive: bool = False) -> HeaderLexicon:
+def load_lexicon(path: str | Path) -> HeaderLexicon:
     """Read a lexicon file: one surface form per line, '#' starts a comment."""
-    return HeaderLexicon(entries=set(comment_lines(path)), case_sensitive=case_sensitive)
+    return HeaderLexicon(entries=set(comment_lines(path)))
 
 
-MatchFn = Callable[[str, "RuleConfig"], "tuple[int, int] | None"]
+MatchFn = Callable[[str], "tuple[int, int] | None"]
 
 
 @dataclass
@@ -64,7 +67,7 @@ def _is_header_word(word: str) -> bool:
     return first.isupper() or first.isdigit() or word.isupper()
 
 
-def _match_titlecase_colon(line: str, config: RuleConfig) -> tuple[int, int] | None:
+def _match_titlecase_colon(line: str) -> tuple[int, int] | None:
     # Line-initial Title-Case or ALL-CAPS phrase ending in ':'.
     stripped = line.lstrip()
     offset = len(line) - len(stripped)
@@ -75,7 +78,7 @@ def _match_titlecase_colon(line: str, config: RuleConfig) -> tuple[int, int] | N
     if not phrase or not any(c.isalpha() for c in phrase):
         return None
     words = [t.text for t in tokenize(phrase) if t.text[0].isalnum()]
-    if not words or len(words) > config.max_header_tokens:
+    if not words or len(words) > _MAX_HEADER_TOKENS:
         return None
     if words[0].lower() in _MINOR_WORDS and not words[0][0].isupper():
         return None
@@ -84,7 +87,7 @@ def _match_titlecase_colon(line: str, config: RuleConfig) -> tuple[int, int] | N
     return (offset, offset + len(phrase))
 
 
-def _match_allcaps_line(line: str, config: RuleConfig) -> tuple[int, int] | None:
+def _match_allcaps_line(line: str) -> tuple[int, int] | None:
     # The entire line is ALL-CAPS and short enough to be a header.
     stripped = line.strip()
     if not stripped or not any(c.isalpha() for c in stripped):
@@ -92,7 +95,7 @@ def _match_allcaps_line(line: str, config: RuleConfig) -> tuple[int, int] | None
     if stripped != stripped.upper():
         return None
     words = [t.text for t in tokenize(stripped) if t.text[0].isalnum()]
-    if not words or len(words) > config.max_header_tokens:
+    if not words or len(words) > _MAX_HEADER_TOKENS:
         return None
     offset = len(line) - len(line.lstrip())
     return (offset, offset + len(stripped))
@@ -104,7 +107,7 @@ def _regex_rule(name: str, pattern: str) -> Rule:
     except re.error as exc:
         raise InvalidPattern(f"rule {name!r}: {exc}") from exc
 
-    def match(line: str, config: RuleConfig) -> tuple[int, int] | None:
+    def match(line: str) -> tuple[int, int] | None:
         m = compiled.match(line)
         if m is None:
             return None
@@ -127,16 +130,13 @@ def default_rules() -> list[Rule]:
 @dataclass
 class RuleConfig:
     patterns: list[Rule] = field(default_factory=default_rules)
-    max_header_tokens: int = 8
 
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ValueError("rule config needs at least one pattern")
-        if self.max_header_tokens < 1:
-            raise ValueError("max_header_tokens must be >= 1")
 
 
-def load_ruleset(path: str | Path, **kwargs: object) -> RuleConfig:
+def load_ruleset(path: str | Path) -> RuleConfig:
     """Read a JSON list of {"name": str, "pattern": str} rules.
 
     A file that is not UTF-8 JSON raises FormatError; a list of the wrong
@@ -156,7 +156,7 @@ def load_ruleset(path: str | Path, **kwargs: object) -> RuleConfig:
             rules.append(_regex_rule(str(item["name"]), str(item["pattern"])))
         except InvalidPattern as exc:
             raise InvalidPattern(f"{path}: {exc}") from exc
-    return RuleConfig(patterns=rules, **kwargs)  # type: ignore[arg-type]
+    return RuleConfig(patterns=rules)
 
 
 def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
@@ -166,21 +166,20 @@ def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     the next character, if any, is not alphanumeric, so 'Plan' never fires
     inside 'Planning'. At most one match per line.
     """
-    fold = (lambda s: s) if lexicon.case_sensitive else str.lower
-    # A folded line can only start with an entry whose folded form has the
-    # same first character, so each line scans one bucket, longest entry
-    # first. A first-token key would also need folding never to move a token
-    # boundary, and the tail check below reads the unfolded line.
+    # A folded (lowercased) line can only start with an entry whose folded
+    # form has the same first character, so each line scans one bucket,
+    # longest entry first. A first-token key would also need folding never to
+    # move a token boundary, and the tail check below reads the unfolded line.
     by_first: dict[str, list[tuple[str, str]]] = {}
     for entry in sorted(lexicon.entries, key=lambda e: (-len(e), e)):
-        folded_entry = fold(entry)
+        folded_entry = entry.lower()
         by_first.setdefault(folded_entry[:1], []).append((entry, folded_entry))
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
-        folded_content = fold(content)
+        folded_content = content.lower()
         for entry, folded_entry in by_first.get(folded_content[:1], ()):
             if not folded_content.startswith(folded_entry):
                 continue
@@ -203,7 +202,7 @@ def regex_segment(doc: Document, config: RuleConfig | None = None) -> Prediction
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         for rule in config.patterns:
-            rel = rule.matcher(line, config)
+            rel = rule.matcher(line)
             if rel is None:
                 continue
             start, end = line_start + rel[0], line_start + rel[1]

@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import align, baselines, metrics, ontology
 from .corpus import (
@@ -72,6 +73,34 @@ _NESTED_KEYS: dict[str, set[str]] = {
 }
 
 
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_PATH_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
+_SWITCH = ("true or false", lambda v: isinstance(v, bool))
+# What a config file may give each key that neither LLMConfig nor
+# _check_edit_ratio checks: a description for the error, and the test.
+_ACCEPTS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
+    "out": ("a string", lambda v: isinstance(v, str)),
+    "segmenter": (f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
+    "strategy": (f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
+    "strict": _SWITCH,
+    "close_ended_eval": _SWITCH,
+    "llm.example_doc": ("a string", lambda v: isinstance(v, str)),
+    "llm.example_headers": ("a list of strings", _is_str_list),
+    "llm.label_set": ("a list of strings", _is_str_list),
+}
+
+
+def _check_config_value(key: str, value: object, path: str) -> None:
+    """Raise FormatError naming ``path`` and ``key`` when ``_ACCEPTS`` refuses ``value``."""
+    accepted = _ACCEPTS.get(key)
+    if accepted is not None and not accepted[1](value):
+        raise FormatError(f"{path}: config key {key!r} must be {accepted[0]}, got {value!r}")
+
+
 def _check_llm_value(key: str, value: object, source: str) -> None:
     """Raise FormatError naming ``source`` when LLMConfig refuses ``value`` for ``key``."""
     try:
@@ -101,16 +130,14 @@ def _load_config(path: str | None) -> dict:
                 for sub, sub_value in value.items():
                     if sub not in _NESTED_KEYS[key]:
                         raise FormatError(f"{path}: unknown config key '{key}.{sub}'")
+                    _check_config_value(f"{key}.{sub}", sub_value, path)
                     if key == "llm" and sub in LLMConfig.__dataclass_fields__:
                         _check_llm_value(sub, sub_value, f"{path}: config key 'llm.{sub}'")
                     if key == "alignment":
                         _check_edit_ratio(sub_value, f"{path}: config key 'alignment.{sub}'")
                 resolved[key].update(value)
             else:
-                if key in ("strict", "close_ended_eval") and not isinstance(value, bool):
-                    raise FormatError(
-                        f"{path}: config key {key!r} must be true or false, got {value!r}"
-                    )
+                _check_config_value(key, value, path)
                 resolved[key] = value
     return resolved
 
@@ -145,9 +172,7 @@ def _write_snapshot(config: dict, out_dir: Path) -> None:
 
 
 def _build_strategy(config: dict) -> PromptStrategy:
-    kind = config.get("strategy", "zero_shot")
-    if kind not in STRATEGY_KINDS:
-        raise SectionIdError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
+    kind = config["strategy"]
     llm_cfg = config.get("llm", {})
     if kind == ONE_SHOT:
         example_doc = llm_cfg.get("example_doc")
@@ -173,8 +198,6 @@ def _segment_docs(
 ) -> tuple[dict[str, Prediction], list[str]]:
     """Run the configured segmenter; returns predictions and failed doc ids."""
     segmenter = config["segmenter"]
-    if segmenter not in SEGMENTERS:
-        raise SectionIdError(f"unknown segmenter {segmenter!r}; expected one of {SEGMENTERS}")
     if segmenter == "llm":
         if not config.get("replay") and not config.get("llm", {}).get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")

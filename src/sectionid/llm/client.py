@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 from ..corpus import read_json
 from ..errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
 from .prompts import split_prompt
@@ -113,30 +111,55 @@ def build_payload(config: LLMConfig, prompt: str) -> dict:
 
 
 class HTTPChatClient:
-    """Live transport over ``requests``; one POST per send, no retries here."""
+    """Live transport over the stdlib ``urllib.request``; one POST per send, no retries here.
+
+    Only ``http`` and ``https`` endpoints are accepted; any other scheme
+    (``file:``, ``ftp:``, an empty URL) raises TransportError before anything
+    is opened. TLS verifies against the system trust store, and the
+    ``http_proxy``/``https_proxy``/``no_proxy`` environment variables apply.
+    An error status comes back as a ChatResult, so that ``complete()`` can
+    decide on a retry; a failed connection, a timeout or a malformed URL
+    raises TransportError.
+    """
 
     def __init__(self, config: LLMConfig):
         self.config = config
 
     def send(self, payload: dict) -> ChatResult:
+        # imported here so that commands which never call an endpoint do not
+        # pay for the HTTP and TLS modules
+        import http.client
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.config.api_key_env, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        url = self.config.endpoint_url
         try:
-            response = requests.post(
-                self.config.endpoint_url,
-                json=payload,
-                headers=headers,
-                timeout=self.config.timeout,
-            )
-        except requests.RequestException as exc:
+            data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+            # urllib would also open file: and ftp: URLs
+            if request.type not in ("http", "https"):
+                raise TransportError(f"endpoint_url must be an http or https URL, got {url!r}")
+            try:
+                with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    status, raw = exc.code, exc.read()
+        # OSError covers URLError and timeouts; ValueError a URL that cannot
+        # be parsed or a header that cannot be encoded
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"request failed: {exc}") from exc
+        # JSON exchanged between systems is UTF-8 (RFC 8259, section 8.1)
+        text = raw.decode("utf-8", errors="replace")
         try:
-            body = response.json()
-        except ValueError:
-            body = {"raw": response.text}
-        return ChatResult(status=response.status_code, body=body)
+            body = json.loads(text)
+        except (ValueError, RecursionError):
+            body = {"raw": text}
+        return ChatResult(status=status, body=body)
 
 
 class ReplayClient:

@@ -15,6 +15,10 @@ from ..errors import ParseError
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
 _BRACKET_RE = re.compile(r"[\[\]]")
+# The deepest bracketed span _try_embedded_array hands to json.loads. The
+# answer shapes parsed here nest at most 3 deep; without a bound, a response
+# of n nested brackets would cost n parses of up to n characters each.
+_MAX_ARRAY_DEPTH = 64
 
 
 def _headers_from_item(item: object) -> str | None:
@@ -62,15 +66,20 @@ def _try_object_lines(text: str) -> list[str] | None:
 
 
 def _try_embedded_array(text: str) -> list[str] | None:
-    # pair every '[' with its closing ']' in one pass, then try the
-    # bracketed spans in order of their opening position
-    opened: list[int] = []
+    # pair every '[' with its closing ']' in one pass, noting how deep each
+    # bracketed span nests, then try the spans of bounded depth in order of
+    # their opening position
+    opened: list[list[int]] = []  # [start, deepest nesting inside] per open '['
     close_of: dict[int, int] = {}
     for m in _BRACKET_RE.finditer(text):
         if m.group() == "[":
-            opened.append(m.start())
+            opened.append([m.start(), 0])
         elif opened:
-            close_of[opened.pop()] = m.start()
+            start, inner = opened.pop()
+            if inner < _MAX_ARRAY_DEPTH:
+                close_of[start] = m.start()
+            if opened:
+                opened[-1][1] = max(opened[-1][1], inner + 1)
     for start in sorted(close_of):
         result = _try_json(text[start:close_of[start] + 1])
         if result is not None:

@@ -107,14 +107,13 @@ def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Predicti
     """Oracle for ``baselines.keyword_segment``: every line scans the whole
     lexicon, longest entry first."""
     ordered = sorted(lexicon.entries, key=lambda e: (-len(e), e))
-    fold = (lambda s: s) if lexicon.case_sensitive else str.lower
-    folded = [(entry, fold(entry)) for entry in ordered]
+    folded = [(entry, entry.lower()) for entry in ordered]
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
-        folded_content = fold(content)
+        folded_content = content.lower()
         for entry, folded_entry in folded:
             if not folded_content.startswith(folded_entry):
                 continue

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import make_synthetic_corpus, reference_keyword_segment
 from sectionid.baselines import (
     HeaderLexicon,
-    RuleConfig,
     keyword_segment,
     load_lexicon,
     load_ruleset,
@@ -54,8 +53,6 @@ def test_keyword_word_boundary():
 def test_keyword_case_insensitive_by_default():
     pred = keyword_segment(Document("d", "ALLERGIES: none\n"), LEX)
     assert pred.headers == ["ALLERGIES"]
-    strict = HeaderLexicon(entries={"Allergies"}, case_sensitive=True)
-    assert keyword_segment(Document("d", "ALLERGIES: none\n"), strict).headers == []
 
 
 def test_lexicon_rejects_empty_and_blank():
@@ -96,8 +93,8 @@ def test_regex_minor_words_allowed():
 def test_regex_token_budget():
     long_line = " ".join(f"Word{i}" for i in range(12)) + ":"
     assert regex_segment(Document("d", long_line + "\n")).headers == []
-    short = RuleConfig(max_header_tokens=12)
-    assert regex_segment(Document("d", long_line + "\n"), short).headers != []
+    eight = " ".join(f"Word{i}" for i in range(8))
+    assert regex_segment(Document("d", eight + ":\n")).headers == [eight]
 
 
 def test_ruleset_file_and_invalid_pattern(tmp_path):
@@ -199,9 +196,9 @@ def _lexicon_and_text(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_lexicon_and_text(), st.booleans())
-def test_keyword_segment_equals_linear_scan(lexicon_and_text, case_sensitive):
+@given(_lexicon_and_text())
+def test_keyword_segment_equals_linear_scan(lexicon_and_text):
     entries, text = lexicon_and_text
-    lexicon = HeaderLexicon(entries=set(entries), case_sensitive=case_sensitive)
+    lexicon = HeaderLexicon(entries=set(entries))
     doc = Document("d", text)
     assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)

@@ -590,3 +590,37 @@ def test_config_switch_must_be_boolean(tmp_path, gold_path, capsys, key, value):
     assert code == FATAL
     assert err == f"error: {config}: config key {key!r} must be true or false, got {value!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, described", [
+    ("ontology", 7, "a string or null"),
+    ("lexicon", ["a"], "a string or null"),
+    ("corpus", 1.5, "a string or null"),
+    ("ruleset", {}, "a string or null"),
+    ("replay", False, "a string or null"),
+    ("record", 0, "a string or null"),
+    ("out", None, "a string"),
+    ("segmenter", "nope", "one of keyword, regex, rules, llm"),
+    ("strategy", "few_shot", "one of zero_shot, one_shot, chain_of_thought, close_ended"),
+    ("llm.example_doc", ["Plan: rest"], "a string"),
+    ("llm.example_headers", "Plan", "a list of strings"),
+    ("llm.label_set", "abc", "a list of strings"),
+    ("llm.label_set", ["Plan", 3], "a list of strings"),
+])
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_config_value_of_wrong_type_is_fatal(tmp_path, gold_path, capsys, key, value, described, command):
+    top, _, sub = key.partition(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({top: {sub: value}} if sub else {top: value}), encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    code = main([
+        command, "--config", str(config), "--corpus", gold_path, "--segmenter", "regex",
+        *extra, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {config}: config key {key!r} must be {described}, got {value!r}\n"
+    assert not out.exists()

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import http.server
 import json
+import socket
 import sys
+import threading
 
 import pytest
 
 from sectionid.errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
 from sectionid.llm import (
+    HTTPChatClient,
     LLMConfig,
     RecordingClient,
     ReplayClient,
@@ -193,26 +197,147 @@ def test_http_client_posts_bearer_token(monkeypatch):
     captured = {}
 
     class FakeResponse:
-        status_code = 200
+        status = 200
 
-        def json(self):
-            return ok_body("hi")
+        def __enter__(self):
+            return self
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured.update(url=url, body=json, headers=headers, timeout=timeout)
+        def __exit__(self, *exc_info):
+            return False
+
+        def read(self):
+            return json.dumps(ok_body("hi")).encode("utf-8")
+
+    def fake_urlopen(request, timeout=None):
+        captured.update(
+            url=request.full_url,
+            method=request.get_method(),
+            body=json.loads(request.data),
+            authorization=request.get_header("Authorization"),
+            timeout=timeout,
+        )
         return FakeResponse()
 
-    monkeypatch.setattr("sectionid.llm.client.requests.post", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     monkeypatch.setenv("SECTIONID_API_TOKEN", "sekrit")
-    from sectionid.llm import HTTPChatClient
 
     config = LLMConfig(endpoint_url="https://example.test/v1/chat")
     result = HTTPChatClient(config).send(build_payload(config, "p"))
     assert result.status == 200
+    assert result.body == ok_body("hi")
     assert captured["url"] == "https://example.test/v1/chat"
-    assert captured["headers"]["Authorization"] == "Bearer sekrit"
+    assert captured["method"] == "POST"
+    assert captured["authorization"] == "Bearer sekrit"
     assert captured["body"]["model"] == config.model_name
     assert captured["timeout"] == config.timeout
+
+
+class _Endpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted (status, body, delay) reply."""
+
+    def do_POST(self):
+        server = self.server
+        length = int(self.headers.get("Content-Length", 0))
+        server.received.append((self.headers.get("Authorization"), json.loads(self.rfile.read(length))))
+        status, body, delay = server.replies.pop(0)
+        if delay and server.release.wait(delay):
+            return
+        data = body.encode("utf-8") if isinstance(body, str) else json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A chat endpoint on 127.0.0.1; set ``.replies`` before sending."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.daemon_threads = True
+    server.replies, server.received, server.release = [], [], threading.Event()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+
+
+def test_http_client_loopback_retries_429_and_503(endpoint, monkeypatch):
+    monkeypatch.setenv("SECTIONID_API_TOKEN", "sekrit")
+    endpoint.replies = [(429, {}, 0), (503, {"error": "busy"}, 0), (200, ok_body("done"), 0)]
+    config = LLMConfig(endpoint_url=_url(endpoint), model_name="m", backoff_base=0.0, timeout=10)
+    assert complete(config, "p", HTTPChatClient(config)) == "done"
+    assert len(endpoint.received) == 3
+    for authorization, body in endpoint.received:
+        assert authorization == "Bearer sekrit"
+        assert body == build_payload(config, "p")
+
+
+@pytest.mark.parametrize("status", [401, 403])
+def test_http_client_loopback_auth_error(endpoint, status):
+    endpoint.replies = [(status, {"error": "no"}, 0)]
+    config = LLMConfig(endpoint_url=_url(endpoint), backoff_base=0.0, timeout=10)
+    with pytest.raises(AuthError):
+        complete(config, "p", HTTPChatClient(config))
+    assert len(endpoint.received) == 1
+
+
+def test_http_client_loopback_non_json_body(endpoint):
+    endpoint.replies = [(502, "<html>Bad Gateway ☹</html>", 0)]
+    config = LLMConfig(endpoint_url=_url(endpoint), timeout=10)
+    result = HTTPChatClient(config).send(build_payload(config, "p"))
+    assert result == ChatResult(502, {"raw": "<html>Bad Gateway ☹</html>"})
+
+
+def test_http_client_loopback_timeout_is_transport_error(endpoint):
+    endpoint.replies = [(200, ok_body("late"), 5.0)]
+    config = LLMConfig(endpoint_url=_url(endpoint), timeout=0.5)
+    with pytest.raises(TransportError):
+        HTTPChatClient(config).send(build_payload(config, "p"))
+
+
+def test_http_client_refused_connection_is_transport_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = LLMConfig(endpoint_url=f"http://127.0.0.1:{port}/v1/chat", timeout=5)
+    with pytest.raises(TransportError):
+        HTTPChatClient(config).send(build_payload(config, "p"))
+
+
+@pytest.mark.parametrize("url", [
+    "", "/v1/chat", "file:///etc/hosts", " FILE:///etc/hosts", "ftp://example.test/chat",
+    "http://[::1/v1/chat",
+])
+def test_http_client_refuses_unusable_url_before_opening(monkeypatch, url):
+    opened = []
+    monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: opened.append(args))
+    config = LLMConfig(endpoint_url=url)
+    with pytest.raises(TransportError):
+        HTTPChatClient(config).send(build_payload(config, "p"))
+    assert opened == []
+
+
+def test_http_client_unsendable_url_is_transport_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    config = LLMConfig(endpoint_url="http://127.0.0.1:port/v1/chat")
+    with pytest.raises(TransportError, match="nonnumeric port"):
+        HTTPChatClient(config).send(build_payload(config, "p"))
 
 
 @pytest.mark.parametrize("content", [

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectionid.errors import ParseError
-from sectionid.llm import parse_llm_response
+from sectionid.llm import parse_llm_response, parsing
 
 
 def test_json_array_of_objects():
@@ -108,3 +111,58 @@ def test_arbitrary_text_yields_headers_or_parse_error(raw):
     except ParseError:
         return
     assert all(isinstance(h, str) and h and h == h.strip() for h in headers)
+
+
+def _reference_embedded_array(text: str) -> list[str] | None:
+    """Oracle: ``parsing._try_embedded_array`` before its depth bound."""
+    opened: list[int] = []
+    close_of: dict[int, int] = {}
+    for m in re.finditer(r"[\[\]]", text):
+        if m.group() == "[":
+            opened.append(m.start())
+        elif opened:
+            close_of[opened.pop()] = m.start()
+    for start in sorted(close_of):
+        result = parsing._try_json(text[start:close_of[start] + 1])
+        if result is not None:
+            return result
+    return None
+
+
+def _bracket_depth(text: str) -> int:
+    depth = deepest = 0
+    for char in text:
+        if char == "[":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char == "]" and depth:
+            depth -= 1
+    return deepest
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, parsing._MAX_ARRAY_DEPTH),
+    st.one_of(st.text(max_size=100), st.lists(_RESPONSE_PIECES, max_size=40).map("".join)),
+    st.sampled_from(["", "prose ", '"Plan"', '{"section_title": "HPI"}']),
+)
+def test_embedded_array_matches_unbounded_walk_within_depth(nesting, inner, tail):
+    text = "[" * nesting + inner + "]" * nesting + tail
+    assume(_bracket_depth(text) <= parsing._MAX_ARRAY_DEPTH)
+    assert parsing._try_embedded_array(text) == _reference_embedded_array(text)
+
+
+def test_deep_nesting_costs_a_bounded_number_of_parses(monkeypatch):
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(len(text))
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(parsing.json, "loads", counting_loads)
+    n = 10_000
+    assert parse_llm_response("[" * n + "]" * n) == []
+    # one parse of the whole response, one of the deepest span within bounds
+    assert len(calls) == 2
+    assert calls[1] == 2 * parsing._MAX_ARRAY_DEPTH

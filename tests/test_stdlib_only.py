@@ -1,0 +1,61 @@
+"""The package runs on the standard library alone.
+
+Every absolute import under ``src/sectionid`` must name a stdlib module or
+the package itself, ``pyproject.toml`` must declare no runtime dependency,
+and importing the CLI must not load the HTTP stack, which only a live
+endpoint call needs.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _absolute_imports(path: Path) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module or ""))
+    return found
+
+
+def test_package_imports_only_stdlib_and_itself():
+    modules = sorted((SRC / "sectionid").rglob("*.py"))
+    assert modules
+    foreign = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in modules
+        for lineno, name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"sectionid"}
+    ]
+    assert foreign == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+
+
+def test_cli_import_loads_no_http_stack():
+    code = (
+        "import sys, sectionid.cli; "
+        "print(sorted({'urllib.request', 'http.client', 'requests'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
