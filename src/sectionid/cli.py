@@ -275,9 +275,16 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
     """Read predictions JSONL; every bad line fails with the file and line number."""
     lengths = {doc.id: len(doc.text) for doc in docs}
     predictions: dict[str, Prediction] = {}
-    for _, where, obj in _jsonl_objects(path):
+    first_line: dict[str, int] = {}
+    for lineno, where, obj in _jsonl_objects(path):
         if not isinstance(obj.get("id"), str):
             raise FormatError(f"{where}: 'id' must be a string")
+        if obj["id"] in first_line:
+            raise FormatError(
+                f"{where}: duplicate prediction for document {obj['id']!r} "
+                f"(first on line {first_line[obj['id']]})"
+            )
+        first_line[obj["id"]] = lineno
         headers = obj.get("headers", [])
         if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
             raise FormatError(f"{where}: 'headers' must be a list of strings")

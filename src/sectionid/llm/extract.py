@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,15 +17,13 @@ from .prompts import PromptStrategy, build_prompt
 
 log = logging.getLogger(__name__)
 
-CHUNK_OVERLAP_CHARS = 200
 
+def chunk_text(text: str, budget: int) -> list[str]:
+    """Split text into disjoint pieces of at most ``budget`` chars.
 
-def chunk_text(text: str, budget: int, overlap: int = CHUNK_OVERLAP_CHARS) -> list[str]:
-    """Split text at line boundaries into pieces of at most ``budget`` chars.
-
-    Consecutive chunks share roughly ``overlap`` characters so a header
-    sitting on a boundary appears whole in at least one chunk. Oversized
-    single lines are split hard.
+    Each piece ends at the last line start inside its window, so every line
+    no longer than ``budget`` lies whole in exactly one piece; only a longer
+    line is cut. The pieces join back to ``text``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -43,11 +41,7 @@ def chunk_text(text: str, budget: int, overlap: int = CHUNK_OVERLAP_CHARS) -> li
             if last > begin:
                 end = last
         chunks.append(text[begin:end])
-        if end >= len(text):
-            break
-        # restart at the first line boundary inside the overlap
-        first = bisect_left(starts, max(begin + 1, end - overlap))
-        begin = starts[first] if first < len(starts) and starts[first] <= end else end
+        begin = end
     return chunks
 
 
@@ -59,8 +53,10 @@ def extract_headers(
 ) -> Prediction:
     """Run prompt -> completion -> parse for one document.
 
-    Documents above the configured context budget are chunked with overlap;
-    header lists are concatenated in order with seam duplicates dropped.
+    A document above the configured context budget is sent as disjoint
+    chunks (``chunk_text``). Their header lists are concatenated in order,
+    and a header repeated across a seam collapses to one, as a repeat
+    within one response already does.
     Transport and parse errors propagate; batch callers turn them into empty
     predictions plus a failure record.
     """

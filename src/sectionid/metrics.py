@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from operator import eq
 from typing import Iterable, Mapping, Sequence
 
-from .align import align_headers
+from .align import DEFAULT_MAX_EDIT_RATIO, align_headers
 from .corpus import AnnotatedDocument
 from .errors import EmptyInput, LengthMismatch, MalformedTags
 from .ontology import Ontology, categorize, normalize_surface
@@ -282,7 +282,7 @@ def evaluate_run(
     *,
     method: str = "run",
     corpus_name: str = "corpus",
-    max_edit_ratio: float = 0.2,
+    max_edit_ratio: float = DEFAULT_MAX_EDIT_RATIO,
     close_ended: bool = False,
 ) -> RunReport:
     """Score one segmenter run against gold annotations.

@@ -113,43 +113,28 @@ def load_ontology(path: str | Path | object | None = None) -> Ontology:
     return Ontology(categories=categories, surface_map=surface_map, levels=levels)
 
 
-def categorize(
-    name: str,
-    ont: Ontology,
-    fuzzy: bool = True,
-    level: str | None = None,
-) -> str:
+def categorize(name: str, ont: Ontology) -> str:
     """Map a section name to its canonical category, falling back to UNKNOWN.
 
-    Exact lookup happens on the normalized surface form; with ``fuzzy`` the
+    Exact lookup happens on the normalized surface form; failing that, the
     nearest surface by normalized edit distance wins when its ratio is at
-    most ``FUZZY_RATIO``. ``level`` restricts candidates to coarse or fine
-    entries.
+    most ``FUZZY_RATIO``.
     """
     surface = normalize_surface(name)
     if not surface:
         return UNKNOWN
-
-    def allowed(s: str) -> bool:
-        return level is None or ont.levels.get(s, COARSE) == level
-
     hit = ont.surface_map.get(surface)
-    if hit is not None and allowed(surface):
+    if hit is not None:
         return hit
-    if fuzzy:
-        best: tuple[float, str] | None = None
-        limit = math.floor(FUZZY_RATIO * max(len(surface), 1)) + 1
-        for candidate in ont.surface_map:
-            if not allowed(candidate):
-                continue
-            if abs(len(candidate) - len(surface)) > limit:
-                continue
-            ratio = edit_ratio(surface, candidate)
-            if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
-                best = (ratio, candidate)
-        if best is not None:
-            return ont.surface_map[best[1]]
-    return UNKNOWN
+    best: tuple[float, str] | None = None
+    limit = math.floor(FUZZY_RATIO * max(len(surface), 1)) + 1
+    for candidate in ont.surface_map:
+        if abs(len(candidate) - len(surface)) > limit:
+            continue
+        ratio = edit_ratio(surface, candidate)
+        if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
+            best = (ratio, candidate)
+    return UNKNOWN if best is None else ont.surface_map[best[1]]
 
 
 @dataclass

@@ -270,6 +270,14 @@ def test_evaluate_span_past_document_end_is_fatal(tmp_path, gold_path, capsys):
     assert "'fx1' of 44 characters" in err
 
 
+def test_evaluate_duplicate_prediction_id_is_fatal(tmp_path, gold_path, capsys):
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+        json.dumps({"id": "fx1", "headers": []}),
+    ])
+    assert "line 2: duplicate prediction for document 'fx1' (first on line 1)" in err
+
+
 @pytest.mark.parametrize("line, message", [
     (json.dumps({"id": "p2", "a": ["Plan"]}), "'b' must be a list of strings"),
     ('{"id": "p2", "a": ["Plan"], "b": ["Pl', "malformed JSON"),

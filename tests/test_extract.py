@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -39,30 +40,32 @@ def test_parse_error_propagates():
         extract_headers(Document("d", "Plan: rest\n"), ZS, CONFIG, client)
 
 
-def test_chunk_text_respects_budget_and_overlap():
+def test_chunk_text_respects_budget_and_splits_disjointly():
     lines = [f"line {i} with some filler text\n" for i in range(40)]
     text = "".join(lines)
     chunks = chunk_text(text, budget=300)
     assert len(chunks) > 1
     for chunk in chunks:
         assert len(chunk) <= 300
-    # overlap: each boundary re-covers up to 200 chars of the previous chunk
-    for first, second in zip(chunks, chunks[1:]):
-        assert second[: len(second) // 4] in first or len(first) == 300
-    # whole text is covered in order
-    cursor = 0
+    # disjoint: the chunks join back to the text
+    assert "".join(chunks) == text
+    # every line no longer than the budget lies whole in exactly one chunk
+    offsets = [0]
     for chunk in chunks:
-        idx = text.find(chunk, max(0, cursor - 250))
-        assert idx != -1
-        cursor = idx + len(chunk)
-    assert cursor == len(text)
+        offsets.append(offsets[-1] + len(chunk))
+    start = 0
+    for line in lines:
+        end = start + len(line)
+        holders = [i for i in range(len(chunks)) if offsets[i] <= start and end <= offsets[i + 1]]
+        assert len(holders) == 1, line
+        start = end
 
 
 def test_chunk_text_short_input_is_single_chunk():
     assert chunk_text("short", 100) == ["short"]
 
 
-def _quadratic_chunk_text(text: str, budget: int, overlap: int) -> list[str]:
+def _quadratic_chunk_text(text: str, budget: int) -> list[str]:
     """Reference chunker: rescans every line start for each chunk."""
     if len(text) <= budget:
         return [text]
@@ -76,20 +79,13 @@ def _quadratic_chunk_text(text: str, budget: int, overlap: int) -> list[str]:
             if candidates:
                 end = candidates[-1]
         chunks.append(text[begin:end])
-        if end >= len(text):
-            break
-        back = [s for s in starts if max(begin + 1, end - overlap) <= s <= end]
-        begin = back[0] if back else end
+        begin = end
     return chunks
 
 
-@given(
-    st.text(alphabet="ab \n", max_size=300),
-    st.integers(1, 80),
-    st.integers(0, 60),
-)
-def test_chunk_text_matches_reference_chunker(text, budget, overlap):
-    assert chunk_text(text, budget, overlap) == _quadratic_chunk_text(text, budget, overlap)
+@given(st.text(alphabet="ab \n", max_size=300), st.integers(1, 80))
+def test_chunk_text_matches_reference_chunker(text, budget):
+    assert chunk_text(text, budget) == _quadratic_chunk_text(text, budget)
 
 
 def test_chunked_extraction_dedupes_at_seams():
@@ -99,6 +95,42 @@ def test_chunked_extraction_dedupes_at_seams():
     pred = extract_headers(Document("d", doc_text), ZS, config, client)
     assert client.calls > 1
     assert pred.headers == ["Plan"]
+
+
+class EchoClient:
+    """Answers each prompt with the header lines (``Name:``) of its note."""
+
+    def send(self, payload):
+        content = payload["messages"][-1]["content"]
+        note = content[content.index(" ### ") + 5:content.rindex(" ###")]
+        titles = [line[:-1] for line in note.split("\n") if line.endswith(":")]
+        body = json.dumps([{"section_title": t} for t in titles])
+        return ChatResult(200, {"choices": [{"message": {"content": body}, "finish_reason": "stop"}]})
+
+
+def _echo_headers(text: str, budget: int | None) -> list[str]:
+    config = LLMConfig(backoff_base=0.0, max_context_chars=budget)
+    return extract_headers(Document("d", text), ZS, config, EchoClient()).headers
+
+
+ECHO_LINES = ["Plan:", "HPI:", "Allergies:", "rest", "no known drug allergies", ""]
+
+
+@given(st.lists(st.sampled_from(ECHO_LINES), min_size=1, max_size=40), st.integers(0, 120))
+def test_chunked_extraction_equals_unchunked(lines, extra):
+    text = "\n".join(lines) + "\n"
+    # every line fits the budget with its newline, so no line is cut
+    budget = max(len(line) + 1 for line in lines) + extra
+    assert _echo_headers(text, budget) == _echo_headers(text, None)
+
+
+def test_headers_near_a_seam_come_back_once():
+    # B1 and C1 both lie in the last 200 characters of the first chunk, the
+    # stretch an overlapping chunker would send again with the second one
+    filler = "x" * 39 + "\n"
+    text = filler * 7 + "B1:\n" + filler * 2 + "C1:\n" + filler * 6 + "D1:\n" + filler * 2
+    assert _echo_headers(text, None) == ["B1", "C1", "D1"]
+    assert _echo_headers(text, 400) == ["B1", "C1", "D1"]
 
 
 class SlowCountingClient:
