@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .align import line_starts
 from .corpus import Document, comment_lines, read_json
-from .errors import InvalidPattern
+from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
 from .tokenizer import tokenize
 
@@ -46,18 +46,10 @@ class HeaderLexicon:
 
 def load_lexicon(path: str | Path) -> HeaderLexicon:
     """Read a lexicon file: one surface form per line, '#' starts a comment."""
-    return HeaderLexicon(entries=set(comment_lines(path)))
-
-
-MatchFn = Callable[[str], "tuple[int, int] | None"]
-
-
-@dataclass
-class Rule:
-    """A named per-line matcher; returns a (start, end) slice of the line or None."""
-
-    name: str
-    matcher: MatchFn
+    entries = set(comment_lines(path))
+    if not entries:
+        raise FormatError(f"{path}: lexicon file has no entries")
+    return HeaderLexicon(entries=entries)
 
 
 def _is_header_word(word: str) -> bool:
@@ -101,7 +93,7 @@ def _match_allcaps_line(line: str) -> tuple[int, int] | None:
     return (offset, offset + len(stripped))
 
 
-def _regex_rule(name: str, pattern: str) -> Rule:
+def _regex_rule(name: str, pattern: str) -> Callable[[str], tuple[int, int] | None]:
     try:
         compiled = re.compile(pattern)
     except re.error as exc:
@@ -117,37 +109,27 @@ def _regex_rule(name: str, pattern: str) -> Rule:
             return None
         return (start, end)
 
-    return Rule(name=name, matcher=match)
+    return match
 
 
-def default_rules() -> list[Rule]:
-    return [
-        Rule("titlecase_colon", _match_titlecase_colon),
-        Rule("allcaps_line", _match_allcaps_line),
-    ]
+# A rule maps one line to the (start, end) slice of its header, or None.
+DEFAULT_RULES = (_match_titlecase_colon, _match_allcaps_line)
 
 
-@dataclass
-class RuleConfig:
-    patterns: list[Rule] = field(default_factory=default_rules)
-
-    def __post_init__(self) -> None:
-        if not self.patterns:
-            raise ValueError("rule config needs at least one pattern")
-
-
-def load_ruleset(path: str | Path) -> RuleConfig:
+def load_ruleset(path: str | Path) -> list[Callable[[str], tuple[int, int] | None]]:
     """Read a JSON list of {"name": str, "pattern": str} rules.
 
-    A file that is not UTF-8 JSON raises FormatError; a list of the wrong
-    shape, or a pattern that does not compile, raises InvalidPattern. Both
-    name the file.
+    A file that is not UTF-8 JSON raises FormatError; an empty list, a list
+    of the wrong shape, or a pattern that does not compile, raises
+    InvalidPattern. Both name the file.
     """
     raw = read_json(path)
     if not isinstance(raw, list):
         raise InvalidPattern(
             f"{path}: ruleset file must be a JSON list of {{name, pattern}} objects"
         )
+    if not raw:
+        raise InvalidPattern(f"{path}: ruleset file has no rules")
     rules = []
     for item in raw:
         if not isinstance(item, dict) or "name" not in item or "pattern" not in item:
@@ -156,7 +138,7 @@ def load_ruleset(path: str | Path) -> RuleConfig:
             rules.append(_regex_rule(str(item["name"]), str(item["pattern"])))
         except InvalidPattern as exc:
             raise InvalidPattern(f"{path}: {exc}") from exc
-    return RuleConfig(patterns=rules)
+    return rules
 
 
 def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
@@ -194,15 +176,15 @@ def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     return Prediction(headers=headers, spans=spans)
 
 
-def regex_segment(doc: Document, config: RuleConfig | None = None) -> Prediction:
-    """Apply the rule list per line; the first rule that matches wins the line."""
-    if config is None:
-        config = RuleConfig()
+def regex_segment(
+    doc: Document, rules: Sequence[Callable[[str], tuple[int, int] | None]] = DEFAULT_RULES
+) -> Prediction:
+    """Apply the rules per line; the first rule that matches wins the line."""
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
-        for rule in config.patterns:
-            rel = rule.matcher(line)
+        for rule in rules:
+            rel = rule(line)
             if rel is None:
                 continue
             start, end = line_start + rel[0], line_start + rel[1]
@@ -217,11 +199,13 @@ def regex_segment(doc: Document, config: RuleConfig | None = None) -> Prediction
 
 
 def rule_segment(
-    doc: Document, lexicon: HeaderLexicon, config: RuleConfig | None = None
+    doc: Document,
+    lexicon: HeaderLexicon,
+    rules: Sequence[Callable[[str], tuple[int, int] | None]] = DEFAULT_RULES,
 ) -> Prediction:
     """Union of keyword and regex matches, keyword winning span-overlap ties."""
     kw = keyword_segment(doc, lexicon)
-    rx = regex_segment(doc, config)
+    rx = regex_segment(doc, rules)
     merged: list[tuple[tuple[int, int], str]] = [
         (span, header) for span, header in zip(kw.spans or [], kw.headers)
     ]

@@ -13,6 +13,7 @@ Exit codes: 0 clean, 2 partial (some documents failed or were missing),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -66,101 +67,89 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "alignment": {"max_edit_ratio": align.DEFAULT_MAX_EDIT_RATIO},
     "llm": {},
 }
-# The keys a config file may set inside each object-valued entry.
-_NESTED_KEYS: dict[str, set[str]] = {
-    "alignment": set(_CONFIG_DEFAULTS["alignment"]),
-    "llm": {*LLMConfig.__dataclass_fields__, "example_doc", "example_headers", "label_set"},
-}
+
+# A check takes a value and the source to name in its error: a config key
+# ("<file>: config key 'llm.timeout'") or a flag ("--workers").
+Check = Callable[[object, str], None]
 
 
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _accepts(described: str, test: Callable[[object], bool]) -> Check:
+    def check(value: object, source: str) -> None:
+        if not test(value):
+            raise FormatError(f"{source} must be {described}, got {value!r}")
+    return check
 
 
-_PATH_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
-_SWITCH = ("true or false", lambda v: isinstance(v, bool))
-# What a config file may give each key that neither LLMConfig nor
-# _check_edit_ratio checks: a description for the error, and the test.
-_ACCEPTS: dict[str, tuple[str, Callable[[object], bool]]] = {
-    **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
-    "out": ("a string", lambda v: isinstance(v, str)),
-    "segmenter": (f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
-    "strategy": (f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
-    "strict": _SWITCH,
-    "close_ended_eval": _SWITCH,
-    "llm.example_doc": ("a string", lambda v: isinstance(v, str)),
-    "llm.example_headers": ("a list of strings", _is_str_list),
-    "llm.label_set": ("a list of strings", _is_str_list),
-}
+def _llm_field(name: str) -> Check:
+    def check(value: object, source: str) -> None:
+        try:
+            LLMConfig(**{name: value})
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{source}: {exc}") from exc
+    return check
 
 
-def _check_config_value(key: str, value: object, path: str) -> None:
-    """Raise FormatError naming ``path`` and ``key`` when ``_ACCEPTS`` refuses ``value``."""
-    accepted = _ACCEPTS.get(key)
-    if accepted is not None and not accepted[1](value):
-        raise FormatError(f"{path}: config key {key!r} must be {accepted[0]}, got {value!r}")
-
-
-def _check_llm_value(key: str, value: object, source: str) -> None:
-    """Raise FormatError naming ``source`` when LLMConfig refuses ``value`` for ``key``."""
-    try:
-        LLMConfig(**{key: value})
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{source}: {exc}") from exc
-
-
-def _check_edit_ratio(value: object, source: str) -> None:
-    """Raise FormatError naming ``source`` unless ``value`` is a number in [0, 1)."""
+def _edit_ratio(value: object, source: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
         raise FormatError(f"{source}: max_edit_ratio must be a number in [0, 1), got {value!r}")
 
 
-def _load_config(path: str | None) -> dict:
-    resolved = json.loads(json.dumps(_CONFIG_DEFAULTS))
+_PATH_OR_NULL = _accepts("a string or null", lambda v: v is None or isinstance(v, str))
+_STRING = _accepts("a string", lambda v: isinstance(v, str))
+_SWITCH = _accepts("true or false", lambda v: isinstance(v, bool))
+_STRINGS = _accepts(
+    "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+)
+# Every settable key, dotted inside the object-valued entries, with its check.
+_CHECKS: dict[str, Check] = {
+    **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
+    "out": _STRING,
+    "segmenter": _accepts(f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
+    "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
+    "strict": _SWITCH,
+    "close_ended_eval": _SWITCH,
+    **{f"llm.{name}": _llm_field(name) for name in LLMConfig.__dataclass_fields__},
+    "llm.example_doc": _STRING,
+    "llm.example_headers": _STRINGS,
+    "llm.label_set": _STRINGS,
+    "alignment.max_edit_ratio": _edit_ratio,
+}
+# Flags are named after the last part of their key, except these.
+_FLAG_NAMES = {"llm.max_in_flight": "--workers", "close_ended_eval": "--close-ended"}
+
+
+def _set(config: dict, key: str, value: object, source: str) -> None:
+    """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
+    _CHECKS[key](value, source)
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = value
+
+
+def _load_config(args: argparse.Namespace) -> dict:
+    """The defaults, then the ``--config`` file, then every flag given, each value checked."""
+    config = json.loads(json.dumps(_CONFIG_DEFAULTS))
+    path = args.config
     if path:
         user = read_json(path)
         if not isinstance(user, dict):
             raise FormatError(f"{path}: expected a JSON object")
         for key, value in user.items():
-            if key not in resolved:
-                raise FormatError(f"{path}: unknown config key {key!r}")
-            if key in _NESTED_KEYS:
+            items = [(key, value)]
+            if isinstance(config.get(key), dict):
                 if not isinstance(value, dict):
                     raise FormatError(f"{path}: {key!r} must be a JSON object")
-                for sub, sub_value in value.items():
-                    if sub not in _NESTED_KEYS[key]:
-                        raise FormatError(f"{path}: unknown config key '{key}.{sub}'")
-                    _check_config_value(f"{key}.{sub}", sub_value, path)
-                    if key == "llm" and sub in LLMConfig.__dataclass_fields__:
-                        _check_llm_value(sub, sub_value, f"{path}: config key 'llm.{sub}'")
-                    if key == "alignment":
-                        _check_edit_ratio(sub_value, f"{path}: config key 'alignment.{sub}'")
-                resolved[key].update(value)
-            else:
-                _check_config_value(key, value, path)
-                resolved[key] = value
-    return resolved
-
-
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    direct = (
-        "corpus", "segmenter", "strategy", "ontology", "lexicon",
-        "ruleset", "out", "replay",
-    )
-    for key in direct:
+                items = [(f"{key}.{sub}", sub_value) for sub, sub_value in value.items()]
+            for name, item in items:
+                # a dotted key is set only inside its object, never at the top
+                if name not in _CHECKS or name.partition(".")[0] != key:
+                    raise FormatError(f"{path}: unknown config key {name!r}")
+                _set(config, name, item, f"{path}: config key {name!r}")
+    # a flag that sets a config key has that key as its argparse dest
+    for key in _CHECKS:
         value = getattr(args, key, None)
         if value is not None:
-            config[key] = value
-    if getattr(args, "workers", None) is not None:
-        _check_llm_value("max_in_flight", args.workers, "--workers")
-        config["llm"]["max_in_flight"] = args.workers
-    if getattr(args, "max_edit_ratio", None) is not None:
-        _check_edit_ratio(args.max_edit_ratio, "--max-edit-ratio")
-        config["alignment"]["max_edit_ratio"] = args.max_edit_ratio
-    if getattr(args, "strict", None) is not None:
-        config["strict"] = args.strict
-    if getattr(args, "close_ended", False):
-        config["close_ended_eval"] = True
+            flag = _FLAG_NAMES.get(key, "--" + key.rpartition(".")[2].replace("_", "-"))
+            _set(config, key, value, flag)
     return config
 
 
@@ -173,7 +162,7 @@ def _write_snapshot(config: dict, out_dir: Path) -> None:
 
 def _build_strategy(config: dict) -> PromptStrategy:
     kind = config["strategy"]
-    llm_cfg = config.get("llm", {})
+    llm_cfg = config["llm"]
     if kind == ONE_SHOT:
         example_doc = llm_cfg.get("example_doc")
         example_headers = llm_cfg.get("example_headers")
@@ -199,15 +188,15 @@ def _segment_docs(
     """Run the configured segmenter; returns predictions and failed doc ids."""
     segmenter = config["segmenter"]
     if segmenter == "llm":
-        if not config.get("replay") and not config.get("llm", {}).get("endpoint_url"):
+        if not config["replay"] and not config["llm"].get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
         strategy = _build_strategy(config)
         llm = _llm_config(config)
-        if config.get("replay"):
+        if config["replay"]:
             client = ReplayClient(config["replay"])
         else:
             client = HTTPChatClient(llm)
-        if config.get("record"):
+        if config["record"]:
             client = RecordingClient(client, config["record"])
         predictions, failures = extract_corpus(
             [d.document for d in docs], strategy, llm, client
@@ -216,31 +205,29 @@ def _segment_docs(
 
     lexicon = (
         baselines.load_lexicon(config["lexicon"])
-        if config.get("lexicon")
+        if config["lexicon"]
         else baselines.HeaderLexicon(entries=ontology.default_lexicon_entries())
     )
-    rule_config = (
-        baselines.load_ruleset(config["ruleset"])
-        if config.get("ruleset")
-        else baselines.RuleConfig()
+    rules = (
+        baselines.load_ruleset(config["ruleset"]) if config["ruleset"] else baselines.DEFAULT_RULES
     )
     predictions = {}
     for doc in docs:
         if segmenter == "keyword":
             predictions[doc.id] = baselines.keyword_segment(doc.document, lexicon)
         elif segmenter == "regex":
-            predictions[doc.id] = baselines.regex_segment(doc.document, rule_config)
+            predictions[doc.id] = baselines.regex_segment(doc.document, rules)
         else:
-            predictions[doc.id] = baselines.rule_segment(doc.document, lexicon, rule_config)
+            predictions[doc.id] = baselines.rule_segment(doc.document, lexicon, rules)
     return predictions, []
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
-    if not config.get("corpus"):
+    config = _load_config(args)
+    if not config["corpus"]:
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
-    ont = ontology.load_ontology(config.get("ontology"))
+    ont = ontology.load_ontology(config["ontology"])
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
     predictions, failed = _segment_docs(docs, config)
@@ -311,12 +298,12 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
-    if not config.get("corpus"):
+    config = _load_config(args)
+    if not config["corpus"]:
         raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     predictions = _load_predictions(args.predictions, docs)
-    ont = ontology.load_ontology(config.get("ontology"))
+    ont = ontology.load_ontology(config["ontology"])
     run = metrics.evaluate_run(
         docs,
         predictions,
@@ -354,16 +341,8 @@ def _emit_json(payload: dict, out: str | None, name: str) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    docs = load_gold_corpus(args.corpus, strict=args.strict if args.strict is not None else True)
-    stats = corpus_stats(docs)
-    payload = {
-        "document_count": stats.document_count,
-        "mean_token_length": stats.mean_token_length,
-        "stddev_token_length": stats.stddev_token_length,
-        "mean_sections_per_doc": stats.mean_sections_per_doc,
-        "stddev_sections_per_doc": stats.stddev_sections_per_doc,
-    }
-    _emit_json(payload, args.out, "corpus_stats.json")
+    stats = corpus_stats(load_gold_corpus(args.corpus, strict=args.strict))
+    _emit_json(dataclasses.asdict(stats), args.out, "corpus_stats.json")
     return OK
 
 
@@ -415,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="gold corpus JSONL")
         p.add_argument("--out", help="output directory")
         p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
-        p.add_argument("--max-edit-ratio", type=float, dest="max_edit_ratio")
+        p.add_argument(
+            "--max-edit-ratio", type=float, dest="alignment.max_edit_ratio",
+            metavar="MAX_EDIT_RATIO",
+        )
         p.add_argument(
             "--strict", action=argparse.BooleanOptionalAction, default=None,
             help="abort on corpus invariant violations (default: strict)",
@@ -428,7 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_segment.add_argument("--lexicon", help="lexicon file for keyword/rules segmenters")
     p_segment.add_argument("--ruleset", help="JSON ruleset for regex/rules segmenters")
     p_segment.add_argument("--replay", help="replay store directory (offline llm runs)")
-    p_segment.add_argument("--workers", type=int, help="max in-flight llm requests")
+    p_segment.add_argument(
+        "--workers", type=int, dest="llm.max_in_flight", metavar="WORKERS",
+        help="max in-flight llm requests",
+    )
     p_segment.set_defaults(func=cmd_segment)
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold")
@@ -436,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--predictions", required=True, help="predictions JSONL from segment")
     p_eval.add_argument("--segmenter", choices=SEGMENTERS, help="method name for the report")
     p_eval.add_argument(
-        "--close-ended", action="store_true", dest="close_ended",
+        "--close-ended", action="store_true", default=None, dest="close_ended_eval",
         help="compare categorized label sets instead of spans",
     )
     p_eval.set_defaults(func=cmd_evaluate)
@@ -444,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="corpus summary statistics")
     p_stats.add_argument("--corpus", required=True)
     p_stats.add_argument("--out")
-    p_stats.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
+    p_stats.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     p_stats.set_defaults(func=cmd_stats)
 
     p_norm = sub.add_parser("normalize", help="categorize section names from a file")

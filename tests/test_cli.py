@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
-from sectionid.cli import FATAL, OK, PARTIAL, main
+from sectionid import metrics, ontology
+from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
+from sectionid.prediction import Prediction
 
 
 @pytest.fixture
@@ -632,3 +636,109 @@ def test_config_value_of_wrong_type_is_fatal(tmp_path, gold_path, capsys, key, v
     assert code == FATAL
     assert err == f"error: {config}: config key {key!r} must be {described}, got {value!r}\n"
     assert not out.exists()
+
+
+def test_empty_ruleset_file_is_fatal(tmp_path, gold_path, capsys):
+    ruleset = tmp_path / "rules.json"
+    ruleset.write_text("[]", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "regex",
+        "--ruleset", str(ruleset), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {ruleset}: ruleset file has no rules\n"
+    assert not (out / "predictions.jsonl").exists()
+
+
+def test_empty_lexicon_file_is_fatal(tmp_path, gold_path, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("# no entries yet\n\n   \n  # Plan\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "keyword",
+        "--lexicon", str(lexicon), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err == f"error: {lexicon}: lexicon file has no entries\n"
+    assert not (out / "predictions.jsonl").exists()
+
+
+def _write_config(tmp_path, settings):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize("settings, flags", [
+    ({}, ["--close-ended"]),
+    ({"close_ended_eval": True}, []),
+], ids=["flag", "config"])
+def test_evaluate_close_ended_from_flag_or_config(tmp_path, gold_path, gold_small, settings, flags):
+    preds_path = tmp_path / "preds.jsonl"
+    with open(preds_path, "w", encoding="utf-8") as fh:
+        for doc in gold_small:
+            fh.write(json.dumps({"id": doc.id, "headers": doc.header_texts()}) + "\n")
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--config", _write_config(tmp_path, settings), "--corpus", gold_path,
+        "--predictions", str(preds_path), "--out", str(out), *flags,
+    ])
+    assert code == OK
+    predictions = {doc.id: Prediction(headers=doc.header_texts()) for doc in gold_small}
+    ont = ontology.load_ontology()
+
+    def expected(close_ended):
+        run = metrics.evaluate_run(
+            gold_small, predictions, ont, method="rules", corpus_name=gold_path,
+            close_ended=close_ended,
+        )
+        return metrics.render_report(run, "json")
+
+    assert expected(True) != expected(False)
+    assert (out / "report.json").read_text(encoding="utf-8") == expected(True)
+    snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot["close_ended_eval"] is True
+
+
+def test_no_strict_flag_overrides_config(tmp_path):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps({"id": "d1", "text": "short", "sections": [
+        {"label": "X", "header_span": [0, 99]},
+    ]}) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    config = _write_config(tmp_path, {"strict": True})
+    common = ["segment", "--config", config, "--corpus", str(corpus), "--segmenter", "regex"]
+    assert main([*common, "--out", str(out)]) == FATAL
+    assert main([*common, "--no-strict", "--out", str(out)]) == OK
+    snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot["strict"] is False
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_max_edit_ratio_flag_overrides_config(tmp_path, gold_path, command):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    config = _write_config(tmp_path, {"alignment": {"max_edit_ratio": 0.1}})
+    main([
+        command, "--config", config, "--corpus", gold_path, "--segmenter", "regex",
+        *extra, "--max-edit-ratio", "0.35", "--out", str(out),
+    ])
+    snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot["alignment"] == {"max_edit_ratio": 0.35}
+
+
+def test_readme_config_table_lists_every_settable_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Config key |", 1)[1].split("\n\n", 1)[0]
+    documented = {
+        key
+        for row in table.splitlines()[2:]
+        for key in re.findall(r"`([^`]+)`", row.split("|")[1])
+        if not key.startswith("--")
+    }
+    assert documented == set(_CHECKS)
