@@ -6,8 +6,8 @@ output files are deterministic byte-for-byte given the same inputs. The API
 bearer token is only ever read from the environment variable named in the
 config, never from the config file itself.
 
-Exit codes: 0 clean, 2 partial (some documents failed or were missing),
-1 fatal.
+Exit codes: 0 clean, 2 partial (some documents failed or were missing, or
+some predictions named no corpus document), 1 fatal.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable
 from . import align, baselines, metrics, ontology
 from .corpus import (
     AnnotatedDocument,
+    Document,
     _jsonl_objects,
     _parse_span,
     corpus_stats,
@@ -100,6 +101,17 @@ _SWITCH = _accepts("true or false", lambda v: isinstance(v, bool))
 _STRINGS = _accepts(
     "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
 )
+
+
+def _filled(check: Check) -> Check:
+    """``check``, and then refuse an empty value."""
+    def filled(value: object, source: str) -> None:
+        check(value, source)
+        if not value:
+            raise FormatError(f"{source} must not be empty")
+    return filled
+
+
 # Every settable key, dotted inside the object-valued entries, with its check.
 _CHECKS: dict[str, Check] = {
     **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
@@ -109,9 +121,9 @@ _CHECKS: dict[str, Check] = {
     "strict": _SWITCH,
     "close_ended_eval": _SWITCH,
     **{f"llm.{name}": _llm_field(name) for name in LLMConfig.__dataclass_fields__},
-    "llm.example_doc": _STRING,
-    "llm.example_headers": _STRINGS,
-    "llm.label_set": _STRINGS,
+    "llm.example_doc": _filled(_STRING),
+    "llm.example_headers": _filled(_STRINGS),
+    "llm.label_set": _filled(_STRINGS),
     "alignment.max_edit_ratio": _edit_ratio,
 }
 # Flags are named after the last part of their key, except these.
@@ -150,6 +162,13 @@ def _load_config(args: argparse.Namespace) -> dict:
         if value is not None:
             flag = _FLAG_NAMES.get(key, "--" + key.rpartition(".")[2].replace("_", "-"))
             _set(config, key, value, flag)
+    # the example keys have no flags, so only the file can set one without the other
+    example = [key for key in ("example_doc", "example_headers") if key in config["llm"]]
+    if config["strategy"] == ONE_SHOT and len(example) == 1:
+        raise FormatError(
+            f"{path}: config key 'llm.{example[0]}': one_shot needs "
+            "llm.example_doc and llm.example_headers together"
+        )
     return config
 
 
@@ -163,17 +182,16 @@ def _write_snapshot(config: dict, out_dir: Path) -> None:
 def _build_strategy(config: dict) -> PromptStrategy:
     kind = config["strategy"]
     llm_cfg = config["llm"]
+    # _load_config has refused empty values and a one-shot example set in part
     if kind == ONE_SHOT:
-        example_doc = llm_cfg.get("example_doc")
-        example_headers = llm_cfg.get("example_headers")
-        if not example_doc or not example_headers:
-            example = read_json(ontology.data_path("one_shot_example.json"))
-            example_doc = example["text"]
-            example_headers = example["headers"]
-        return PromptStrategy.one_shot(example_doc, example_headers)
+        if "example_doc" in llm_cfg:
+            return PromptStrategy.one_shot(llm_cfg["example_doc"], llm_cfg["example_headers"])
+        example = read_json(ontology.data_path("one_shot_example.json"))
+        return PromptStrategy.one_shot(example["text"], example["headers"])
     if kind == CLOSE_ENDED:
-        label_set = llm_cfg.get("label_set") or ontology.top_section_names()
-        return PromptStrategy.close_ended(label_set)
+        if "label_set" in llm_cfg:
+            return PromptStrategy.close_ended(llm_cfg["label_set"])
+        return PromptStrategy.close_ended(ontology.top_section_names())
     return PromptStrategy(kind)
 
 
@@ -182,26 +200,30 @@ def _llm_config(config: dict) -> LLMConfig:
     return LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
 
 
-def _segment_docs(
-    docs: list[AnnotatedDocument], config: dict
-) -> tuple[dict[str, Prediction], list[str]]:
-    """Run the configured segmenter; returns predictions and failed doc ids."""
+def _segmenter(
+    config: dict,
+) -> Callable[[list[AnnotatedDocument]], tuple[dict[str, Prediction], list[str]]]:
+    """Set up the configured segmenter, reading every file and store it needs.
+
+    A refused setting fails here, before any output is written. The function
+    returned maps a corpus to its predictions and the ids of failed documents.
+    """
     segmenter = config["segmenter"]
     if segmenter == "llm":
         if not config["replay"] and not config["llm"].get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
         strategy = _build_strategy(config)
         llm = _llm_config(config)
-        if config["replay"]:
-            client = ReplayClient(config["replay"])
-        else:
-            client = HTTPChatClient(llm)
+        client = ReplayClient(config["replay"]) if config["replay"] else HTTPChatClient(llm)
         if config["record"]:
             client = RecordingClient(client, config["record"])
-        predictions, failures = extract_corpus(
-            [d.document for d in docs], strategy, llm, client
-        )
-        return predictions, [f.doc_id for f in failures]
+
+        def extract(docs: list[AnnotatedDocument]) -> tuple[dict[str, Prediction], list[str]]:
+            predictions, failures = extract_corpus(
+                [d.document for d in docs], strategy, llm, client
+            )
+            return predictions, [f.doc_id for f in failures]
+        return extract
 
     lexicon = (
         baselines.load_lexicon(config["lexicon"])
@@ -211,15 +233,14 @@ def _segment_docs(
     rules = (
         baselines.load_ruleset(config["ruleset"]) if config["ruleset"] else baselines.DEFAULT_RULES
     )
-    predictions = {}
-    for doc in docs:
+
+    def segment(doc: Document) -> Prediction:
         if segmenter == "keyword":
-            predictions[doc.id] = baselines.keyword_segment(doc.document, lexicon)
-        elif segmenter == "regex":
-            predictions[doc.id] = baselines.regex_segment(doc.document, rules)
-        else:
-            predictions[doc.id] = baselines.rule_segment(doc.document, lexicon, rules)
-    return predictions, []
+            return baselines.keyword_segment(doc, lexicon)
+        if segmenter == "regex":
+            return baselines.regex_segment(doc, rules)
+        return baselines.rule_segment(doc, lexicon, rules)
+    return lambda docs: ({doc.id: segment(doc.document) for doc in docs}, [])
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
@@ -228,9 +249,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = ontology.load_ontology(config["ontology"])
+    segment = _segmenter(config)
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
-    predictions, failed = _segment_docs(docs, config)
+    predictions, failed = segment(docs)
     max_ratio = config["alignment"]["max_edit_ratio"]
     with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:
@@ -320,14 +342,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(metrics.render_report(run, fmt))
     print(metrics.render_report(run, "table_text"), end="")
     missing = [doc.id for doc in docs if doc.id not in predictions]
+    unknown = predictions.keys() - {doc.id for doc in docs}
     if missing:
         print(
             f"{len(missing)} document(s) had no prediction and scored empty: "
             f"{', '.join(sorted(missing))}",
             file=sys.stderr,
         )
-        return PARTIAL
-    return OK
+    if unknown:
+        print(
+            f"{len(unknown)} prediction(s) name no corpus document: {', '.join(sorted(unknown))}",
+            file=sys.stderr,
+        )
+    return PARTIAL if missing or unknown else OK
 
 
 def _emit_json(payload: dict, out: str | None, name: str) -> None:

@@ -19,7 +19,6 @@ from .prompts import (
     ZERO_SHOT,
     PromptStrategy,
     build_prompt,
-    split_prompt,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "ZERO_SHOT",
     "PromptStrategy",
     "build_prompt",
-    "split_prompt",
 ]

@@ -25,7 +25,6 @@ from typing import Protocol
 
 from ..corpus import read_json
 from ..errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
-from .prompts import split_prompt
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +93,9 @@ def prompt_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def build_payload(config: LLMConfig, prompt: str) -> dict:
-    system, user = split_prompt(prompt)
-    messages = []
-    if system:
-        messages.append({"role": "system", "content": system})
+def build_payload(config: LLMConfig, user: str, *, system: str = "") -> dict:
+    """The request body: a system message when ``system`` is given, then ``user``."""
+    messages = [{"role": "system", "content": system}] if system else []
     messages.append({"role": "user", "content": user})
     return {
         "model": config.model_name,
@@ -163,10 +160,16 @@ class HTTPChatClient:
 
 
 class ReplayClient:
-    """Serve recorded responses from a directory of ``<hash>.json`` files."""
+    """Serve recorded responses from a directory of ``<hash>.json`` files.
+
+    A store that is missing or not a directory raises FormatError at once,
+    rather than a ReplayMiss for every request.
+    """
 
     def __init__(self, store_dir: str | Path):
         self.store_dir = Path(store_dir)
+        if not self.store_dir.is_dir():
+            raise FormatError(f"{self.store_dir}: replay store is missing or not a directory")
 
     def send(self, payload: dict) -> ChatResult:
         key = prompt_hash(payload)
@@ -209,7 +212,7 @@ class RecordingClient:
     def send(self, payload: dict) -> ChatResult:
         result = self.inner.send(payload)
         if result.status == 200:
-            content = _content_of(result.body)
+            content, _ = _first_choice(result.body)
             if content is not None:
                 key = prompt_hash(payload)
                 record = {
@@ -226,30 +229,24 @@ class RecordingClient:
         return result
 
 
-def _content_of(body: dict) -> str | None:
+def _first_choice(body: dict) -> tuple[str | None, object]:
+    """``choices[0]``'s message content, None unless a string, and finish reason."""
     try:
-        content = body["choices"][0]["message"]["content"]
+        choice = body["choices"][0]
+        content = choice["message"]["content"]
     except (KeyError, IndexError, TypeError):
-        return None
-    return content if isinstance(content, str) else None
+        return None, None
+    return (content if isinstance(content, str) else None), choice.get("finish_reason")
 
 
-def _finish_reason(body: dict) -> str | None:
-    try:
-        reason = body["choices"][0].get("finish_reason")
-    except (KeyError, IndexError, TypeError, AttributeError):
-        return None
-    return reason
-
-
-def complete(config: LLMConfig, prompt: str, client: ChatClient) -> str:
+def complete(config: LLMConfig, user: str, client: ChatClient, *, system: str = "") -> str:
     """One chat round trip with exponential backoff on transient failures.
 
     Retries transport errors, 429, and 5xx up to ``max_retries`` extra
     attempts; 401/403 raise AuthError immediately. A response that stopped
     at the token limit triggers a TruncationWarning but is still returned.
     """
-    payload = build_payload(config, prompt)
+    payload = build_payload(config, user, system=system)
     last_error: str = "no attempt made"
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
@@ -270,10 +267,10 @@ def complete(config: LLMConfig, prompt: str, client: ChatClient) -> str:
             continue
         if result.status != 200:
             raise TransportError(f"HTTP {result.status}: {str(result.body)[:200]}")
-        content = _content_of(result.body)
+        content, finish_reason = _first_choice(result.body)
         if content is None:
             raise TransportError("response body has no choices[0].message.content")
-        if _finish_reason(result.body) == "length":
+        if finish_reason == "length":
             warnings.warn(
                 TruncationWarning(f"response hit the {config.max_tokens}-token limit")
             )

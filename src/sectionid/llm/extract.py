@@ -12,7 +12,7 @@ from ..corpus import Document
 from ..errors import SectionIdError
 from ..prediction import Prediction
 from .client import ChatClient, LLMConfig, complete
-from .parsing import _dedupe_consecutive, parse_llm_response
+from .parsing import parse_llm_response
 from .prompts import PromptStrategy, build_prompt
 
 log = logging.getLogger(__name__)
@@ -54,9 +54,10 @@ def extract_headers(
     """Run prompt -> completion -> parse for one document.
 
     A document above the configured context budget is sent as disjoint
-    chunks (``chunk_text``). Their header lists are concatenated in order,
-    and a header repeated across a seam collapses to one, as a repeat
-    within one response already does.
+    chunks (``chunk_text``), and their header lists are concatenated in
+    order. Every header the model names is kept, repeats included: a note
+    may hold two sections of one name, and grounding places each repeat at
+    the next occurrence or lists it as unmatched.
     Transport and parse errors propagate; batch callers turn them into empty
     predictions plus a failure record.
     """
@@ -68,10 +69,9 @@ def extract_headers(
     )
     headers: list[str] = []
     for piece in pieces:
-        prompt = build_prompt(strategy, Document(doc.id, piece, doc.source_kind))
-        content = complete(config, prompt, client)
-        headers.extend(parse_llm_response(content))
-    return Prediction(headers=_dedupe_consecutive(headers))
+        system, user = build_prompt(strategy, Document(doc.id, piece, doc.source_kind))
+        headers.extend(parse_llm_response(complete(config, user, client, system=system)))
+    return Prediction(headers=headers)
 
 
 @dataclass

@@ -87,16 +87,8 @@ def _try_embedded_array(text: str) -> list[str] | None:
     return None
 
 
-def _dedupe_consecutive(headers: list[str]) -> list[str]:
-    out: list[str] = []
-    for h in headers:
-        if not out or out[-1] != h:
-            out.append(h)
-    return out
-
-
 def parse_llm_response(raw: str) -> list[str]:
-    """Pull ordered section titles out of a model response.
+    """Pull ordered section titles out of a model response, repeats included.
 
     Raises ParseError when no JSON structure can be found at all; an empty
     extracted list is a valid result, not an error.
@@ -107,5 +99,5 @@ def parse_llm_response(raw: str) -> list[str]:
         for attempt in (_try_json, _try_object_lines, _try_embedded_array):
             result = attempt(candidate)
             if result is not None:
-                return _dedupe_consecutive(result)
+                return result
     raise ParseError(f"no header structure found in response of {len(raw)} chars")

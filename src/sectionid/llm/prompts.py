@@ -1,14 +1,16 @@
 """Prompt construction for the four header-extraction strategies.
 
-Each strategy has a fixed template; the document goes into the
-``{context_text}`` slot between ``###`` markers. One-shot additionally
-embeds an example note with its header list, and close-ended embeds the
+Each strategy has a fixed template of instructions, sent as the system
+message; the note goes alone into the user message, between ``###``
+markers after a fixed lead sentence. One-shot instructions additionally
+embed an example note with its header list, and close-ended ones the
 allowed label set plus a 'None' escape hatch.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from ..corpus import Document
@@ -22,6 +24,7 @@ CLOSE_ENDED = "close_ended"
 STRATEGY_KINDS = (ZERO_SHOT, ONE_SHOT, CHAIN_OF_THOUGHT, CLOSE_ENDED)
 
 _NOTE_LEAD = "Here are some clinical notes of a patient from a doctor."
+_SLOT_RE = re.compile(r"\{(sample_text|example_headers|label_set)\}")
 
 _ZERO_SHOT_TEMPLATE = (
     "You are a clinician and you read the given clinical document and identify"
@@ -29,8 +32,7 @@ _ZERO_SHOT_TEMPLATE = (
     "Find section headers only from the clinical text.\n"
     "For each section header, return the answer as a JSON object by filling in"
     " the following dictionary.\n"
-    "{section_title: // string representing the section header}\n"
-    + _NOTE_LEAD + " ### {context_text} ###\n"
+    "{section_title: // string representing the section header}"
 )
 
 _ONE_SHOT_TEMPLATE = (
@@ -41,8 +43,7 @@ _ONE_SHOT_TEMPLATE = (
     "Answer : {example_headers}\n"
     "For each section header return the answer as a JSON object by filling in"
     " the following dictionary.\n"
-    "{section_title: // string representing the section header}\n"
-    + _NOTE_LEAD + " ### {context_text} ###\n"
+    "{section_title: // string representing the section header}"
 )
 
 _CHAIN_OF_THOUGHT_TEMPLATE = (
@@ -52,8 +53,7 @@ _CHAIN_OF_THOUGHT_TEMPLATE = (
     "For each section header, return the answer as a JSON object by filling in"
     " the following dictionary.\n"
     "{section_title: // string representing the section header\n"
-    "   CoT: // string describing thinking step by step }\n"
-    + _NOTE_LEAD + " ### {context_text} ###\n"
+    "   CoT: // string describing thinking step by step }"
 )
 
 _CLOSE_ENDED_TEMPLATE = (
@@ -63,8 +63,7 @@ _CLOSE_ENDED_TEMPLATE = (
     "section types: {label_set}\n"
     "If the section headers do not belong to any of the above section type"
     " labels, classify them as 'None'.\n"
-    "Only print the section types identified in a list.\n"
-    + _NOTE_LEAD + " ### {context_text} ###\n"
+    "Only print the section types identified in a list."
 )
 
 _TEMPLATES = {
@@ -107,29 +106,19 @@ class PromptStrategy:
         return cls(CLOSE_ENDED, label_set=list(label_set))
 
 
-def build_prompt(strategy: PromptStrategy, doc: Document) -> str:
-    """Fill the strategy's template with the document (and strategy extras)."""
-    strategy.validate()
-    prompt = _TEMPLATES[strategy.kind]
-    if strategy.kind == ONE_SHOT:
-        prompt = prompt.replace("{sample_text}", strategy.example_doc or "")
-        prompt = prompt.replace(
-            "{example_headers}", json.dumps(strategy.example_headers, ensure_ascii=False)
-        )
-    elif strategy.kind == CLOSE_ENDED:
-        prompt = prompt.replace(
-            "{label_set}", json.dumps(strategy.label_set, ensure_ascii=False)
-        )
-    return prompt.replace("{context_text}", doc.text)
+def build_prompt(strategy: PromptStrategy, doc: Document) -> tuple[str, str]:
+    """The ``(system, user)`` messages that ask for the document's headers.
 
-
-def split_prompt(prompt: str) -> tuple[str, str]:
-    """Split a built prompt into (system instructions, user note block).
-
-    The instruction block goes to the system role and the note block, from
-    its lead-in sentence onward, to the user role.
+    The system message is the strategy's instructions, with its example or
+    label set filled in; the user message is the note between ``###``
+    markers. Each slot is filled once, so text inside a filled-in value is
+    sent as written.
     """
-    idx = prompt.find(_NOTE_LEAD)
-    if idx <= 0:
-        return "", prompt
-    return prompt[:idx].rstrip("\n"), prompt[idx:]
+    strategy.validate()
+    slots = {
+        "sample_text": strategy.example_doc or "",
+        "example_headers": json.dumps(strategy.example_headers, ensure_ascii=False),
+        "label_set": json.dumps(strategy.label_set, ensure_ascii=False),
+    }
+    system = _SLOT_RE.sub(lambda m: slots[m.group(1)], _TEMPLATES[strategy.kind])
+    return system, f"{_NOTE_LEAD} ### {doc.text} ###\n"

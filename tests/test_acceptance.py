@@ -215,9 +215,11 @@ def test_criterion_8_prompt_fidelity():
     }
     passed = 0
     for kind, strategy in strategies.items():
-        prompt = build_prompt(strategy, doc)
+        system, user = build_prompt(strategy, doc)
         for anchor in anchors[kind]:
-            assert anchor in prompt, f"{kind} missing anchor {anchor!r}"
+            assert anchor in system, f"{kind} missing anchor {anchor!r}"
+        assert doc.text not in system, f"{kind} sends the note in the system message"
+        assert user.count(doc.text) == 1, f"{kind} user message does not carry the note once"
         passed += 1
     assert passed == 4
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import FIXTURES
 from sectionid import metrics, ontology
 from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
+from sectionid.llm import PromptStrategy
 from sectionid.prediction import Prediction
 
 
@@ -742,3 +743,100 @@ def test_readme_config_table_lists_every_settable_key():
         if not key.startswith("--")
     }
     assert documented == set(_CHECKS)
+
+
+PARTIAL_EXAMPLE = "one_shot needs llm.example_doc and llm.example_headers together"
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"strategy": "one_shot", "llm": {"example_doc": "Zebra Notes: striped"}},
+     f"config key 'llm.example_doc': {PARTIAL_EXAMPLE}"),
+    ({"strategy": "one_shot", "llm": {"example_headers": ["Zebra Notes"]}},
+     f"config key 'llm.example_headers': {PARTIAL_EXAMPLE}"),
+    ({"llm": {"example_doc": ""}}, "config key 'llm.example_doc' must not be empty"),
+    ({"llm": {"example_headers": []}}, "config key 'llm.example_headers' must not be empty"),
+    ({"llm": {"label_set": []}}, "config key 'llm.label_set' must not be empty"),
+], ids=["doc_only", "headers_only", "empty_doc", "empty_headers", "empty_label_set"])
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_partial_or_empty_llm_setting_is_fatal(tmp_path, gold_path, capsys, settings, message, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    code = main([
+        command, "--config", str(config), "--corpus", gold_path, *extra, "--out", str(out),
+    ])
+    assert code == FATAL
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
+def test_partial_example_with_strategy_flag_is_fatal(tmp_path, gold_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"llm": {"example_headers": ["Zebra Notes"]}}), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--strategy", "one_shot",
+        "--out", str(out),
+    ])
+    assert code == FATAL
+    assert capsys.readouterr().err == (
+        f"error: {config}: config key 'llm.example_headers': {PARTIAL_EXAMPLE}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("llm, strategy", [
+    ({"example_doc": "Zebra Notes: striped\n", "example_headers": ["Zebra Notes"]},
+     PromptStrategy.one_shot("Zebra Notes: striped\n", ["Zebra Notes"])),
+    ({"label_set": ["Zebra Notes"]}, PromptStrategy.close_ended(["Zebra Notes"])),
+], ids=["one_shot", "close_ended"])
+def test_segment_uses_configured_llm_settings(tmp_path, gold_path, gold_small, llm, strategy):
+    # the store holds only the prompts built from the configured values, so
+    # a hash match proves the CLI used them and not the bundled ones
+    from conftest import StaticClient
+    from sectionid.llm import LLMConfig, RecordingClient, extract_headers
+
+    store = tmp_path / "store"
+    for doc in gold_small:
+        client = RecordingClient(StaticClient('[{"section_title": "Plan"}]'), store)
+        extract_headers(doc.document, strategy, LLMConfig(), client)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strategy": strategy.kind, "llm": llm}), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", "llm",
+        "--replay", str(store), "--out", str(out),
+    ])
+    assert code == OK
+    assert all(r["headers"] == ["Plan"] for r in read_jsonl(out / "predictions.jsonl"))
+
+
+@pytest.mark.parametrize("is_file", [False, True], ids=["missing", "file"])
+def test_segment_replay_store_not_a_directory_is_fatal(tmp_path, gold_path, capsys, is_file):
+    store = tmp_path / "nodir"
+    if is_file:
+        store.write_text("{}", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "llm", "--replay", str(store),
+        "--out", str(out),
+    ])
+    assert code == FATAL
+    assert capsys.readouterr().err == f"error: {store}: replay store is missing or not a directory\n"
+    assert not out.exists()
+
+
+def test_evaluate_names_prediction_ids_not_in_corpus(tmp_path, gold_path, gold_small, capsys):
+    preds_path = tmp_path / "preds.jsonl"
+    with open(preds_path, "w", encoding="utf-8") as fh:
+        for doc_id in ("zz", *(doc.id for doc in gold_small), "aa"):
+            fh.write(json.dumps({"id": doc_id, "headers": ["Plan"]}) + "\n")
+    code = main([
+        "evaluate", "--corpus", gold_path, "--predictions", str(preds_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == PARTIAL
+    assert capsys.readouterr().err == "2 prediction(s) name no corpus document: aa, zz\n"

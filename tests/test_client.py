@@ -44,14 +44,18 @@ CONFIG = LLMConfig(model_name="test-model", backoff_base=0.0, max_retries=3)
 
 
 def test_payload_matches_wire_format():
-    payload = build_payload(CONFIG, "instructions\nHere are some clinical notes of a patient from a doctor. ### x ###")
+    payload = build_payload(CONFIG, "Here are some clinical notes ### x ###", system="instructions")
     assert payload["model"] == "test-model"
     assert payload["temperature"] == 0.0
     assert payload["frequency_penalty"] == 0.0
     assert payload["presence_penalty"] == 0.0
     assert payload["max_tokens"] == 1000
-    assert [m["role"] for m in payload["messages"]] == ["system", "user"]
-    assert payload["messages"][1]["content"].startswith("Here are some clinical notes")
+    assert payload["messages"] == [
+        {"role": "system", "content": "instructions"},
+        {"role": "user", "content": "Here are some clinical notes ### x ###"},
+    ]
+    # no system message without instructions
+    assert build_payload(CONFIG, "p")["messages"] == [{"role": "user", "content": "p"}]
 
 
 def test_complete_retries_on_429_then_succeeds():

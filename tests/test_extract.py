@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import StaticClient
+from sectionid.align import align_headers
 from sectionid.corpus import Document
 from sectionid.errors import ParseError
 from sectionid.llm import LLMConfig, PromptStrategy, chunk_text, extract_corpus, extract_headers
@@ -88,13 +89,35 @@ def test_chunk_text_matches_reference_chunker(text, budget):
     assert chunk_text(text, budget) == _quadratic_chunk_text(text, budget)
 
 
-def test_chunked_extraction_dedupes_at_seams():
-    doc_text = ("alpha\n" * 30) + "Plan: rest\n" + ("omega\n" * 30)
+def test_chunked_extraction_keeps_repeats_at_seams():
+    # every chunk answers Plan; the note holds one, so grounding places the
+    # first answer and lists the rest as unmatched
+    doc = Document("d", ("alpha\n" * 30) + "Plan: rest\n" + ("omega\n" * 30))
     client = StaticClient('[{"section_title": "Plan"}]')
     config = LLMConfig(backoff_base=0.0, max_context_chars=120)
-    pred = extract_headers(Document("d", doc_text), ZS, config, client)
+    pred = extract_headers(doc, ZS, config, client)
     assert client.calls > 1
-    assert pred.headers == ["Plan"]
+    assert pred.headers == ["Plan"] * client.calls
+    result = align_headers(doc, pred)
+    plan = doc.text.index("Plan")
+    assert [(m.prediction_index, m.span, m.match_kind) for m in result.matches] == [
+        (0, (plan, plan + 4), "exact")
+    ]
+    assert result.unmatched_predictions == list(range(1, client.calls))
+
+
+@pytest.mark.parametrize("text, answer, spans", [
+    ("Plan: a\nHPI: b\nPlan: c\n", ["Plan", "HPI", "Plan"], [(0, 4), (8, 11), (15, 19)]),
+    ("Plan: a\nPlan: b\n", ["Plan", "Plan"], [(0, 4), (8, 12)]),
+])
+def test_repeated_sections_are_all_grounded(text, answer, spans):
+    doc = Document("d", text)
+    client = StaticClient(json.dumps([{"section_title": h} for h in answer]))
+    pred = extract_headers(doc, ZS, CONFIG, client)
+    assert pred.headers == answer
+    result = align_headers(doc, pred)
+    assert [(m.span, m.match_kind) for m in result.matches] == [(s, "exact") for s in spans]
+    assert result.unmatched_predictions == []
 
 
 class EchoClient:

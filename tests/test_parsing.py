@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sectionid.align import align_headers
+from sectionid.corpus import Document
 from sectionid.errors import ParseError
 from sectionid.llm import parse_llm_response, parsing
+from sectionid.prediction import Prediction
 
 
 def test_json_array_of_objects():
@@ -53,9 +56,14 @@ def test_array_embedded_in_prose():
     assert parse_llm_response(raw) == ["Allergies", "Plan"]
 
 
-def test_consecutive_duplicates_collapse():
+def test_consecutive_duplicates_kept():
+    # a note with one Plan grounds the first and lists the repeat as unmatched
     raw = '[{"section_title": "Plan"}, {"section_title": "Plan"}, {"section_title": "HPI"}]'
-    assert parse_llm_response(raw) == ["Plan", "HPI"]
+    headers = parse_llm_response(raw)
+    assert headers == ["Plan", "Plan", "HPI"]
+    result = align_headers(Document("d", "Plan: rest\nHPI: none\n"), Prediction(headers=headers))
+    assert [(m.prediction_index, m.span) for m in result.matches] == [(0, (0, 4)), (2, (11, 14))]
+    assert result.unmatched_predictions == [1]
 
 
 def test_empty_and_whitespace_titles_dropped():

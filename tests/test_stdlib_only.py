@@ -1,14 +1,16 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and exports what it names.
 
 Every absolute import under ``src/sectionid`` must name a stdlib module or
 the package itself, ``pyproject.toml`` must declare no runtime dependency,
 and importing the CLI must not load the HTTP stack, which only a live
-endpoint call needs.
+endpoint call needs. Every name in a package's ``__all__`` must resolve, so
+a deleted function leaves no stale export behind.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -59,3 +61,9 @@ def test_cli_import_loads_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("package", ["sectionid", "sectionid.llm"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
