@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,15 +33,27 @@ _MAX_HEADER_TOKENS = 8
 
 @dataclass
 class HeaderLexicon:
-    """Header surface forms, matched case-insensitively."""
+    """Header surface forms, matched case-insensitively.
+
+    ``by_first`` indexes the entries for ``keyword_segment``: each entry and
+    its lowercase form, under the first character of that form, longest
+    entry first. It is built once, from ``entries`` as given.
+    """
 
     entries: set[str]
+    by_first: dict[str, list[tuple[str, str]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("lexicon must contain at least one entry")
         if any(not e.strip() for e in self.entries):
             raise ValueError("lexicon entries must not be whitespace-only")
+        self.by_first = {}
+        for entry in sorted(self.entries, key=lambda e: (-len(e), e)):
+            folded = entry.lower()
+            self.by_first.setdefault(folded[:1], []).append((entry, folded))
 
 
 def load_lexicon(path: str | Path) -> HeaderLexicon:
@@ -144,34 +156,35 @@ def load_ruleset(path: str | Path) -> list[Callable[[str], tuple[int, int] | Non
 def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     """Match lexicon entries at line starts, longest entry first.
 
-    An entry matches when the line (after indentation) begins with it and
-    the next character, if any, is not alphanumeric, so 'Plan' never fires
-    inside 'Planning'. At most one match per line.
+    An entry matches a line when the line, after its indentation, holds at
+    least as many characters as the entry, those characters lowercase to the
+    lowercased entry, and the next character, if any, is not alphanumeric, so
+    'Plan' never fires inside 'Planning'. The match is exactly those
+    characters, so it never leaves its line. At most one match per line.
     """
-    # A folded (lowercased) line can only start with an entry whose folded
-    # form has the same first character, so each line scans one bucket,
-    # longest entry first. A first-token key would also need folding never to
-    # move a token boundary, and the tail check below reads the unfolded line.
-    by_first: dict[str, list[tuple[str, str]]] = {}
-    for entry in sorted(lexicon.entries, key=lambda e: (-len(e), e)):
-        folded_entry = entry.lower()
-        by_first.setdefault(folded_entry[:1], []).append((entry, folded_entry))
+    # str.lower maps each character on its own, except 'Σ', which lowercases
+    # to final 'ς' or to 'σ' depending on its neighbours. So a match, which
+    # lowercases to its entry's lowercase form, shares the first character of
+    # the lowercased line, and each line scans one bucket of
+    # ``lexicon.by_first``; on a line without 'Σ' the match's lowercase form
+    # also starts the lowercased line, a cheap test that rejects most entries.
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
-        indent = len(line) - len(content)
         folded_content = content.lower()
-        for entry, folded_entry in by_first.get(folded_content[:1], ()):
-            if not folded_content.startswith(folded_entry):
+        screen = "Σ" not in content
+        for entry, folded_entry in lexicon.by_first.get(folded_content[:1], ()):
+            if screen and not folded_content.startswith(folded_entry):
                 continue
-            tail = content[len(entry):]
-            if tail and tail[0].isalnum():
+            size = len(entry)
+            if len(content) < size or content[:size].lower() != folded_entry:
                 continue
-            start = line_start + indent
-            end = start + len(entry)
-            headers.append(doc.text[start:end])
-            spans.append((start, end))
+            if content[size:size + 1].isalnum():
+                continue
+            start = line_start + len(line) - len(content)
+            headers.append(doc.text[start:start + size])
+            spans.append((start, start + size))
             break
     return Prediction(headers=headers, spans=spans)
 

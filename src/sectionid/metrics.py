@@ -48,35 +48,60 @@ class Counts:
 
 @dataclass
 class TokenMetrics:
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    accuracy_all_tokens: float
+    """Token counts; every rate is a property computed from them, by the
+    conventions above, so no stored score can disagree with its counts."""
+
     counts: Counts
+
+    @property
+    def precision(self) -> float:
+        c = self.counts
+        return c.tp / c.pred_tokens if c.pred_tokens else 1.0
+
+    @property
+    def recall(self) -> float:
+        c = self.counts
+        return c.tp / c.gold_tokens if c.gold_tokens else 1.0
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+
+    @property
+    def accuracy(self) -> float:
+        c = self.counts
+        return c.role_correct / c.gold_tokens if c.gold_tokens else 1.0
+
+    @property
+    def accuracy_all_tokens(self) -> float:
+        c = self.counts
+        return c.equal_tokens / c.total_tokens if c.total_tokens else 1.0
 
 
 @dataclass
-class MetricsReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    em: float
-    accuracy_all_tokens: float
-    counts: Counts
+class DocScore(TokenMetrics):
+    """One document's counts and the predicted headers grounded nowhere.
 
+    ``em`` is ``matched_exact / gold_headers`` (1.0 with no gold header) in
+    both scoring modes.
+    """
 
-@dataclass
-class DocScore:
     doc_id: str
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    em: float
-    counts: Counts
     unmatched_headers: list[str] = field(default_factory=list)
+
+    @property
+    def em(self) -> float:
+        c = self.counts
+        return c.matched_exact / c.gold_headers if c.gold_headers else 1.0
+
+
+@dataclass
+class MetricsReport(TokenMetrics):
+    """Corpus counts, summed over documents, and the corpus exact match: the
+    mean of the per-document values, which the summed counts cannot give."""
+
+    em: float
 
 
 @dataclass
@@ -85,15 +110,6 @@ class RunReport:
     corpus: str
     report: MetricsReport
     per_doc: list[DocScore]
-
-
-def _rates(counts: Counts) -> tuple[float, float, float, float, float]:
-    precision = counts.tp / counts.pred_tokens if counts.pred_tokens else 1.0
-    recall = counts.tp / counts.gold_tokens if counts.gold_tokens else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    accuracy = counts.role_correct / counts.gold_tokens if counts.gold_tokens else 1.0
-    accuracy_all = counts.equal_tokens / counts.total_tokens if counts.total_tokens else 1.0
-    return precision, recall, f1, accuracy, accuracy_all
 
 
 def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
@@ -194,9 +210,7 @@ def span_counts(
 
 def token_metrics(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> TokenMetrics:
     """Precision/recall/F1/accuracy over header tokens for one document."""
-    counts = token_counts(gold_tags, pred_tags)
-    precision, recall, f1, accuracy, accuracy_all = _rates(counts)
-    return TokenMetrics(precision, recall, f1, accuracy, accuracy_all, counts)
+    return TokenMetrics(token_counts(gold_tags, pred_tags))
 
 
 def exact_match_count(gold_headers: Sequence[str], pred_headers: Sequence[str]) -> int:
@@ -255,11 +269,11 @@ def iaa_report(
 
 def _close_ended_counts(
     gold_labels: Sequence[str], pred_headers: Sequence[str], ont: Ontology
-) -> tuple[Counts, float]:
+) -> Counts:
     gold_cats = {categorize(label, ont) for label in gold_labels}
     pred_cats = {categorize(h, ont) for h in pred_headers}
     hit = len(gold_cats & pred_cats)
-    counts = Counts(
+    return Counts(
         tp=hit,
         fp=len(pred_cats - gold_cats),
         fn=len(gold_cats - pred_cats),
@@ -271,8 +285,6 @@ def _close_ended_counts(
         total_tokens=len(gold_cats | pred_cats),
         equal_tokens=hit,
     )
-    em = hit / len(gold_cats) if gold_cats else 1.0
-    return counts, em
 
 
 def evaluate_run(
@@ -297,12 +309,11 @@ def evaluate_run(
         raise ValueError("close-ended evaluation needs an ontology")
     total = Counts()
     per_doc: list[DocScore] = []
-    em_sum = 0.0
     for doc in corpus:
         pred = predictions.get(doc.id, Prediction(headers=[]))
         if close_ended:
             assert ontology is not None
-            counts, em = _close_ended_counts(
+            counts = _close_ended_counts(
                 [s.label for s in doc.sections], pred.headers, ontology
             )
             unmatched: list[str] = []
@@ -311,31 +322,18 @@ def evaluate_run(
             counts = span_counts(doc.text, doc.header_spans(), alignment.matched_spans())
             counts.gold_headers = len(doc.sections)
             counts.matched_exact = exact_match_count(doc.header_texts(), pred.headers)
-            em = (
-                counts.matched_exact / counts.gold_headers if counts.gold_headers else 1.0
-            )
             unmatched = [pred.headers[i] for i in alignment.unmatched_predictions]
-        precision, recall, f1, accuracy, _ = _rates(counts)
-        per_doc.append(
-            DocScore(doc.id, precision, recall, f1, accuracy, em, counts, unmatched)
-        )
+        per_doc.append(DocScore(counts=counts, doc_id=doc.id, unmatched_headers=unmatched))
         total.add(counts)
-        em_sum += em
-    precision, recall, f1, accuracy, accuracy_all = _rates(total)
-    em = em_sum / len(corpus) if corpus else 1.0
-    report = MetricsReport(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        em=em,
-        accuracy_all_tokens=accuracy_all,
-        counts=total,
-    )
+    em = sum(d.em for d in per_doc) / len(per_doc) if per_doc else 1.0
+    report = MetricsReport(counts=total, em=em)
     return RunReport(method=method, corpus=corpus_name, report=report, per_doc=per_doc)
 
 
-CSV_HEADER = "method,accuracy,precision,recall,f1,em"
+# The rates a report prints, in column order; each document has them too.
+_RATES = ("accuracy", "precision", "recall", "f1", "em")
+
+CSV_HEADER = ",".join(("method", *_RATES))
 
 _TABLE_COLUMNS = ("Accuracy(%)", "Precision(%)", "Recall(%)", "F1(%)", "EM(%)")
 
@@ -347,7 +345,7 @@ def _pct(value: float) -> str:
 def render_report(run: RunReport, fmt: str = "table_text") -> str:
     """Serialize a run report deterministically as table_text, csv, or json."""
     r = run.report
-    row = [_pct(r.accuracy), _pct(r.precision), _pct(r.recall), _pct(r.f1), _pct(r.em)]
+    row = [_pct(getattr(r, name)) for name in _RATES]
     if fmt == "csv":
         return CSV_HEADER + "\n" + ",".join([run.method] + row) + "\n"
     if fmt == "table_text":
@@ -359,16 +357,12 @@ def render_report(run: RunReport, fmt: str = "table_text") -> str:
         payload = {
             "method": run.method,
             "corpus": run.corpus,
-            "scores": {
-                "accuracy": r.accuracy,
-                "accuracy_all_tokens": r.accuracy_all_tokens,
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-                "em": r.em,
-            },
+            "scores": {name: getattr(r, name) for name in ("accuracy_all_tokens", *_RATES)},
             "counts": asdict(r.counts),
-            "per_doc": [asdict(d) for d in run.per_doc],
+            "per_doc": [
+                {**asdict(d), **{name: getattr(d, name) for name in _RATES}}
+                for d in run.per_doc
+            ],
         }
         return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
@@ -377,29 +371,15 @@ def render_report(run: RunReport, fmt: str = "table_text") -> str:
 def report_from_json(payload: str) -> RunReport:
     """Inverse of ``render_report(..., "json")``."""
     data = json.loads(payload)
-    scores = data["scores"]
     per_doc = [
         DocScore(
-            doc_id=d["doc_id"],
-            precision=d["precision"],
-            recall=d["recall"],
-            f1=d["f1"],
-            accuracy=d["accuracy"],
-            em=d["em"],
             counts=Counts(**d["counts"]),
+            doc_id=d["doc_id"],
             unmatched_headers=list(d["unmatched_headers"]),
         )
         for d in data["per_doc"]
     ]
-    report = MetricsReport(
-        accuracy=scores["accuracy"],
-        precision=scores["precision"],
-        recall=scores["recall"],
-        f1=scores["f1"],
-        em=scores["em"],
-        accuracy_all_tokens=scores["accuracy_all_tokens"],
-        counts=Counts(**data["counts"]),
-    )
+    report = MetricsReport(counts=Counts(**data["counts"]), em=data["scores"]["em"])
     return RunReport(
         method=data["method"], corpus=data["corpus"], report=report, per_doc=per_doc
     )

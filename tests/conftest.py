@@ -105,17 +105,19 @@ def perturb_header(rng: random.Random, header: str) -> str:
 
 def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     """Oracle for ``baselines.keyword_segment``: every line scans the whole
-    lexicon, longest entry first."""
+    lexicon, longest entry first. A match is the span ``[indent, indent +
+    len(entry))`` of its line, lies inside the line, and lowercases to the
+    lowercased entry."""
     ordered = sorted(lexicon.entries, key=lambda e: (-len(e), e))
-    folded = [(entry, entry.lower()) for entry in ordered]
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
     for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
-        folded_content = content.lower()
-        for entry, folded_entry in folded:
-            if not folded_content.startswith(folded_entry):
+        for entry in ordered:
+            if indent + len(entry) > len(line):
+                continue
+            if line[indent:indent + len(entry)].lower() != entry.lower():
                 continue
             tail = content[len(entry):]
             if tail and tail[0].isalnum():

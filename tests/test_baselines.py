@@ -55,6 +55,24 @@ def test_keyword_case_insensitive_by_default():
     assert pred.headers == ["ALLERGIES"]
 
 
+def test_keyword_match_stays_inside_its_line():
+    # 'İ' lowercases to 'i' + U+0307, two characters, so the lowercased line
+    # starts with the entry although the line is one character long.
+    pred = keyword_segment(Document("d", "İ\nİ"), HeaderLexicon(entries={"i\u0307"}))
+    assert (pred.headers, pred.spans) == ([], [])
+    pred = keyword_segment(
+        Document("d", "İİ\nA: x"), HeaderLexicon(entries={"i\u0307i\u0307", "A"})
+    )
+    assert (pred.headers, pred.spans) == (["A"], [(3, 4)])
+
+
+def test_keyword_match_is_lowercased_alone():
+    # Lowercased with the rest of the line, the 'Σ' is medial ('σ'); on its
+    # own it is final ('ς'), as in the lowercased entry.
+    pred = keyword_segment(Document("d", "ΟΣ:K"), HeaderLexicon(entries={"ΟΣ"}))
+    assert (pred.headers, pred.spans) == (["ΟΣ"], [(0, 2)])
+
+
 def test_lexicon_rejects_empty_and_blank():
     with pytest.raises(ValueError):
         HeaderLexicon(entries=set())

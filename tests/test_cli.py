@@ -667,6 +667,24 @@ def test_empty_lexicon_file_is_fatal(tmp_path, gold_path, capsys):
     assert not (out / "predictions.jsonl").exists()
 
 
+def test_keyword_header_longer_once_lowercased_is_not_matched(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "d", "text": "İİ\nA: x", "sections": []}) + "\n", encoding="utf-8"
+    )
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("i\u0307i\u0307\nA\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "segment", "--corpus", str(corpus), "--segmenter", "keyword",
+        "--lexicon", str(lexicon), "--out", str(out),
+    ])
+    assert capsys.readouterr().err == ""
+    assert code == OK
+    [record] = read_jsonl(out / "predictions.jsonl")
+    assert (record["headers"], record["spans"]) == (["A"], [[3, 4]])
+
+
 def _write_config(tmp_path, settings):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings), encoding="utf-8")

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_synthetic_corpus, reference_token_counts
+from conftest import FIXTURES, make_synthetic_corpus, reference_token_counts
 from sectionid import metrics, tokenizer
+from sectionid.baselines import HeaderLexicon, keyword_segment, regex_segment, rule_segment
+from sectionid.corpus import load_gold_corpus
 from sectionid.errors import EmptyInput, LengthMismatch, MalformedTags, OverlapError
-from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus
+from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus, parse_llm_response
 from sectionid.metrics import (
     evaluate_run,
     exact_match,
@@ -21,7 +25,7 @@ from sectionid.metrics import (
     token_counts,
     token_metrics,
 )
-from sectionid.ontology import load_ontology
+from sectionid.ontology import default_lexicon_entries, load_ontology
 from sectionid.prediction import Prediction
 from sectionid.tokenizer import B, I, O, spans_to_iob, tokenize
 
@@ -290,15 +294,72 @@ def test_render_report_formats():
         render_report(run, "yaml")
 
 
-def test_render_report_json_roundtrips():
+@pytest.mark.parametrize("close_ended", [False, True], ids=["open", "close_ended"])
+def test_render_report_json_roundtrips(close_ended):
     rng = random.Random(83)
     corpus = make_synthetic_corpus(rng, 6, min_sections=1)
     preds = gold_echo_predictions(corpus)
     preds[corpus[0].id] = Prediction(headers=[])
-    run = evaluate_run(corpus, preds, method="partial")
+    run = evaluate_run(
+        corpus, preds, load_ontology(), method="partial", close_ended=close_ended
+    )
     payload = render_report(run, "json")
     assert report_from_json(payload) == run
     assert render_report(report_from_json(payload), "json") == payload
+    data = json.loads(payload)
+    assert set(data["scores"]) == {
+        "accuracy", "accuracy_all_tokens", "precision", "recall", "f1", "em"
+    }
+    for d in data["per_doc"]:
+        assert set(d) == {
+            "accuracy", "counts", "doc_id", "em", "f1", "precision", "recall",
+            "unmatched_headers",
+        }
+
+
+# sha256 of the json, csv and table_text renders of each gold_small run,
+# first 16 hex digits; pins every byte of both scoring modes' reports.
+GOLDEN_REPORTS = {
+    ("keyword", False): "12530adc869a922d",
+    ("keyword", True): "2545bf1056290a07",
+    ("regex", False): "97f2fdba9fc84507",
+    ("regex", True): "a1e76b73c1b85768",
+    ("rules", False): "435c2aafef471853",
+    ("rules", True): "78829c8665f779e4",
+    ("llm", False): "8214445f6ea03d50",
+    ("llm", True): "de089f27b1aa5a06",
+}
+
+
+def _gold_small_predictions(name, corpus):
+    lexicon = HeaderLexicon(entries=default_lexicon_entries())
+    segment = {
+        "keyword": lambda doc: keyword_segment(doc, lexicon),
+        "regex": regex_segment,
+        "rules": lambda doc: rule_segment(doc, lexicon),
+        "llm": lambda doc: Prediction(headers=parse_llm_response(
+            (FIXTURES / "responses" / f"{doc.id}.txt").read_text(encoding="utf-8")
+        )),
+    }[name]
+    return {doc.id: segment(doc.document) for doc in corpus}
+
+
+@pytest.mark.parametrize(
+    "name,close_ended", list(GOLDEN_REPORTS), ids=lambda v: str(v).lower()
+)
+def test_report_bytes_are_golden(name, close_ended):
+    corpus = load_gold_corpus(FIXTURES / "gold_small.jsonl")
+    run = evaluate_run(
+        corpus,
+        _gold_small_predictions(name, corpus),
+        load_ontology(),
+        method=name,
+        corpus_name="gold_small",
+        close_ended=close_ended,
+    )
+    rendered = "".join(render_report(run, fmt) for fmt in ("json", "csv", "table_text"))
+    digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:16]
+    assert digest == GOLDEN_REPORTS[name, close_ended]
 
 
 @st.composite
