@@ -57,6 +57,15 @@ def line_starts(text: str) -> list[int]:
     return starts
 
 
+def _fold(s: str) -> str:
+    """``s.lower()`` with 'İ' folded to 'i', so every offset stays in place.
+
+    'İ' (U+0130) is the one character whose lowercase form is two
+    characters long; lowering the whole string keeps final sigma right.
+    """
+    return s.replace("İ", "i").lower()
+
+
 def _fuzzy_line_match(
     text: str, starts: list[int], header: str, cursor: int, max_edit_ratio: float
 ) -> tuple[int, int] | None:
@@ -66,7 +75,7 @@ def _fuzzy_line_match(
     ties toward the header's own length: a clean substitution then recovers
     exactly the original span.
     """
-    needle = header.lower()
+    needle = _fold(header)
     slack = math.ceil(max_edit_ratio * len(needle)) + 1
     for start in islice(starts, bisect_left(starts, cursor), None):
         newline = text.find("\n", start)
@@ -78,9 +87,9 @@ def _fuzzy_line_match(
         hi = min(len(candidate), len(needle) + slack)
         if lo > hi:
             continue
-        # no prefix past hi is read; lowercase before slicing so a
+        # no prefix past hi is read; fold before slicing so a
         # context-dependent mapping (final sigma) sees its right neighbour
-        row = prefix_distances(needle, candidate.lower()[:hi])
+        row = prefix_distances(needle, _fold(candidate)[:hi])
         best: tuple[float, int, int] | None = None
         for k in range(lo, hi + 1):
             ratio = row[k] / max(len(needle), k)

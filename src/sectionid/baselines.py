@@ -18,7 +18,6 @@ from .align import line_starts
 from .corpus import Document, comment_lines, read_json
 from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
-from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +28,9 @@ _MINOR_WORDS = {
 }
 # A line-pattern header has at most this many word tokens.
 _MAX_HEADER_TOKENS = 8
+# Word tokens: the maximal alphanumeric runs, which are the tokens
+# ``tokenizer.tokenize`` cuts that start with an alphanumeric character.
+_WORD_RE = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -81,7 +83,7 @@ def _match_titlecase_colon(line: str) -> tuple[int, int] | None:
     phrase = stripped[:colon].rstrip()
     if not phrase or not any(c.isalpha() for c in phrase):
         return None
-    words = [t.text for t in tokenize(phrase) if t.text[0].isalnum()]
+    words = _WORD_RE.findall(phrase)
     if not words or len(words) > _MAX_HEADER_TOKENS:
         return None
     if words[0].lower() in _MINOR_WORDS and not words[0][0].isupper():
@@ -98,7 +100,7 @@ def _match_allcaps_line(line: str) -> tuple[int, int] | None:
         return None
     if stripped != stripped.upper():
         return None
-    words = [t.text for t in tokenize(stripped) if t.text[0].isalnum()]
+    words = _WORD_RE.findall(stripped)
     if not words or len(words) > _MAX_HEADER_TOKENS:
         return None
     offset = len(line) - len(line.lstrip())

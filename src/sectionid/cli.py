@@ -31,7 +31,7 @@ from .corpus import (
     open_text,
     read_json,
 )
-from .errors import FormatError, SectionIdError, SpanError
+from .errors import FormatError, LengthMismatch, OverlapError, SectionIdError, SpanError
 from .llm import (
     CLOSE_ENDED,
     ONE_SHOT,
@@ -305,7 +305,7 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
         # ungrounded predictions are re-aligned inside evaluate_run
         try:
             pred = Prediction(headers=headers, spans=spans)
-        except ValueError as exc:
+        except (LengthMismatch, OverlapError) as exc:
             raise SpanError(f"{where}: {exc}") from exc
         length = lengths.get(obj["id"])
         if pred.spans and length is not None and not (

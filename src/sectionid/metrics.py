@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .align import DEFAULT_MAX_EDIT_RATIO, align_headers
@@ -115,27 +114,20 @@ class RunReport:
 def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
     if len(gold_tags) != len(pred_tags):
         raise LengthMismatch(f"{len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
-    gold, pred = list(gold_tags), list(pred_tags)
-    if not is_well_formed(gold) or not is_well_formed(pred):
+    if not is_well_formed(gold_tags) or not is_well_formed(pred_tags):
         raise MalformedTags("tag sequences must be well-formed IOB")
-    # Header tokens are the tags other than O. Counting O tags, O/O pairs and
-    # equal pairs in C gives every count by inclusion-exclusion.
-    total = len(gold)
-    gold_tokens = total - gold.count(O)
-    pred_tokens = total - pred.count(O)
-    both_outside = list(zip(gold, pred)).count((O, O))
-    tp = gold_tokens + pred_tokens - total + both_outside
-    equal = sum(map(eq, gold, pred))
-    return Counts(
-        tp=tp,
-        fp=pred_tokens - tp,
-        fn=gold_tokens - tp,
-        gold_tokens=gold_tokens,
-        pred_tokens=pred_tokens,
-        role_correct=equal - both_outside,
-        total_tokens=total,
-        equal_tokens=equal,
-    )
+    counts = Counts(total_tokens=len(gold_tags))
+    for g, p in zip(gold_tags, pred_tags):
+        gold_header = g != O
+        pred_header = p != O
+        counts.gold_tokens += gold_header
+        counts.pred_tokens += pred_header
+        counts.tp += gold_header and pred_header
+        counts.fp += pred_header and not gold_header
+        counts.fn += gold_header and not pred_header
+        counts.role_correct += gold_header and g == p
+        counts.equal_tokens += g == p
+    return counts
 
 
 def span_counts(
@@ -229,13 +221,6 @@ def exact_match_count(gold_headers: Sequence[str], pred_headers: Sequence[str]) 
             continue
         matched += 1
     return matched
-
-
-def exact_match(gold_headers: Sequence[str], pred_headers: Sequence[str]) -> float:
-    """Fraction of gold headers exactly reproduced; 1.0 when gold is empty."""
-    if not gold_headers:
-        return 1.0
-    return exact_match_count(gold_headers, pred_headers) / len(gold_headers)
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import LengthMismatch
+from .tokenizer import _check_spans
+
 
 @dataclass
 class Prediction:
@@ -14,14 +17,8 @@ class Prediction:
         if self.spans is None:
             return
         if len(self.spans) != len(self.headers):
-            raise ValueError(
-                f"{len(self.spans)} spans for {len(self.headers)} headers"
-            )
-        prev_end = -1
-        for start, end in self.spans:
-            if start >= end or start < prev_end:
-                raise ValueError("grounded spans must be sorted and non-overlapping")
-            prev_end = end
+            raise LengthMismatch(f"{len(self.spans)} spans for {len(self.headers)} headers")
+        _check_spans(self.spans)
 
     @property
     def grounded(self) -> bool:

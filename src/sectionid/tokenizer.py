@@ -9,9 +9,7 @@ token of a header span, I the rest, O everything else.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import LengthMismatch, MalformedTags, OverlapError
 
@@ -29,10 +27,6 @@ class Token(NamedTuple):
     text: str
     start: int
     end: int
-
-
-_start = attrgetter("start")
-_end = attrgetter("end")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -82,18 +76,20 @@ def spans_to_iob(tokens: list[Token], header_spans: list[tuple[int, int]]) -> li
     A token belongs to a span when their character ranges overlap at all,
     so spans that cut through a token still claim it; a token that overlaps
     two spans belongs to the first. The first token of each span gets B,
-    later ones I. ``tokens`` are in text order, as ``tokenize`` returns them,
-    so the tokens a span overlaps are one run, found by bisection.
+    later ones I. ``tokens`` are in text order, as ``tokenize`` returns them.
     """
     _check_spans(header_spans)
-    tags = [O] * len(tokens)
-    claimed = 0  # tokens before this index belong to an earlier span
-    for start, end in header_spans:
-        first = max(claimed, bisect_right(tokens, start, key=_end))
-        last = bisect_left(tokens, end, key=_start)
-        if first < last:
-            tags[first:last] = [B] + [I] * (last - first - 1)
-            claimed = last
+    tags: list[str] = []
+    idx = 0
+    opened = -1  # index of the span whose B was already emitted
+    for tok in tokens:
+        while idx < len(header_spans) and header_spans[idx][1] <= tok.start:
+            idx += 1
+        if idx < len(header_spans) and header_spans[idx][0] < tok.end:
+            tags.append(I if opened == idx else B)
+            opened = idx
+        else:
+            tags.append(O)
     return tags
 
 
@@ -105,33 +101,20 @@ def iob_to_spans(tokens: list[Token], tags: list[str]) -> list[tuple[int, int]]:
     """
     if len(tags) != len(tokens):
         raise LengthMismatch(f"{len(tags)} tags for {len(tokens)} tokens")
+    if not is_well_formed(tags):
+        raise MalformedTags(
+            "tags must be well-formed IOB: only B, I and O, and no I first or after O"
+        )
     spans: list[tuple[int, int]] = []
-    run_start: int | None = None
-    run_end = 0
-    prev = O
     for tok, tag in zip(tokens, tags):
-        if tag not in IOB_TAGS:
-            raise MalformedTags(f"unknown tag {tag!r}")
-        if tag == I and prev == O:
-            raise MalformedTags("I tag with no open span")
         if tag == B:
-            if run_start is not None:
-                spans.append((run_start, run_end))
-            run_start = tok.start
-            run_end = tok.end
+            spans.append((tok.start, tok.end))
         elif tag == I:
-            run_end = tok.end
-        else:
-            if run_start is not None:
-                spans.append((run_start, run_end))
-                run_start = None
-        prev = tag
-    if run_start is not None:
-        spans.append((run_start, run_end))
+            spans[-1] = (spans[-1][0], tok.end)
     return spans
 
 
-def is_well_formed(tags: list[str]) -> bool:
+def is_well_formed(tags: Sequence[str]) -> bool:
     prev = O
     for tag in tags:
         if tag not in IOB_TAGS:

@@ -10,12 +10,11 @@ import pytest
 from sectionid.align import line_starts
 from sectionid.baselines import HeaderLexicon
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation, load_gold_corpus
-from sectionid.errors import LengthMismatch, MalformedTags
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
-from sectionid.metrics import Counts
+from sectionid.metrics import Counts, token_counts
 from sectionid.prediction import Prediction
-from sectionid.tokenizer import B, I, O, is_well_formed, tokenize
+from sectionid.tokenizer import spans_to_iob, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,48 +129,10 @@ def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Predicti
     return Prediction(headers=headers, spans=spans)
 
 
-def reference_spans_to_iob(tokens, header_spans) -> list[str]:
-    """Oracle for ``tokenizer.spans_to_iob``: one Python step per token."""
-    tags: list[str] = []
-    idx = 0
-    opened = -1  # index of the span whose B we already emitted
-    for tok in tokens:
-        while idx < len(header_spans) and header_spans[idx][1] <= tok.start:
-            idx += 1
-        if idx < len(header_spans) and header_spans[idx][0] < tok.end:
-            tags.append(I if opened == idx else B)
-            opened = idx
-        else:
-            tags.append(O)
-    return tags
-
-
-def reference_token_counts(gold_tags, pred_tags) -> Counts:
-    """Oracle for ``metrics.token_counts``: one Python step per token pair."""
-    if len(gold_tags) != len(pred_tags):
-        raise LengthMismatch(f"{len(gold_tags)} gold tags vs {len(pred_tags)} predicted")
-    if not is_well_formed(list(gold_tags)) or not is_well_formed(list(pred_tags)):
-        raise MalformedTags("tag sequences must be well-formed IOB")
-    counts = Counts(total_tokens=len(gold_tags))
-    for g, p in zip(gold_tags, pred_tags):
-        gold_header = g != O
-        pred_header = p != O
-        counts.gold_tokens += gold_header
-        counts.pred_tokens += pred_header
-        counts.tp += gold_header and pred_header
-        counts.fp += pred_header and not gold_header
-        counts.fn += gold_header and not pred_header
-        counts.role_correct += gold_header and g == p
-        counts.equal_tokens += g == p
-    return counts
-
-
 def reference_span_counts(text, gold_spans, pred_spans) -> Counts:
-    """Oracle for ``metrics.span_counts``: tokens, per-token tags, per-pair counts."""
+    """Oracle for ``metrics.span_counts``: tokens, IOB tags, per-token counts."""
     tokens = tokenize(text)
-    return reference_token_counts(
-        reference_spans_to_iob(tokens, gold_spans), reference_spans_to_iob(tokens, pred_spans)
-    )
+    return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
 
 
 class StaticClient:

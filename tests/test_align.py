@@ -11,6 +11,7 @@ from sectionid.align import (
     CASE_INSENSITIVE,
     EXACT,
     FUZZY,
+    _fold,
     align_headers,
     line_starts,
     sections_from_alignment,
@@ -62,6 +63,25 @@ def test_summarized_title_stays_unmatched():
     result = align_headers(doc, pred)
     assert result.matches == []
     assert result.unmatched_predictions == [0]
+
+
+@pytest.mark.parametrize("text, header, span", [
+    ("İSTANBUL NOTES: x", "istanbul notex", (0, 14)),
+    ("İİİ Medications: x", "iii medicationz", (0, 15)),
+    ("Plan: a\nİİ Histroy: b", "ii history", (8, 18)),
+])
+def test_fuzzy_span_counts_dotted_capital_i_once(text, header, span):
+    # 'İ' lowercases to two characters; the span is still cut in the
+    # original line, one character per 'İ'
+    result = align_headers(Document("d", text), Prediction(headers=[header]))
+    assert [(m.span, m.match_kind) for m in result.matches] == [(span, FUZZY)]
+
+
+@given(st.text(st.one_of(st.sampled_from("İiIßẞΣσς\u0307"), st.characters()), max_size=30))
+def test_fold_keeps_every_offset(text):
+    assert len(_fold(text)) == len(text)
+    if "İ" not in text:
+        assert _fold(text) == text.lower()
 
 
 def test_cursor_skips_earlier_text():

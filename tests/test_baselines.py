@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_synthetic_corpus, reference_keyword_segment
 from sectionid.baselines import (
+    _WORD_RE,
     HeaderLexicon,
     keyword_segment,
     load_lexicon,
@@ -18,6 +19,7 @@ from sectionid.baselines import (
 )
 from sectionid.corpus import Document
 from sectionid.errors import InvalidPattern
+from sectionid.tokenizer import tokenize
 
 LEX = HeaderLexicon(entries={"Allergies", "Family History", "Social History", "Plan"})
 
@@ -220,3 +222,9 @@ def test_keyword_segment_equals_linear_scan(lexicon_and_text):
     lexicon = HeaderLexicon(entries=set(entries))
     doc = Document("d", text)
     assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
+
+
+@given(st.text(alphabet="aZ9_.:-, \tİßΣ\u0301\u0307é²½", max_size=40))
+def test_header_words_are_the_alphanumeric_tokens(text):
+    # the line rules count words without building tokens
+    assert _WORD_RE.findall(text) == [t.text for t in tokenize(text) if t.text[0].isalnum()]

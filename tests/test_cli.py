@@ -266,6 +266,14 @@ def test_evaluate_headers_spans_length_mismatch_is_fatal(tmp_path, gold_path, ca
     assert "1 spans for 2 headers" in err
 
 
+def test_evaluate_overlapping_spans_are_fatal(tmp_path, gold_path, capsys):
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+        json.dumps({"id": "fx2", "headers": ["HPI", "Plan"], "spans": [[0, 3], [2, 6]]}),
+    ])
+    assert "spans must be sorted and non-overlapping, got start 2 before 3" in err
+
+
 def test_evaluate_span_past_document_end_is_fatal(tmp_path, gold_path, capsys):
     # fx1 is 44 characters long
     err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [

@@ -4,30 +4,33 @@ import hashlib
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FIXTURES, make_synthetic_corpus, reference_token_counts
+from conftest import FIXTURES, make_synthetic_corpus, reference_span_counts
 from sectionid import metrics, tokenizer
 from sectionid.baselines import HeaderLexicon, keyword_segment, regex_segment, rule_segment
+from sectionid.cli import OK, main
 from sectionid.corpus import load_gold_corpus
 from sectionid.errors import EmptyInput, LengthMismatch, MalformedTags, OverlapError
 from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus, parse_llm_response
 from sectionid.metrics import (
+    Counts,
+    DocScore,
     evaluate_run,
-    exact_match,
+    exact_match_count,
     iaa_report,
     jaccard,
     render_report,
     report_from_json,
     span_counts,
-    token_counts,
     token_metrics,
 )
 from sectionid.ontology import default_lexicon_entries, load_ontology
 from sectionid.prediction import Prediction
-from sectionid.tokenizer import B, I, O, spans_to_iob, tokenize
+from sectionid.tokenizer import B, I, O
 
 
 def brute_force_counts(gold, pred):
@@ -124,16 +127,18 @@ def test_token_metrics_matches_brute_force():
 
 
 def test_exact_match_examples():
-    assert exact_match(["Allergies", "Plan"], ["Allergies", "Assessment"]) == 0.5
-    assert exact_match(["Allergies", "Plan"], ["Allergies", "Plan"]) == 1.0
-    assert exact_match(["Allergies"], []) == 0.0
-    assert exact_match([], []) == 1.0
+    assert exact_match_count(["Allergies", "Plan"], ["Allergies", "Assessment"]) == 1
+    assert exact_match_count(["Allergies", "Plan"], ["Allergies", "Plan"]) == 2
+    assert exact_match_count(["Allergies"], []) == 0
+    assert exact_match_count([], []) == 0
+    # a document without gold headers has EM 1.0
+    assert DocScore(counts=Counts(), doc_id="d").em == 1.0
 
 
 def test_exact_match_normalizes_and_consumes():
-    assert exact_match(["ALLERGIES:"], ["allergies"]) == 1.0
+    assert exact_match_count(["ALLERGIES:"], ["allergies"]) == 1
     # one prediction cannot satisfy two gold copies
-    assert exact_match(["Plan", "Plan"], ["Plan"]) == 0.5
+    assert exact_match_count(["Plan", "Plan"], ["Plan"]) == 1
 
 
 def test_jaccard_examples():
@@ -362,42 +367,6 @@ def test_report_bytes_are_golden(name, close_ended):
     assert digest == GOLDEN_REPORTS[name, close_ended]
 
 
-@st.composite
-def _well_formed_pair(draw):
-    n = draw(st.integers(0, 60))
-    tags = st.lists(st.sampled_from([B, I, O]), min_size=n, max_size=n).map(
-        lambda ts: [B if t == I and (i == 0 or ts[i - 1] == O) else t for i, t in enumerate(ts)]
-    )
-    return draw(tags), draw(tags)
-
-
-@given(_well_formed_pair())
-def test_token_counts_equals_per_token_loop(pair):
-    gold, pred = pair
-    assert token_counts(gold, pred) == reference_token_counts(gold, pred)
-    assert token_counts(tuple(gold), tuple(pred)) == reference_token_counts(gold, pred)
-
-
-@given(
-    st.lists(st.sampled_from([B, I, O, "X", "b"]), max_size=12),
-    st.lists(st.sampled_from([B, I, O, "X", "b"]), max_size=12),
-)
-def test_token_counts_refuses_what_the_loop_refuses(gold, pred):
-    try:
-        expected = reference_token_counts(gold, pred)
-    except (LengthMismatch, MalformedTags) as exc:
-        with pytest.raises(type(exc)):
-            token_counts(gold, pred)
-    else:
-        assert token_counts(gold, pred) == expected
-
-
-def token_path_counts(text, gold_spans, pred_spans):
-    """The per-token path that ``span_counts`` replaces: tokens, tags, counts."""
-    tokens = tokenize(text)
-    return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
-
-
 # letters, digits, underscore, punctuation, whitespace, letters whose case
 # mapping changes length or context (İ, ß, Σ/ς) and a combining acute accent
 _COUNTER_ALPHABET = "aZ9_.:-, \n\tİßΣς\u0301"
@@ -421,7 +390,7 @@ def _text_and_spans(draw):
 @given(_text_and_spans())
 def test_span_counts_equals_token_path(case):
     text, gold, pred = case
-    assert span_counts(text, gold, pred) == token_path_counts(text, gold, pred)
+    assert span_counts(text, gold, pred) == reference_span_counts(text, gold, pred)
 
 
 @pytest.mark.parametrize("bad", [[(3, 3)], [(5, 2)], [(4, 8), (0, 2)], [(0, 5), (3, 8)]])
@@ -430,12 +399,14 @@ def test_span_counts_refuses_what_the_token_path_refuses(bad, side):
     text = "Plan: rest and fluids"
     gold, pred = (bad, [(0, 4)]) if side == "gold" else ([(0, 4)], bad)
     with pytest.raises(OverlapError) as expected:
-        token_path_counts(text, gold, pred)
+        reference_span_counts(text, gold, pred)
     with pytest.raises(OverlapError, match=re.escape(str(expected.value))):
         span_counts(text, gold, pred)
 
 
-def test_evaluate_builds_no_tokens_or_tags(gold_small, replay_store, replay_llm_config, monkeypatch):
+def test_evaluate_builds_no_tokens_or_tags(
+    gold_small, replay_store, replay_llm_config, monkeypatch, tmp_path
+):
     # replayed answers include a fuzzy and an unmatched header, so the
     # counts are not all equal
     predictions, _ = extract_corpus(
@@ -443,15 +414,38 @@ def test_evaluate_builds_no_tokens_or_tags(gold_small, replay_store, replay_llm_
         ReplayClient(replay_store),
     )
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "span_counts", token_path_counts)
+        patch.setattr(metrics, "span_counts", reference_span_counts)
         expected = render_report(evaluate_run(gold_small, predictions), "json")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("evaluate_run must not build tokens or tags")
+    def rules_cli_outputs():
+        # ``segment --segmenter rules`` then ``evaluate``: every file both write
+        corpus, out = str(FIXTURES / "gold_small.jsonl"), tmp_path / "rules"
+        assert main(
+            ["segment", "--corpus", corpus, "--segmenter", "rules", "--out", str(out / "s")]
+        ) == OK
+        assert main([
+            "evaluate", "--corpus", corpus, "--segmenter", "rules",
+            "--predictions", str(out / "s" / "predictions.jsonl"), "--out", str(out / "e"),
+        ]) == OK
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-    assert not hasattr(metrics, "tokenize") and not hasattr(metrics, "spans_to_iob")
-    monkeypatch.setattr(tokenizer, "tokenize", refuse)
-    monkeypatch.setattr(tokenizer, "spans_to_iob", refuse)
+    expected_files = rules_cli_outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no command may build tokens or tags")
+
+    # every name bound to them in the package, imported names included
+    token_path = (tokenizer.tokenize, tokenizer.spans_to_iob, metrics.token_counts)
+    for name, module in list(sys.modules.items()):
+        if name == "sectionid" or name.startswith("sectionid."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in token_path):
+                    monkeypatch.setattr(module, attr, refuse)
     run = evaluate_run(gold_small, predictions)
     assert run.report.counts.fp and run.report.counts.fn
     assert render_report(run, "json") == expected
+    assert rules_cli_outputs() == expected_files
+    assert sorted(str(path) for path in expected_files) == [
+        "e/report.csv", "e/report.json", "e/report.txt", "e/run_config.json",
+        "s/predictions.jsonl", "s/run_config.json",
+    ]

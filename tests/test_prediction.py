@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sectionid.errors import LengthMismatch, OverlapError
 from sectionid.prediction import Prediction
 
 
@@ -17,14 +18,15 @@ def test_grounded_prediction_validates():
 
 
 def test_span_header_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch, match="2 spans for 1 headers"):
         Prediction(headers=["A"], spans=[(0, 1), (2, 3)])
 
 
 def test_unsorted_or_overlapping_spans_rejected():
-    with pytest.raises(ValueError):
+    # the span rule of tokenizer.spans_to_iob and metrics.span_counts
+    with pytest.raises(OverlapError, match="got start 0 before 8"):
         Prediction(headers=["A", "B"], spans=[(5, 8), (0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(OverlapError, match="got start 2 before 4"):
         Prediction(headers=["A", "B"], spans=[(0, 4), (2, 6)])
-    with pytest.raises(ValueError):
+    with pytest.raises(OverlapError, match=r"empty or inverted span \(3, 3\)"):
         Prediction(headers=["A"], spans=[(3, 3)])
