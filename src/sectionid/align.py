@@ -108,20 +108,22 @@ def align_headers(
 ) -> AlignmentResult:
     """Ground each predicted header to its first plausible span after the cursor.
 
-    Already-grounded predictions pass through unchanged. Headers that cannot
-    be placed are listed in ``unmatched_predictions``; they never raise.
+    Already-grounded predictions pass through unchanged, a ``None`` span
+    listed as unmatched. Headers that cannot be placed are listed in
+    ``unmatched_predictions``; they never raise.
     """
     if not 0 <= max_edit_ratio < 1:
         raise ValueError("max_edit_ratio must be in [0, 1)")
+    result = AlignmentResult()
     if pred.grounded:
-        return AlignmentResult(
-            matches=[
-                HeaderMatch(i, span, EXACT) for i, span in enumerate(pred.spans or [])
-            ]
-        )
+        for i, span in enumerate(pred.spans or ()):
+            if span is None:
+                result.unmatched_predictions.append(i)
+            else:
+                result.matches.append(HeaderMatch(i, span, EXACT))
+        return result
     text = doc.text
     starts = line_starts(text)
-    result = AlignmentResult()
     cursor = 0
     for i, header in enumerate(pred.headers):
         header = header.strip()

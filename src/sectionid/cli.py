@@ -280,8 +280,48 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return OK
 
 
+_MATCH_KINDS = (align.EXACT, align.CASE_INSENSITIVE, align.FUZZY)
+
+
+def _carried_spans(
+    grounding: object, unmatched: object, count: int, where: str
+) -> list[tuple[int, int] | None]:
+    """The per-header spans a line's ``grounding`` and ``unmatched`` record."""
+    if not isinstance(grounding, list) or not all(isinstance(g, dict) for g in grounding):
+        raise FormatError(f"{where}: 'grounding' must be a list of objects")
+    spans: list[tuple[int, int] | None] = [None] * count
+    for entry in grounding:
+        index = entry.get("header_index")
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < count:
+            raise FormatError(
+                f"{where}: 'header_index' must be an int in [0, {count}), got {index!r}"
+            )
+        if spans[index] is not None:
+            raise FormatError(f"{where}: header {index} is grounded twice")
+        if entry.get("kind") not in _MATCH_KINDS:
+            raise FormatError(
+                f"{where}: 'kind' must be one of {', '.join(_MATCH_KINDS)}, "
+                f"got {entry.get('kind')!r}"
+            )
+        spans[index] = _parse_span(entry.get("span"), "each grounding span", where)
+    left = [i for i, span in enumerate(spans) if span is None]
+    if not (
+        isinstance(unmatched, list)
+        and all(isinstance(i, int) and not isinstance(i, bool) for i in unmatched)
+        and unmatched == left
+    ):
+        raise FormatError(
+            f"{where}: 'unmatched' must list the ungrounded headers {left}, got {unmatched!r}"
+        )
+    return spans
+
+
 def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
-    """Read predictions JSONL; every bad line fails with the file and line number."""
+    """Read predictions JSONL; every bad line fails with the file and line number.
+
+    A line's ``grounding`` and ``unmatched`` become its per-header spans, so
+    only a line with neither ``spans`` nor ``grounding`` is aligned later.
+    """
     lengths = {doc.id: len(doc.text) for doc in docs}
     predictions: dict[str, Prediction] = {}
     first_line: dict[str, int] = {}
@@ -302,14 +342,19 @@ def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[s
             if not isinstance(spans, list):
                 raise FormatError(f"{where}: 'spans' must be a list or null")
             spans = [_parse_span(s, "each span", where) for s in spans]
-        # ungrounded predictions are re-aligned inside evaluate_run
+        grounding, unmatched = obj.get("grounding"), obj.get("unmatched")
+        if grounding is not None or unmatched is not None:
+            if spans is not None:
+                raise FormatError(f"{where}: a line sets 'spans' or 'grounding', not both")
+            spans = _carried_spans(grounding, unmatched, len(headers), where)
         try:
             pred = Prediction(headers=headers, spans=spans)
         except (LengthMismatch, OverlapError) as exc:
             raise SpanError(f"{where}: {exc}") from exc
+        placed = pred.placed_spans()
         length = lengths.get(obj["id"])
-        if pred.spans and length is not None and not (
-            0 <= pred.spans[0][0] and pred.spans[-1][1] <= length
+        if placed and length is not None and not (
+            0 <= placed[0][0] and placed[-1][1] <= length
         ):
             raise SpanError(
                 f"{where}: spans must lie within document {obj['id']!r} "

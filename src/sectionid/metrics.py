@@ -246,6 +246,8 @@ def iaa_report(
     """Mean pairwise Jaccard similarity across doubly-annotated documents."""
     if not pairs:
         raise EmptyInput("iaa_report needs at least one annotation pair")
+    if ids is not None and len(ids) != len(pairs):
+        raise LengthMismatch(f"{len(ids)} ids for {len(pairs)} annotation pairs")
     labels = ids if ids is not None else [str(i) for i in range(len(pairs))]
     per_pair = [(label, jaccard(a, b)) for label, (a, b) in zip(labels, pairs)]
     mean = sum(v for _, v in per_pair) / len(per_pair)
@@ -284,7 +286,8 @@ def evaluate_run(
 ) -> RunReport:
     """Score one segmenter run against gold annotations.
 
-    Open mode grounds each prediction (module ``align``), counts gold and
+    Open mode grounds each prediction that carries no spans (module
+    ``align``; a grounded one passes through as it is), counts gold and
     predicted spans as token IOB tags (``span_counts``), and micro-averages;
     exact match is macro-averaged per document. Close-ended mode instead
     compares the categorized label sets, which requires an ontology.

@@ -94,9 +94,11 @@ def test_cursor_skips_earlier_text():
 
 def test_grounded_prediction_passes_through():
     doc = Document("d", "Alpha: one\nBeta: two\n")
-    pred = Prediction(headers=["Alpha", "Beta"], spans=[(0, 5), (11, 15)])
+    pred = Prediction(headers=["Alpha", "Gamma", "Beta"], spans=[(0, 5), None, (11, 15)])
     result = align_headers(doc, pred)
     assert result.matched_spans() == [(0, 5), (11, 15)]
+    assert [m.prediction_index for m in result.matches] == [0, 2]
+    assert result.unmatched_predictions == [1]
 
 
 def test_matches_strictly_increase():
@@ -147,6 +149,21 @@ def test_every_header_is_matched_or_unmatched_never_both(case, ratio):
     result = align_headers(Document("d", text), Prediction(headers=headers), ratio)
     matched = [m.prediction_index for m in result.matches]
     assert sorted(matched + result.unmatched_predictions) == list(range(len(headers)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_and_headers(), st.floats(0.0, 1.0, exclude_max=True))
+def test_alignment_carried_as_spans_passes_through_unchanged(case, ratio):
+    # the per-header spans evaluate reads from segment's grounding
+    text, headers = case
+    doc = Document("d", text)
+    result = align_headers(doc, Prediction(headers=headers), ratio)
+    spans: list[tuple[int, int] | None] = [None] * len(headers)
+    for m in result.matches:
+        spans[m.prediction_index] = m.span
+    carried = align_headers(doc, Prediction(headers=headers, spans=spans), ratio)
+    assert carried.matched_spans() == result.matched_spans()
+    assert carried.unmatched_predictions == result.unmatched_predictions
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, StaticClient, make_synthetic_corpus, perturb_header
 from sectionid import metrics, ontology
 from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
-from sectionid.llm import PromptStrategy
+from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
 
 
@@ -281,6 +282,132 @@ def test_evaluate_span_past_document_end_is_fatal(tmp_path, gold_path, capsys):
         json.dumps({"id": "fx1", "headers": ["Allergies"], "spans": [[0, 900]]}),
     ])
     assert "'fx1' of 44 characters" in err
+
+
+def _generated_llm_run(tmp_path):
+    """Generated notes, and a replay store whose answers misspell, recase or
+    keep each header and add one the note does not hold."""
+    rng = random.Random(41)
+    corpus, store = tmp_path / "generated.jsonl", tmp_path / "replay"
+    config = LLMConfig(model_name="gpt-4", backoff_base=0.0)
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for doc in make_synthetic_corpus(rng, 12, min_sections=2):
+            sections = [
+                {"label": s.label, "header_span": list(s.header_span)} for s in doc.sections
+            ]
+            fh.write(json.dumps({"id": doc.id, "text": doc.text, "sections": sections}) + "\n")
+            answers = [
+                rng.choice((perturb_header(rng, h), h.upper(), h)) for h in doc.header_texts()
+            ]
+            answers.insert(rng.randint(0, len(answers)), "Patient Information and Visit Details")
+            canned = json.dumps([{"section_title": a} for a in answers])
+            client = RecordingClient(StaticClient(canned), store)
+            extract_headers(doc.document, PromptStrategy.zero_shot(), config, client)
+    return str(corpus), store
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated"])
+def test_evaluate_of_segment_grounding_equals_aligning_again(
+    tmp_path, gold_path, replay_store, source
+):
+    if source == "fixture":
+        corpus, store = gold_path, replay_store
+    else:
+        corpus, store = _generated_llm_run(tmp_path)
+    seg = tmp_path / "seg"
+    assert main([
+        "segment", "--corpus", corpus, "--segmenter", "llm", "--replay", str(store),
+        "--out", str(seg),
+    ]) == OK
+    records = read_jsonl(seg / "predictions.jsonl")
+    assert "fuzzy" in {g["kind"] for r in records for g in r["grounding"]}
+    assert any(r["unmatched"] for r in records)
+    stripped = tmp_path / "stripped.jsonl"
+    stripped.write_text("".join(
+        json.dumps({k: v for k, v in r.items() if k not in ("grounding", "unmatched")}) + "\n"
+        for r in records
+    ), encoding="utf-8")
+
+    def reports(predictions, name):
+        out = tmp_path / name
+        assert main([
+            "evaluate", "--corpus", corpus, "--segmenter", "llm",
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == OK
+        return [(out / f).read_bytes() for f in ("report.json", "report.csv", "report.txt")]
+
+    assert reports(seg / "predictions.jsonl", "read") == reports(stripped, "aligned")
+
+
+# fx2 is "HPI: 61M with chest pain\nImpression: stable\nPlan: discharge home\n"
+_FX2_GROUNDED = {
+    "id": "fx2", "headers": ["HPI", "Impression", "Plan"], "spans": None,
+    "grounding": [
+        {"header_index": 0, "span": [0, 3], "kind": "exact"},
+        {"header_index": 2, "span": [44, 48], "kind": "fuzzy"},
+    ],
+    "unmatched": [1],
+}
+
+
+def _regrounded(first=None, second=None, **fields):
+    """``_FX2_GROUNDED`` with fields of its two grounding entries or of the line replaced."""
+    line = json.loads(json.dumps(_FX2_GROUNDED))
+    line["grounding"][0].update(first or {})
+    line["grounding"][1].update(second or {})
+    line.update(fields)
+    return line
+
+
+@pytest.mark.parametrize("line, message", [
+    (_regrounded({"header_index": "0"}), "'header_index' must be an int in [0, 3), got '0'"),
+    (_regrounded({"header_index": True}), "'header_index' must be an int in [0, 3), got True"),
+    (_regrounded(second={"header_index": 3}), "'header_index' must be an int in [0, 3), got 3"),
+    (_regrounded(second={"header_index": 0}), "header 0 is grounded twice"),
+    (_regrounded({"span": [0]}), "each grounding span must be a [start, end] pair of ints"),
+    (_regrounded({"span": [0, 3.0]}), "each grounding span must be a [start, end] pair of ints"),
+    (_regrounded(second={"span": [44, 900]}), "spans must lie within document 'fx2' of 65 characters"),
+    (_regrounded({"span": [-1, 3]}), "spans must lie within document 'fx2' of 65 characters"),
+    (_regrounded({"span": [44, 48]}, {"span": [0, 3]}), "got start 0 before 48"),
+    (_regrounded(second={"span": [2, 6]}), "got start 2 before 3"),
+    (_regrounded(second={"span": [5, 5]}), "empty or inverted span (5, 5)"),
+    (_regrounded(second={"kind": "guess"}), "'kind' must be one of exact, case_insensitive, fuzzy"),
+    (_regrounded(unmatched=None), "'unmatched' must list the ungrounded headers [1], got None"),
+    (_regrounded(unmatched=[]), "'unmatched' must list the ungrounded headers [1], got []"),
+    (_regrounded(unmatched=[1, 2]), "'unmatched' must list the ungrounded headers [1], got [1, 2]"),
+    (_regrounded(unmatched=[True]), "'unmatched' must list the ungrounded headers [1], got [True]"),
+    (_regrounded(grounding=None), "'grounding' must be a list of objects"),
+    (_regrounded(grounding=[[0, [0, 3], "exact"]]), "'grounding' must be a list of objects"),
+    (_regrounded(spans=[[0, 3], [25, 35], [44, 48]]), "a line sets 'spans' or 'grounding', not both"),
+], ids=[
+    "index-not-int", "index-bool", "index-out-of-range", "index-repeats", "span-not-pair",
+    "span-not-ints", "span-past-end", "span-before-start", "unsorted", "overlapping", "empty-span",
+    "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
+    "unmatched-not-ints", "unmatched-without-grounding", "grounding-not-objects",
+    "spans-and-grounding",
+])
+def test_evaluate_bad_grounding_is_fatal(tmp_path, gold_path, capsys, line, message):
+    err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
+        json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+        json.dumps(line),
+    ])
+    assert message in err
+
+
+def test_evaluate_scores_the_grounding_as_written(tmp_path, gold_path):
+    # "Impression" is in fx2, but the line says it was placed nowhere and
+    # that "Plan" is at 44-48: evaluate takes both as written
+    preds_path = tmp_path / "preds.jsonl"
+    preds_path.write_text(json.dumps(_FX2_GROUNDED) + "\n", encoding="utf-8")
+    out = tmp_path / "eval"
+    main([
+        "evaluate", "--corpus", gold_path, "--predictions", str(preds_path),
+        "--max-edit-ratio", "0", "--out", str(out),
+    ])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    fx2 = next(d for d in report["per_doc"] if d["doc_id"] == "fx2")
+    assert fx2["unmatched_headers"] == ["Impression"]
+    assert fx2["counts"]["tp"] == 2 and fx2["counts"]["fn"] == 1
 
 
 def test_evaluate_duplicate_prediction_id_is_fatal(tmp_path, gold_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURES, make_synthetic_corpus, reference_span_counts
-from sectionid import metrics, tokenizer
+from sectionid import align, metrics, tokenizer
 from sectionid.baselines import HeaderLexicon, keyword_segment, regex_segment, rule_segment
 from sectionid.cli import OK, main
 from sectionid.corpus import load_gold_corpus
@@ -185,6 +185,13 @@ def test_iaa_report_known_average():
 def test_iaa_report_empty_input():
     with pytest.raises(EmptyInput):
         iaa_report([])
+
+
+@pytest.mark.parametrize("ids", [["x"], ["x", "y", "z"]], ids=["fewer", "more"])
+def test_iaa_report_ids_and_pairs_differ_in_length(ids):
+    # zip would drop the 0.0 pair and report a mean of 1.0
+    with pytest.raises(LengthMismatch, match=f"{len(ids)} ids for 2 annotation pairs"):
+        iaa_report([(["a"], ["a"]), (["b"], ["c"])], ids=ids)
 
 
 def gold_echo_predictions(corpus):
@@ -449,3 +456,35 @@ def test_evaluate_builds_no_tokens_or_tags(
         "e/report.csv", "e/report.json", "e/report.txt", "e/run_config.json",
         "s/predictions.jsonl", "s/run_config.json",
     ]
+
+
+def test_evaluate_aligns_no_prediction_segment_grounded(replay_store, monkeypatch, tmp_path):
+    corpus, seg = str(FIXTURES / "gold_small.jsonl"), tmp_path / "seg"
+    assert main([
+        "segment", "--corpus", corpus, "--segmenter", "llm", "--replay", str(replay_store),
+        "--out", str(seg),
+    ]) == OK
+
+    def reports(name):
+        out = tmp_path / name
+        assert main([
+            "evaluate", "--corpus", corpus, "--segmenter", "llm",
+            "--predictions", str(seg / "predictions.jsonl"), "--out", str(out),
+        ]) == OK
+        return [(out / f).read_bytes() for f in ("report.json", "report.csv", "report.txt")]
+
+    expected = reports("plain")
+    real = align.align_headers
+
+    def grounded_only(doc, pred, *args, **kwargs):
+        if pred.spans is None:
+            raise AssertionError("evaluate aligned a prediction that segment grounded")
+        return real(doc, pred, *args, **kwargs)
+
+    # every name bound to it in the package, imported names included
+    for name, module in list(sys.modules.items()):
+        if name == "sectionid" or name.startswith("sectionid."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, grounded_only)
+    assert reports("patched") == expected

@@ -30,3 +30,12 @@ def test_unsorted_or_overlapping_spans_rejected():
         Prediction(headers=["A", "B"], spans=[(0, 4), (2, 6)])
     with pytest.raises(OverlapError, match=r"empty or inverted span \(3, 3\)"):
         Prediction(headers=["A"], spans=[(3, 3)])
+
+
+def test_header_placed_nowhere_has_a_none_span():
+    pred = Prediction(headers=["A", "B", "C"], spans=[(0, 1), None, (1, 4)])
+    assert pred.grounded
+    assert pred.placed_spans() == [(0, 1), (1, 4)]
+    # the placed spans are checked in header order, skipping the None
+    with pytest.raises(OverlapError, match="got start 0 before 4"):
+        Prediction(headers=["A", "B", "C"], spans=[(2, 4), None, (0, 1)])
