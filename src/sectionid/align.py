@@ -6,19 +6,26 @@ cursor, first verbatim, then case-insensitively, then by fuzzy comparison
 against the prefixes of upcoming lines. Fuzzy matching absorbs OCR-style
 misspellings; headers that summarize rather than quote the document stay
 unmatched and are reported, not guessed at.
+
+The fuzzy stage reads each line's folded prefix from one per-note
+``_NoteLines``, built at the first header that reaches it, and runs a DP
+only on the lines an exact pigeonhole filter lets through: a prefix within
+``e`` edits of the header holds one of ``e + 1`` pieces of it unchanged, near
+its place in the header. Every other line is skipped without changing any
+result.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .corpus import Document, SectionAnnotation
 from .prediction import Prediction
-from .textdist import prefix_distances
+from .textdist import max_edits, prefix_distances
 
 EXACT = "exact"
 CASE_INSENSITIVE = "case_insensitive"
@@ -66,30 +73,92 @@ def _fold(s: str) -> str:
     return s.replace("İ", "i").lower()
 
 
+class _NoteLines:
+    """One note's lines as the fuzzy stage reads them, shared by its headers.
+
+    ``raw[i]`` is line ``i``'s first ``_LINE_PREFIX_LIMIT`` characters and
+    ``folded[i]`` is that prefix folded with ``_fold`` on its own, exactly the
+    string the DP reads (so a final sigma at the cut stays as it was).
+    ``joined`` is the folded prefixes joined by '\n'; line ``i`` begins at
+    ``offsets[i]`` in it.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.starts = line_starts(text)
+        self.raw = [line[:_LINE_PREFIX_LIMIT] for line in text.split("\n")]
+        self.folded = [_fold(prefix) for prefix in self.raw]
+        self.joined = "\n".join(self.folded)
+        self.offsets: list[int] = []
+        offset = 0
+        for prefix in self.folded:
+            self.offsets.append(offset)
+            offset += len(prefix) + 1
+
+    def lines_holding_a_piece(
+        self, needle: str, edits: int, first: int, width: int
+    ) -> Iterator[int]:
+        """Lines from ``first`` on that can hold a prefix within ``edits``
+        edits of the needle, no longer than ``width``.
+
+        Pigeonhole filter (Navarro, ACM Comput. Surv. 33(1), 2001): cut the
+        needle into ``edits + 1`` contiguous pieces. Each edit touches at most
+        one piece, so such a prefix holds one piece unchanged, shifted from
+        its place in the needle by at most ``edits`` characters. One regex
+        search over ``joined`` jumps to the next line holding any piece; that
+        line is let through only if some piece lies within ``edits``
+        characters of its place in the needle, and the search resumes at the
+        next line start. Needs ``edits < len(needle)``.
+        """
+        cuts = [len(needle) * j // (edits + 1) for j in range(edits + 2)]
+        pieces = [(needle[a:b], a) for a, b in zip(cuts, cuts[1:])]
+        search = re.compile("|".join(re.escape(piece) for piece, _ in pieces)).search
+        offsets = self.offsets
+        while first < len(offsets):
+            hit = search(self.joined, offsets[first])
+            if hit is None:
+                return
+            line = bisect_right(offsets, hit.start()) - 1
+            folded = self.folded[line]
+            if any(
+                folded.find(piece, max(0, a - edits), min(width, a + len(piece) + edits)) != -1
+                for piece, a in pieces
+            ):
+                yield line
+            first = line + 1
+
+
 def _fuzzy_line_match(
-    text: str, starts: list[int], header: str, cursor: int, max_edit_ratio: float
+    lines: _NoteLines, header: str, cursor: int, max_edit_ratio: float
 ) -> tuple[int, int] | None:
     """First line at/after the cursor whose prefix is within the edit budget.
 
     Prefix length is chosen to minimize the normalized distance, breaking
     ties toward the header's own length: a clean substitution then recovers
-    exactly the original span.
+    exactly the original span. A DP runs only on the lines the pigeonhole
+    filter lets through, which are all the lines that can match; when the
+    budget allows as many edits as the header has characters, every line
+    is compared.
     """
     needle = _fold(header)
     slack = math.ceil(max_edit_ratio * len(needle)) + 1
-    for start in islice(starts, bisect_left(starts, cursor), None):
-        newline = text.find("\n", start)
-        line_end = len(text) if newline == -1 else newline
-        candidate = text[start:min(start + _LINE_PREFIX_LIMIT, line_end)]
-        if not candidate.strip():
+    width = len(needle) + slack
+    # an accepted prefix k <= width has row[k] / max(len(needle), k) <= ratio,
+    # hence row[k] / width <= ratio: at most `edits` edits
+    edits = max_edits(width, max_edit_ratio)
+    first = bisect_left(lines.starts, cursor)
+    if edits < len(needle):
+        candidates: Iterable[int] = lines.lines_holding_a_piece(needle, edits, first, width)
+    else:
+        candidates = range(first, len(lines.starts))
+    lo = max(1, len(needle) - slack)
+    for i in candidates:
+        if not lines.raw[i].strip():
             continue
-        lo = max(1, len(needle) - slack)
-        hi = min(len(candidate), len(needle) + slack)
+        hi = min(len(lines.raw[i]), width)
         if lo > hi:
             continue
-        # no prefix past hi is read; fold before slicing so a
-        # context-dependent mapping (final sigma) sees its right neighbour
-        row = prefix_distances(needle, _fold(candidate)[:hi])
+        # no prefix past hi is read
+        row = prefix_distances(needle, lines.folded[i][:hi])
         best: tuple[float, int, int] | None = None
         for k in range(lo, hi + 1):
             ratio = row[k] / max(len(needle), k)
@@ -97,6 +166,7 @@ def _fuzzy_line_match(
             if best is None or key < best:
                 best = key
         if best is not None and best[0] <= max_edit_ratio:
+            start = lines.starts[i]
             return (start, start + best[2])
     return None
 
@@ -123,7 +193,7 @@ def align_headers(
                 result.matches.append(HeaderMatch(i, span, EXACT))
         return result
     text = doc.text
-    starts = line_starts(text)
+    lines: _NoteLines | None = None
     cursor = 0
     for i, header in enumerate(pred.headers):
         header = header.strip()
@@ -141,7 +211,9 @@ def align_headers(
             result.matches.append(HeaderMatch(i, m.span(), CASE_INSENSITIVE))
             cursor = m.end()
             continue
-        fuzzy_span = _fuzzy_line_match(text, starts, header, cursor, max_edit_ratio)
+        if lines is None:
+            lines = _NoteLines(text)
+        fuzzy_span = _fuzzy_line_match(lines, header, cursor, max_edit_ratio)
         if fuzzy_span is not None:
             result.matches.append(HeaderMatch(i, fuzzy_span, FUZZY))
             cursor = fuzzy_span[1]

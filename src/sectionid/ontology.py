@@ -5,19 +5,23 @@ section surface forms to a 25-category coarse scheme that always includes
 an ``UNKNOWN`` fallback. A companion file (``data/category_counts.csv``)
 ships the reference per-category counts observed when the taxonomy was
 built, so the distribution can be reproduced without the source documents.
+
+A name with no exact surface is compared by edit distance only with the
+surfaces that pass two exact filters, a length window and a shared 2-gram
+count read from a per-``Ontology`` 2-gram index built at the first such
+lookup, so the answer is the one a comparison with every surface gives.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .corpus import AnnotatedDocument, comment_lines, open_text
 from .errors import DanglingCategory, EmptyCorpus, FormatError
-from .textdist import edit_ratio
+from .textdist import edit_ratio, max_edits
 
 UNKNOWN = "UNKNOWN"
 COARSE = "coarse"
@@ -60,12 +64,38 @@ class Ontology:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
+        # built at the first fuzzy lookup; a plain attribute, not a field, so
+        # ==, repr and dataclasses.fields see only the taxonomy
+        self._grams: _GramIndex | None = None
+
+    def _gram_index(self) -> _GramIndex:
+        if self._grams is None:
+            self._grams = _GramIndex(self.surface_map)
+        return self._grams
 
     def coarse_categories(self) -> set[str]:
         fine_only = {
             self.surface_map[s] for s, lvl in self.levels.items() if lvl == FINE
         } - {self.surface_map[s] for s, lvl in self.levels.items() if lvl != FINE}
         return self.categories - fine_only
+
+
+class _GramIndex:
+    """Inverted 2-gram index of an ontology's surfaces.
+
+    ``postings[g]`` lists the index of each surface once per occurrence of
+    the 2-gram ``g`` in it, and ``by_length[n]`` the indices of the surfaces
+    of length ``n``.
+    """
+
+    def __init__(self, surface_map: dict[str, str]) -> None:
+        self.surfaces = list(surface_map)
+        self.postings: dict[str, list[int]] = {}
+        self.by_length: dict[int, list[int]] = {}
+        for i, surface in enumerate(self.surfaces):
+            self.by_length.setdefault(len(surface), []).append(i)
+            for j in range(len(surface) - 1):
+                self.postings.setdefault(surface[j:j + 2], []).append(i)
 
 
 def load_ontology(path: str | Path | object | None = None) -> Ontology:
@@ -118,7 +148,12 @@ def categorize(name: str, ont: Ontology) -> str:
 
     Exact lookup happens on the normalized surface form; failing that, the
     nearest surface by normalized edit distance wins when its ratio is at
-    most ``FUZZY_RATIO``.
+    most ``FUZZY_RATIO``, ties going to the surface that sorts first. Two
+    exact filters skip the surfaces that cannot pass before any distance is
+    computed: the length difference is a lower bound on the distance, and by
+    the q-gram lemma (Ukkonen, Theor. Comput. Sci. 92(1), 1992) strings
+    within ``d`` edits share at least ``longest - 1 - 2d`` 2-grams, counted
+    from the ontology's 2-gram index.
     """
     surface = normalize_surface(name)
     if not surface:
@@ -126,14 +161,32 @@ def categorize(name: str, ont: Ontology) -> str:
     hit = ont.surface_map.get(surface)
     if hit is not None:
         return hit
+    index = ont._gram_index()
+    # per surface, at least the number of 2-grams it shares with the name:
+    # each 2-gram of the name counts as often as the surface holds it
+    shared: dict[int, int] = {}
+    for gram in {surface[j:j + 2] for j in range(len(surface) - 1)}:
+        for i in index.postings.get(gram, ()):
+            shared[i] = shared.get(i, 0) + 1
     best: tuple[float, str] | None = None
-    limit = math.floor(FUZZY_RATIO * max(len(surface), 1)) + 1
-    for candidate in ont.surface_map:
-        if abs(len(candidate) - len(surface)) > limit:
-            continue
-        ratio = edit_ratio(surface, candidate)
-        if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
-            best = (ratio, candidate)
+    shortest = max(1, len(surface) - max_edits(len(surface), FUZZY_RATIO))
+    for n in range(shortest, max(index.by_length, default=0) + 1):
+        longest = max(n, len(surface))
+        edits = max_edits(longest, FUZZY_RATIO)
+        # n - len(surface) - edits never falls as n grows (the budget grows
+        # by at most 1 per character), so no longer surface can pass either
+        if n - len(surface) > edits:
+            break
+        # q-gram lemma: within `edits` edits, the two share at least this
+        # many 2-grams
+        floor = longest - 1 - 2 * edits
+        for i in index.by_length.get(n, ()):
+            if shared.get(i, 0) < floor:
+                continue
+            candidate = index.surfaces[i]
+            ratio = edit_ratio(surface, candidate)
+            if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
+                best = (ratio, candidate)
     return UNKNOWN if best is None else ont.surface_map[best[1]]
 
 

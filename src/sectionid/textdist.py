@@ -57,6 +57,22 @@ def levenshtein(a: str, b: str) -> int:
     return prefix_distances(a, b)[-1]
 
 
+def max_edits(length: int, ratio: float) -> int:
+    """Largest ``d`` with ``d / length <= ratio``, compared as floats.
+
+    This is the edit budget of a ratio test ``distance / length <= ratio``
+    (``length >= 1``, ``0 <= ratio < 1``). It is found by the same float
+    comparison the test makes, not as ``floor(ratio * length)``, so rounding
+    cannot put a distance the test accepts over the budget.
+    """
+    d = int(ratio * length)
+    while (d + 1) / length <= ratio:
+        d += 1
+    while d / length > ratio:
+        d -= 1
+    return d
+
+
 def edit_ratio(a: str, b: str) -> float:
     """Levenshtein distance normalized by the longer string; 0.0 for two empties."""
     longest = max(len(a), len(b))

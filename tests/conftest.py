@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from sectionid.align import line_starts
+from sectionid import ontology
+from sectionid.align import _LINE_PREFIX_LIMIT, _fold, line_starts
 from sectionid.baselines import HeaderLexicon
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation, load_gold_corpus
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
 from sectionid.metrics import Counts, token_counts
 from sectionid.prediction import Prediction
+from sectionid.textdist import edit_ratio, prefix_distances
 from sectionid.tokenizer import spans_to_iob, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -133,6 +138,49 @@ def reference_span_counts(text, gold_spans, pred_spans) -> Counts:
     """Oracle for ``metrics.span_counts``: tokens, IOB tags, per-token counts."""
     tokens = tokenize(text)
     return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
+
+
+def reference_fuzzy_line_match(
+    text: str, starts: list[int], header: str, cursor: int, max_edit_ratio: float
+) -> tuple[int, int] | None:
+    """Oracle for ``align._fuzzy_line_match``: every line from the cursor on
+    is sliced, folded and compared by DP, with no filter."""
+    needle = _fold(header)
+    slack = math.ceil(max_edit_ratio * len(needle)) + 1
+    for start in islice(starts, bisect_left(starts, cursor), None):
+        newline = text.find("\n", start)
+        line_end = len(text) if newline == -1 else newline
+        candidate = text[start:min(start + _LINE_PREFIX_LIMIT, line_end)]
+        if not candidate.strip():
+            continue
+        lo = max(1, len(needle) - slack)
+        hi = min(len(candidate), len(needle) + slack)
+        if lo > hi:
+            continue
+        row = prefix_distances(needle, _fold(candidate)[:hi])
+        best: tuple[float, int, int] | None = None
+        for k in range(lo, hi + 1):
+            ratio = row[k] / max(len(needle), k)
+            key = (ratio, abs(k - len(needle)), k)
+            if best is None or key < best:
+                best = key
+        if best is not None and best[0] <= max_edit_ratio:
+            return (start, start + best[2])
+    return None
+
+
+def reference_categorize(name: str, ont: ontology.Ontology) -> str:
+    """Oracle for ``ontology.categorize``: an exact lookup, then the edit
+    ratio to every surface, with no length or 2-gram filter."""
+    surface = ontology.normalize_surface(name)
+    if not surface:
+        return ontology.UNKNOWN
+    hit = ont.surface_map.get(surface)
+    if hit is not None:
+        return hit
+    scored = [(edit_ratio(surface, c), c) for c in ont.surface_map]
+    best = min((key for key in scored if key[0] <= ontology.FUZZY_RATIO), default=None)
+    return ontology.UNKNOWN if best is None else ont.surface_map[best[1]]
 
 
 class StaticClient:

@@ -1,17 +1,30 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_synthetic_corpus, make_synthetic_doc, perturb_header
+import conftest
+from conftest import (
+    BODY_WORDS,
+    HEADER_VOCAB,
+    make_synthetic_corpus,
+    make_synthetic_doc,
+    perturb_header,
+    reference_fuzzy_line_match,
+)
+from sectionid import align
 from sectionid.align import (
     CASE_INSENSITIVE,
+    DEFAULT_MAX_EDIT_RATIO,
     EXACT,
     FUZZY,
     _fold,
+    _fuzzy_line_match,
+    _NoteLines,
     align_headers,
     line_starts,
     sections_from_alignment,
@@ -82,6 +95,95 @@ def test_fold_keeps_every_offset(text):
     assert len(_fold(text)) == len(text)
     if "İ" not in text:
         assert _fold(text) == text.lower()
+
+
+# Lines of a few letters, so that near matches are common, with cased and
+# folding-sensitive letters ('İ', final sigma, 'ß', the Kelvin sign), tabs
+# and lines longer than the 80-character prefix the DP reads.
+_NOTE_ALPHABET = "aeostAEOST :-\tİΣσςßẞK\u212a"
+
+
+@st.composite
+def _note_and_headers(draw):
+    """A multi-line note and stripped headers that are line prefixes with up
+    to four edits, recased line prefixes, strings of 1-3 characters, or
+    unplaceable strings (some with a '\n')."""
+    lines = draw(st.lists(st.text(_NOTE_ALPHABET, max_size=100), min_size=1, max_size=10))
+    headers = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("typo", "recased", "short", "unplaceable")))
+        line = draw(st.sampled_from(lines))
+        prefix = line[:draw(st.integers(1, 95))]
+        if kind == "typo":
+            chars = list(prefix)
+            for _ in range(draw(st.integers(0, 4))):
+                pos = draw(st.integers(0, len(chars)))
+                edit = draw(st.sampled_from(("substitute", "insert", "delete")))
+                char = draw(st.sampled_from(_NOTE_ALPHABET + "\nxyz"))
+                if edit == "insert":
+                    chars.insert(pos, char)
+                elif pos < len(chars):
+                    chars[pos:pos + 1] = [char] if edit == "substitute" else []
+            header = "".join(chars)
+        elif kind == "recased":
+            header = prefix.swapcase()
+        elif kind == "short":
+            header = draw(st.text(_NOTE_ALPHABET + "xyz", min_size=1, max_size=3))
+        else:
+            header = draw(st.text(_NOTE_ALPHABET + "\nxyz", min_size=1, max_size=40))
+        if header.strip():
+            headers.append(header.strip())
+    assume(headers)
+    return "\n".join(lines), headers
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _note_and_headers(),
+    st.one_of(
+        st.sampled_from((0.0, 0.2, 0.29, 0.58, 0.7)),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    st.data(),
+)
+def test_filtered_line_search_equals_the_full_scan(case, ratio, data):
+    # 0.29, 0.58 and 0.7 are ratios where floor(ratio * n) undercounts the
+    # budget; one _NoteLines serves every header, as in align_headers
+    text, headers = case
+    lines = _NoteLines(text)
+    starts = line_starts(text)
+    for header in headers:
+        cursor = data.draw(st.integers(0, len(text) + 1))
+        assert _fuzzy_line_match(lines, header, cursor, ratio) == (
+            reference_fuzzy_line_match(text, starts, header, cursor, ratio)
+        )
+
+
+def test_filtered_line_search_skips_most_dps():
+    # the work-count guard: a filter that silently stops filtering fails
+    # here, with no timing involved
+    rng = random.Random(5)
+    text = "\n".join(
+        rng.choice(HEADER_VOCAB) + ":" if i % 8 == 0
+        else " ".join(rng.choices(BODY_WORDS, k=rng.randint(2, 12)))
+        for i in range(200)
+    )
+    headers = [
+        "Patient Information and Visit Details",
+        "Disposition Summary",
+        "Nursing Handoff Notes",
+        "Advance Directive Status",
+        "Code Status Discussion",
+    ]
+    lines = _NoteLines(text)
+    starts = line_starts(text)
+    with mock.patch.object(align, "prefix_distances", wraps=align.prefix_distances) as filtered, \
+            mock.patch.object(conftest, "prefix_distances", wraps=conftest.prefix_distances) as full:
+        for header in headers:
+            assert _fuzzy_line_match(lines, header, 0, DEFAULT_MAX_EDIT_RATIO) is None
+            assert reference_fuzzy_line_match(text, starts, header, 0, DEFAULT_MAX_EDIT_RATIO) is None
+    assert full.call_count >= 800
+    assert filtered.call_count < 0.1 * full.call_count
 
 
 def test_cursor_skips_earlier_text():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, make_synthetic_corpus
+import conftest
+from conftest import FIXTURES, make_synthetic_corpus, reference_categorize
+from sectionid import ontology
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation
 from sectionid.errors import DanglingCategory, EmptyCorpus, FormatError
 from sectionid.ontology import (
@@ -76,6 +80,101 @@ def test_all_order_variants_map_to_one_category(ont):
 def test_categorize_idempotent_under_normalization(name):
     ont = load_ontology()
     assert categorize(normalize_surface(name), ont) == categorize(name, ont)
+
+
+def test_categorize_finds_a_longer_surface_within_the_ratio():
+    # 10 edits in 67 characters is a ratio of 0.149: the length window has
+    # to come from the longer string, here the surface
+    ont = Ontology(categories={UNKNOWN, "Long"}, surface_map={"a" * 67: "Long"})
+    assert categorize("a" * 57, ont) == "Long"
+    assert categorize("a" * 56, ont) == UNKNOWN
+
+
+# A few letters, so that surfaces share 2-grams and near misses are common,
+# with letters whose lowercase form differs in length or context.
+_SURFACE_ALPHABET = "abcd İΣςßK\u212a"
+
+
+def _edited(draw, text: str) -> str:
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 12))):
+        pos = draw(st.integers(0, len(chars)))
+        char = draw(st.sampled_from(_SURFACE_ALPHABET))
+        edit = draw(st.sampled_from(("substitute", "insert", "delete")))
+        if edit == "insert":
+            chars.insert(pos, char)
+        elif pos < len(chars):
+            chars[pos:pos + 1] = [char] if edit == "substitute" else []
+    return "".join(chars)
+
+
+@st.composite
+def _taxonomy_and_names(draw):
+    """A taxonomy of up to 12 surfaces of up to 70 characters, and names that
+    are edited surfaces or unrelated strings."""
+    surfaces = draw(st.lists(st.text(_SURFACE_ALPHABET, min_size=1, max_size=70), max_size=12))
+    surface_map = {normalize_surface(s): f"C{i % 3}" for i, s in enumerate(surfaces)}
+    surface_map.pop("", None)
+    ont = Ontology(categories={UNKNOWN, "C0", "C1", "C2"}, surface_map=surface_map)
+    names = [
+        _edited(draw, draw(st.sampled_from(surfaces)))
+        if surfaces and draw(st.booleans())
+        else draw(st.text(_SURFACE_ALPHABET, max_size=70))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return ont, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _taxonomy_and_names(),
+    st.one_of(
+        st.sampled_from((0.0, ontology.FUZZY_RATIO, 0.29, 0.5, 0.58, 0.7)),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+)
+def test_filtered_categorize_equals_the_full_scan(case, ratio):
+    ont, names = case
+    with mock.patch.object(ontology, "FUZZY_RATIO", ratio):
+        for name in names:
+            assert categorize(name, ont) == reference_categorize(name, ont)
+
+
+def test_filtered_categorize_skips_most_edit_ratios(ont):
+    # the work-count guard: a filter that silently stops filtering fails
+    # here, with no timing involved
+    rng = random.Random(11)
+    names = []
+    for surface in sorted(ont.surface_map)[::3]:
+        chars = list(surface)
+        for pos in rng.sample(range(len(chars)), k=min(len(chars), rng.randint(1, 2))):
+            chars[pos] = rng.choice("abcdefghijklmnopqrstuvwxyz")
+        names.append("".join(chars))
+    names += ["Patient Information and Visit Details", "Disposition", "zqx frobnicate"]
+    with mock.patch.object(ontology, "edit_ratio", wraps=ontology.edit_ratio) as filtered, \
+            mock.patch.object(conftest, "edit_ratio", wraps=conftest.edit_ratio) as full:
+        for name in names:
+            assert categorize(name, ont) == reference_categorize(name, ont)
+    assert full.call_count >= 40 * len(ont.surface_map)
+    assert filtered.call_count < 0.1 * full.call_count
+
+
+def test_ontology_keeps_no_shared_state():
+    # same surfaces, different categories: each object answers from its own
+    # map, and its index changes neither ==, repr nor the dataclass fields
+    categories = {UNKNOWN, "A", "B"}
+    first = Ontology(categories, {"allergies": "A", "medications": "B"})
+    second = Ontology(categories, {"allergies": "B", "medications": "A"})
+    assert load_ontology()._grams is None
+    before = repr(first)
+    for _ in range(2):
+        assert categorize("Allergles", first) == "A"
+        assert categorize("Allergles", second) == "B"
+        assert categorize("Medicatons", first) == "B"
+        assert categorize("Medicatons", second) == "A"
+    assert repr(first) == before
+    assert first == Ontology(categories, {"allergies": "A", "medications": "B"})
+    assert [f.name for f in dataclasses.fields(Ontology)] == ["categories", "surface_map", "levels"]
 
 
 def test_levels_filtering():

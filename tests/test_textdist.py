@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_synthetic_doc
 from sectionid.align import align_headers
 from sectionid.prediction import Prediction
-from sectionid.textdist import edit_ratio, levenshtein, prefix_distances
+from sectionid.textdist import edit_ratio, levenshtein, max_edits, prefix_distances
 
 
 def oracle_prefix_distances(needle: str, haystack: str) -> list[int]:
@@ -54,6 +54,21 @@ def test_levenshtein_equals_dp_and_is_symmetric(a, b):
     assert levenshtein(a, b) == expected == levenshtein(b, a)
     longest = max(len(a), len(b))
     assert edit_ratio(a, b) == (expected / longest if longest else 0.0)
+
+
+@given(
+    st.integers(1, 300),
+    st.one_of(st.sampled_from((0.0, 0.15, 0.29, 0.58, 0.7)), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_max_edits_is_the_largest_distance_the_ratio_test_accepts(length, ratio):
+    edits = max_edits(length, ratio)
+    assert edits / length <= ratio < (edits + 1) / length
+
+
+def test_max_edits_counts_past_float_rounding():
+    # 0.29 * 100 is 28.999999999999996, yet 29 / 100 <= 0.29
+    assert max_edits(100, 0.29) == 29
+    assert max_edits(50, 0.58) == 29
 
 
 def test_empty_strings():
