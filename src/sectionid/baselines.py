@@ -1,14 +1,15 @@
 """Non-LLM segmenters: lexicon lookup, line-pattern rules, and their hybrid.
 
-All three work line by line and return grounded predictions (header text
-plus character span). Matching is line-initial: clinical headers sit at the
+All three make one pass over a note's lines and return grounded predictions
+(header text plus character span). The hybrid takes each line's lexicon
+match and its first rule match, and drops the rule match where it overlaps
+the lexicon match. Matching is line-initial: clinical headers sit at the
 start of a line in the corpora this package targets, and anchoring there
 keeps false positives out of prose.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +19,6 @@ from .align import line_starts
 from .corpus import Document, comment_lines, read_json
 from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
-
-log = logging.getLogger(__name__)
 
 # Lowercase words allowed inside an otherwise Title-Case header phrase.
 _MINOR_WORDS = {
@@ -107,7 +106,11 @@ def _match_allcaps_line(line: str) -> tuple[int, int] | None:
     return (offset, offset + len(stripped))
 
 
-def _regex_rule(name: str, pattern: str) -> Callable[[str], tuple[int, int] | None]:
+# A rule maps one line to the (start, end) slice of its header, or None.
+Rule = Callable[[str], tuple[int, int] | None]
+
+
+def _regex_rule(name: str, pattern: str) -> Rule:
     try:
         compiled = re.compile(pattern)
     except re.error as exc:
@@ -126,11 +129,10 @@ def _regex_rule(name: str, pattern: str) -> Callable[[str], tuple[int, int] | No
     return match
 
 
-# A rule maps one line to the (start, end) slice of its header, or None.
 DEFAULT_RULES = (_match_titlecase_colon, _match_allcaps_line)
 
 
-def load_ruleset(path: str | Path) -> list[Callable[[str], tuple[int, int] | None]]:
+def load_ruleset(path: str | Path) -> list[Rule]:
     """Read a JSON list of {"name": str, "pattern": str} rules.
 
     A file that is not UTF-8 JSON raises FormatError; an empty list, a list
@@ -146,13 +148,59 @@ def load_ruleset(path: str | Path) -> list[Callable[[str], tuple[int, int] | Non
         raise InvalidPattern(f"{path}: ruleset file has no rules")
     rules = []
     for item in raw:
-        if not isinstance(item, dict) or "name" not in item or "pattern" not in item:
-            raise InvalidPattern(f"{path}: each rule needs 'name' and 'pattern'")
+        if not isinstance(item, dict) or not all(
+            isinstance(item.get(key), str) for key in ("name", "pattern")
+        ):
+            raise InvalidPattern(f"{path}: each rule needs 'name' and 'pattern' strings")
         try:
-            rules.append(_regex_rule(str(item["name"]), str(item["pattern"])))
+            rules.append(_regex_rule(item["name"], item["pattern"]))
         except InvalidPattern as exc:
             raise InvalidPattern(f"{path}: {exc}") from exc
     return rules
+
+
+def _segment(doc: Document, lexicon: HeaderLexicon | None, rules: Sequence[Rule]) -> Prediction:
+    """One pass over the lines: each line's lexicon match, then its first
+    rule match unless that overlaps the lexicon match."""
+    # str.lower maps each character on its own, except 'Σ', which lowercases
+    # to final 'ς' or to 'σ' depending on its neighbours. So a lexicon match,
+    # which lowercases to its entry's lowercase form, shares the first
+    # character of the lowercased line, and each line scans one bucket of
+    # ``lexicon.by_first``; on a line without 'Σ' the match's lowercase form
+    # also starts the lowercased line, a cheap test that rejects most entries.
+    spans: list[tuple[int, int]] = []
+    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+        # A lexicon match starts at the line's first non-space character and
+        # a rule match ends on a non-space one, so the two overlap unless the
+        # rule match starts at or after the lexicon match's end.
+        rule_from = line_start
+        if lexicon is not None:
+            content = line.lstrip()
+            folded_content = content.lower()
+            screen = "Σ" not in content
+            for entry, folded_entry in lexicon.by_first.get(folded_content[:1], ()):
+                if screen and not folded_content.startswith(folded_entry):
+                    continue
+                size = len(entry)
+                if len(content) < size or content[:size].lower() != folded_entry:
+                    continue
+                if content[size:size + 1].isalnum():
+                    continue
+                start = line_start + len(line) - len(content)
+                rule_from = start + size
+                spans.append((start, rule_from))
+                break
+        for rule in rules:
+            rel = rule(line)
+            if rel is None:
+                continue
+            start = line_start + rel[0]
+            text = doc.text[start:line_start + rel[1]].rstrip()
+            end = start + len(text[:-1].rstrip() if text.endswith(":") else text)
+            if end > start >= rule_from:
+                spans.append((start, end))
+            break
+    return Prediction(headers=[doc.text[start:end] for start, end in spans], spans=spans)
 
 
 def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
@@ -164,70 +212,16 @@ def keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Prediction:
     'Plan' never fires inside 'Planning'. The match is exactly those
     characters, so it never leaves its line. At most one match per line.
     """
-    # str.lower maps each character on its own, except 'Σ', which lowercases
-    # to final 'ς' or to 'σ' depending on its neighbours. So a match, which
-    # lowercases to its entry's lowercase form, shares the first character of
-    # the lowercased line, and each line scans one bucket of
-    # ``lexicon.by_first``; on a line without 'Σ' the match's lowercase form
-    # also starts the lowercased line, a cheap test that rejects most entries.
-    headers: list[str] = []
-    spans: list[tuple[int, int]] = []
-    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
-        content = line.lstrip()
-        folded_content = content.lower()
-        screen = "Σ" not in content
-        for entry, folded_entry in lexicon.by_first.get(folded_content[:1], ()):
-            if screen and not folded_content.startswith(folded_entry):
-                continue
-            size = len(entry)
-            if len(content) < size or content[:size].lower() != folded_entry:
-                continue
-            if content[size:size + 1].isalnum():
-                continue
-            start = line_start + len(line) - len(content)
-            headers.append(doc.text[start:start + size])
-            spans.append((start, start + size))
-            break
-    return Prediction(headers=headers, spans=spans)
+    return _segment(doc, lexicon, ())
 
 
-def regex_segment(
-    doc: Document, rules: Sequence[Callable[[str], tuple[int, int] | None]] = DEFAULT_RULES
-) -> Prediction:
+def regex_segment(doc: Document, rules: Sequence[Rule] = DEFAULT_RULES) -> Prediction:
     """Apply the rules per line; the first rule that matches wins the line."""
-    headers: list[str] = []
-    spans: list[tuple[int, int]] = []
-    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
-        for rule in rules:
-            rel = rule(line)
-            if rel is None:
-                continue
-            start, end = line_start + rel[0], line_start + rel[1]
-            text = doc.text[start:end].rstrip()
-            text = text[:-1].rstrip() if text.endswith(":") else text
-            end = start + len(text)
-            if end > start:
-                headers.append(doc.text[start:end])
-                spans.append((start, end))
-            break
-    return Prediction(headers=headers, spans=spans)
+    return _segment(doc, None, rules)
 
 
 def rule_segment(
-    doc: Document,
-    lexicon: HeaderLexicon,
-    rules: Sequence[Callable[[str], tuple[int, int] | None]] = DEFAULT_RULES,
+    doc: Document, lexicon: HeaderLexicon, rules: Sequence[Rule] = DEFAULT_RULES
 ) -> Prediction:
     """Union of keyword and regex matches, keyword winning span-overlap ties."""
-    kw = keyword_segment(doc, lexicon)
-    rx = regex_segment(doc, rules)
-    merged: list[tuple[tuple[int, int], str]] = [
-        (span, header) for span, header in zip(kw.spans or [], kw.headers)
-    ]
-    kw_spans = list(kw.spans or [])
-    for span, header in zip(rx.spans or [], rx.headers):
-        if any(span[0] < k_end and k_start < span[1] for k_start, k_end in kw_spans):
-            continue
-        merged.append((span, header))
-    merged.sort(key=lambda item: item[0])
-    return Prediction(headers=[h for _, h in merged], spans=[s for s, _ in merged])
+    return _segment(doc, lexicon, rules)

@@ -45,8 +45,6 @@ from .llm import (
 )
 from .prediction import Prediction
 
-log = logging.getLogger(__name__)
-
 OK = 0
 FATAL = 1
 PARTIAL = 2
@@ -383,9 +381,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table_text", "report.txt")):
+        rendered = metrics.render_report(run, fmt)
         with open(out_dir / name, "w", encoding="utf-8") as fh:
-            fh.write(metrics.render_report(run, fmt))
-    print(metrics.render_report(run, "table_text"), end="")
+            fh.write(rendered)
+    print(rendered, end="")  # the table, written last
     missing = [doc.id for doc in docs if doc.id not in predictions]
     unknown = predictions.keys() - {doc.id for doc in docs}
     if missing:
@@ -458,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sectionid",
         description="Identify, normalize, and score section headers in clinical notes.",
     )
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

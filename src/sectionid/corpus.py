@@ -277,6 +277,10 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
                 raise FormatError(
                     f"{where}: section needs 'label' and 'header_span' (document {doc_id!r})"
                 )
+            if not isinstance(raw["label"], str):
+                raise FormatError(
+                    f"{where}: section 'label' must be a string (document {doc_id!r})"
+                )
             start, end = _parse_span(raw["header_span"], "header_span", where)
             raw_header = raw.get("raw_header")
             body_span = raw.get("body_span")
@@ -284,7 +288,7 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
                 body_span = _parse_span(body_span, "body_span", where)
             sections.append(
                 SectionAnnotation(
-                    label=str(raw["label"]),
+                    label=raw["label"],
                     header_span=(start, end),
                     raw_header=text[start:end] if raw_header is None else raw_header,
                     body_span=body_span,

@@ -7,12 +7,13 @@ import random
 from bisect import bisect_left
 from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 from sectionid import ontology
 from sectionid.align import _LINE_PREFIX_LIMIT, _fold, line_starts
-from sectionid.baselines import HeaderLexicon
+from sectionid.baselines import DEFAULT_RULES, HeaderLexicon, Rule
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation, load_gold_corpus
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
@@ -132,6 +133,43 @@ def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Predicti
             spans.append((start, end))
             break
     return Prediction(headers=headers, spans=spans)
+
+
+def reference_regex_segment(doc: Document, rules: Sequence[Rule] = DEFAULT_RULES) -> Prediction:
+    """Oracle for ``baselines.regex_segment``: per line, the first rule that
+    matches wins, trimmed of trailing space and one ':'; a match that trims
+    to nothing still ends the line's rule search."""
+    headers: list[str] = []
+    spans: list[tuple[int, int]] = []
+    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+        for rule in rules:
+            rel = rule(line)
+            if rel is None:
+                continue
+            start, end = line_start + rel[0], line_start + rel[1]
+            text = doc.text[start:end].rstrip()
+            text = text[:-1].rstrip() if text.endswith(":") else text
+            end = start + len(text)
+            if end > start:
+                headers.append(doc.text[start:end])
+                spans.append((start, end))
+            break
+    return Prediction(headers=headers, spans=spans)
+
+
+def reference_rule_segment(
+    doc: Document, lexicon: HeaderLexicon, rules: Sequence[Rule] = DEFAULT_RULES
+) -> Prediction:
+    """Oracle for ``baselines.rule_segment``: both segmenters over the whole
+    note, then every regex span that overlaps no keyword span, sorted."""
+    kw = reference_keyword_segment(doc, lexicon)
+    rx = reference_regex_segment(doc, rules)
+    merged = list(zip(kw.spans or [], kw.headers))
+    for span, header in zip(rx.spans or [], rx.headers):
+        if not any(span[0] < k_end and k_start < span[1] for k_start, k_end in kw.spans or []):
+            merged.append((span, header))
+    merged.sort(key=lambda item: item[0])
+    return Prediction(headers=[h for _, h in merged], spans=[s for s, _ in merged])
 
 
 def reference_span_counts(text, gold_spans, pred_spans) -> Counts:

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_synthetic_corpus, reference_keyword_segment
+from conftest import (
+    make_synthetic_corpus,
+    reference_keyword_segment,
+    reference_regex_segment,
+    reference_rule_segment,
+)
 from sectionid.baselines import (
     _WORD_RE,
+    DEFAULT_RULES,
+    _regex_rule,
     HeaderLexicon,
     keyword_segment,
     load_lexicon,
@@ -222,6 +229,50 @@ def test_keyword_segment_equals_linear_scan(lexicon_and_text):
     lexicon = HeaderLexicon(entries=set(entries))
     doc = Document("d", text)
     assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
+
+
+# Rules beside the two default ones: a group after a colon, so a line can
+# hold a keyword match and a disjoint rule match; a group that starts inside
+# the line's first word; a group that trims to nothing, which still ends the
+# line's rule search; and an optional group that can sit out the match,
+# which then matches nothing.
+_RULES = [
+    *DEFAULT_RULES,
+    _regex_rule("after_colon", r"[^:]*:\s*(\w+)"),
+    _regex_rule("mid_word", r"\W*\w(\w+)"),
+    _regex_rule("colons", r"\s*(:+\s*)"),
+    _regex_rule("numbered", r"(?:(\d+)\.)?\s*[A-ZΣİ]"),
+]
+_NOTE_ATOMS = ["Plan", "PLAN", "Hx", "A", "#", "-", "(Hx)", "Σ", "ς", "σ", "ΟΣ", "İd", "1."]
+
+
+@st.composite
+def _segmenter_inputs(draw):
+    entries = draw(st.lists(st.sampled_from(_NOTE_ATOMS), min_size=1, max_size=6, unique=True))
+    pieces = st.one_of(
+        st.sampled_from(_NOTE_ATOMS),
+        st.sampled_from(_NOTE_ATOMS).map(str.lower),
+        st.text("aZ9 :-.İΣςσ", max_size=5),
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        indent = draw(st.sampled_from(["", "", " ", "\t", "  "]))
+        words = draw(st.lists(pieces, max_size=3))
+        colon = draw(st.sampled_from(["", ":", ": ", " : ", "::"]))
+        tail = draw(st.lists(pieces, max_size=2))
+        lines.append(indent + " ".join(words) + colon + " ".join(tail))
+    rules = draw(st.permutations(_RULES))[:draw(st.integers(0, len(_RULES)))]
+    return HeaderLexicon(entries=set(entries)), Document("d", "\n".join(lines)), rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segmenter_inputs())
+def test_segmenters_equal_their_references(inputs):
+    lexicon, doc, rules = inputs
+    assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
+    assert regex_segment(doc, rules) == reference_regex_segment(doc, rules)
+    assert rule_segment(doc, lexicon, rules) == reference_rule_segment(doc, lexicon, rules)
+    assert rule_segment(doc, lexicon) == reference_rule_segment(doc, lexicon)
 
 
 @given(st.text(alphabet="aZ9_.:-, \tİßΣ\u0301\u0307é²½", max_size=40))

@@ -599,6 +599,9 @@ def test_bad_corpus_error_names_file_and_line(tmp_path, capsys, command):
     (b'[{"name": "x", ', "malformed JSON"),
     (b'{"name": "x", "pattern": "Plan"}', "ruleset file must be a JSON list"),
     (b'[{"name": "x"}]', "each rule needs 'name' and 'pattern'"),
+    (b'[{"name": "r", "pattern": null}]', "each rule needs 'name' and 'pattern' strings"),
+    (b'[{"name": "r", "pattern": 5}]', "each rule needs 'name' and 'pattern' strings"),
+    (b'[{"name": ["r"], "pattern": "Plan"}]', "each rule needs 'name' and 'pattern' strings"),
 ])
 def test_bad_ruleset_file_is_fatal(tmp_path, gold_path, capsys, content, message):
     ruleset = tmp_path / "rules.json"
@@ -993,3 +996,14 @@ def test_evaluate_names_prediction_ids_not_in_corpus(tmp_path, gold_path, gold_s
     ])
     assert code == PARTIAL
     assert capsys.readouterr().err == "2 prediction(s) name no corpus document: aa, zz\n"
+
+
+@pytest.mark.parametrize("command", ["", "segment", "evaluate", "stats", "normalize", "iaa"])
+def test_help_text_is_golden(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    golden = FIXTURES / "help" / f"{command or 'sectionid'}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

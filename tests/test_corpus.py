@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 import statistics
 from pathlib import Path
 
@@ -47,6 +48,19 @@ def test_load_minimal_document(tmp_path):
     assert docs[0].id == "d1"
     assert docs[0].document.source_kind == "ehr_clean"
     assert docs[0].sections[0].raw_header == "Allergies:"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("label", [None, ["Plan"], 3])
+def test_load_refuses_a_label_that_is_not_a_string(tmp_path, strict, label):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [{"id": "d1", "text": "Plan: rest", "sections": [
+        {"label": label, "header_span": [0, 4]},
+    ]}])
+    with pytest.raises(FormatError, match=(
+        f"^{re.escape(str(path))} line 1: section 'label' must be a string \\(document 'd1'\\)$"
+    )):
+        load_gold_corpus(path, strict=strict)
 
 
 def test_load_empty_file(tmp_path):
