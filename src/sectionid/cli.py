@@ -6,6 +6,10 @@ output files are deterministic byte-for-byte given the same inputs. The API
 bearer token is only ever read from the environment variable named in the
 config, never from the config file itself.
 
+Each command builds only its own arguments: ``build_parser`` adds every
+subcommand only when the first argument names none of them, as for
+``--help`` or a usage error.
+
 Exit codes: 0 clean, 2 partial (some documents failed or were missing, or
 some predictions named no corpus document), 1 fatal.
 """
@@ -199,12 +203,14 @@ def _llm_config(config: dict) -> LLMConfig:
 
 
 def _segmenter(
-    config: dict,
+    config: dict, bundled: ontology.Ontology | None,
 ) -> Callable[[list[AnnotatedDocument]], tuple[dict[str, Prediction], list[str]]]:
     """Set up the configured segmenter, reading every file and store it needs.
 
     A refused setting fails here, before any output is written. The function
     returned maps a corpus to its predictions and the ids of failed documents.
+    ``bundled`` is the bundled taxonomy if the run has loaded it, for the
+    default lexicon.
     """
     segmenter = config["segmenter"]
     if segmenter == "llm":
@@ -226,7 +232,7 @@ def _segmenter(
     lexicon = (
         baselines.load_lexicon(config["lexicon"])
         if config["lexicon"]
-        else baselines.HeaderLexicon(entries=ontology.default_lexicon_entries())
+        else baselines.HeaderLexicon(entries=ontology.default_lexicon_entries(bundled))
     )
     rules = (
         baselines.load_ruleset(config["ruleset"]) if config["ruleset"] else baselines.DEFAULT_RULES
@@ -247,7 +253,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = ontology.load_ontology(config["ontology"])
-    segment = _segmenter(config)
+    # the default lexicon is built from the bundled taxonomy, whichever one
+    # the run categorizes with
+    segment = _segmenter(config, ont if config["ontology"] is None else None)
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
     predictions, failed = segment(docs)
@@ -452,71 +460,109 @@ def cmd_iaa(args: argparse.Namespace) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--corpus", help="gold corpus JSONL")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
+    p.add_argument(
+        "--max-edit-ratio", type=float, dest="alignment.max_edit_ratio",
+        metavar="MAX_EDIT_RATIO",
+    )
+    p.add_argument(
+        "--strict", action=argparse.BooleanOptionalAction, default=None,
+        help="abort on corpus invariant violations (default: strict)",
+    )
+
+
+def _segment_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
+    p.add_argument("--segmenter", choices=SEGMENTERS)
+    p.add_argument("--strategy", choices=STRATEGY_KINDS)
+    p.add_argument("--lexicon", help="lexicon file for keyword/rules segmenters")
+    p.add_argument("--ruleset", help="JSON ruleset for regex/rules segmenters")
+    p.add_argument("--replay", help="replay store directory (offline llm runs)")
+    p.add_argument(
+        "--workers", type=int, dest="llm.max_in_flight", metavar="WORKERS",
+        help="max in-flight llm requests",
+    )
+
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
+    p.add_argument("--predictions", required=True, help="predictions JSONL from segment")
+    p.add_argument("--segmenter", choices=SEGMENTERS, help="method name for the report")
+    p.add_argument(
+        "--close-ended", action="store_true", default=None, dest="close_ended_eval",
+        help="compare categorized label sets instead of spans",
+    )
+
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--out")
+    p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
+
+
+def _normalize_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--names", required=True, help="one section name per line")
+    p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
+    p.add_argument("--out", help="output TSV path")
+
+
+def _iaa_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pairs", required=True, help='JSONL: {"id", "a": [...], "b": [...]}')
+    p.add_argument("--out")
+
+
+# Each command's help line, the function adding its arguments and the function
+# running it, in the order ``sectionid --help`` lists them.
+_COMMANDS: dict[
+    str,
+    tuple[str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]],
+] = {
+    "segment": ("run a segmenter over a corpus", _segment_arguments, cmd_segment),
+    "evaluate": ("score predictions against gold", _evaluate_arguments, cmd_evaluate),
+    "stats": ("corpus summary statistics", _stats_arguments, cmd_stats),
+    "normalize": ("categorize section names from a file", _normalize_arguments, cmd_normalize),
+    "iaa": ("inter-annotator agreement over annotation pairs", _iaa_arguments, cmd_iaa),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand ``argv[0]`` names, if it names one.
+
+    Anything else (no argument, ``--help``, an unknown command, a leading
+    flag) gets every subcommand. Either way each help and usage-error text is
+    the same, because the top-level usage line still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="sectionid",
         description="Identify, normalize, and score section headers in clinical notes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--corpus", help="gold corpus JSONL")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
-        p.add_argument(
-            "--max-edit-ratio", type=float, dest="alignment.max_edit_ratio",
-            metavar="MAX_EDIT_RATIO",
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        # the choice list argparse writes itself when every subcommand is
+        # built; set only here, because a metavar also renames "argument
+        # command" in the invalid-choice and missing-command errors
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
         )
-        p.add_argument(
-            "--strict", action=argparse.BooleanOptionalAction, default=None,
-            help="abort on corpus invariant violations (default: strict)",
-        )
-
-    p_segment = sub.add_parser("segment", help="run a segmenter over a corpus")
-    common(p_segment)
-    p_segment.add_argument("--segmenter", choices=SEGMENTERS)
-    p_segment.add_argument("--strategy", choices=STRATEGY_KINDS)
-    p_segment.add_argument("--lexicon", help="lexicon file for keyword/rules segmenters")
-    p_segment.add_argument("--ruleset", help="JSON ruleset for regex/rules segmenters")
-    p_segment.add_argument("--replay", help="replay store directory (offline llm runs)")
-    p_segment.add_argument(
-        "--workers", type=int, dest="llm.max_in_flight", metavar="WORKERS",
-        help="max in-flight llm requests",
-    )
-    p_segment.set_defaults(func=cmd_segment)
-
-    p_eval = sub.add_parser("evaluate", help="score predictions against gold")
-    common(p_eval)
-    p_eval.add_argument("--predictions", required=True, help="predictions JSONL from segment")
-    p_eval.add_argument("--segmenter", choices=SEGMENTERS, help="method name for the report")
-    p_eval.add_argument(
-        "--close-ended", action="store_true", default=None, dest="close_ended_eval",
-        help="compare categorized label sets instead of spans",
-    )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_stats = sub.add_parser("stats", help="corpus summary statistics")
-    p_stats.add_argument("--corpus", required=True)
-    p_stats.add_argument("--out")
-    p_stats.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_norm = sub.add_parser("normalize", help="categorize section names from a file")
-    p_norm.add_argument("--names", required=True, help="one section name per line")
-    p_norm.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
-    p_norm.add_argument("--out", help="output TSV path")
-    p_norm.set_defaults(func=cmd_normalize)
-
-    p_iaa = sub.add_parser("iaa", help="inter-annotator agreement over annotation pairs")
-    p_iaa.add_argument("--pairs", required=True, help='JSONL: {"id", "a": [...], "b": [...]}')
-    p_iaa.add_argument("--out")
-    p_iaa.set_defaults(func=cmd_iaa)
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -268,8 +268,12 @@ def top_section_names() -> list[str]:
     return comment_lines(data_path("top50_sections.txt"))
 
 
-def default_lexicon_entries() -> set[str]:
-    """Top section names plus every surface form in the bundled taxonomy."""
+def default_lexicon_entries(bundled: Ontology | None = None) -> set[str]:
+    """Top section names plus every surface form in the bundled taxonomy.
+
+    ``bundled`` is the bundled taxonomy if the caller has loaded it already;
+    without it, the taxonomy is loaded here.
+    """
     entries = set(top_section_names())
-    entries.update(load_ontology().surface_map.keys())
+    entries.update((load_ontology() if bundled is None else bundled).surface_map.keys())
     return entries

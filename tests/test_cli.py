@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import re
@@ -1007,3 +1008,70 @@ def test_help_text_is_golden(capsys, monkeypatch, command):
     assert exit_info.value.code == 0
     golden = FIXTURES / "help" / f"{command or 'sectionid'}.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+USAGE_ERRORS = json.loads((FIXTURES / "help" / "usage_errors.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", USAGE_ERRORS, ids=[" ".join(case["argv"]) or "(none)" for case in USAGE_ERRORS]
+)
+def test_usage_errors_are_golden(capsys, monkeypatch, case):
+    # a missing command, an unknown one, a missing required flag, a bad choice
+    # or type, and an argument left over after a valid command
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(case["argv"]))
+    assert exit_info.value.code == case["exit_code"]
+    assert capsys.readouterr().err == case["stderr"]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call appends its arguments to the list returned."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_command_builds_only_its_own_arguments(tmp_path, capsys, monkeypatch):
+    names = tmp_path / "names.txt"
+    names.write_text("Plan\n", encoding="utf-8")
+    parsers = _count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
+    arguments = _count_calls(monkeypatch, argparse._ActionsContainer, "add_argument")
+    assert main(["normalize", "--names", str(names), "--out", str(tmp_path / "n.tsv")]) == OK
+    assert len(parsers) == 1
+    # --names, --ontology and --out, and the -h of sectionid and of normalize
+    assert len(arguments) == 3 + 2
+    parsers.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert [args[1] for args in parsers] == ["segment", "evaluate", "stats", "normalize", "iaa"]
+
+
+def test_segment_loads_the_taxonomy_once(tmp_path, gold_path, monkeypatch):
+    loads = _count_calls(monkeypatch, ontology, "load_ontology")
+    code = main(["segment", "--corpus", gold_path, "--segmenter", "rules", "--out", str(tmp_path / "r")])
+    assert code == OK
+    assert loads == [(None,)]
+
+
+def test_segment_lexicon_is_bundled_under_any_taxonomy(tmp_path, gold_path):
+    # a user taxonomy changes the categories, never the default lexicon
+    taxonomy = tmp_path / "tax.csv"
+    taxonomy.write_text("surface_form,category,level\nplan,Plan,coarse\n", encoding="utf-8")
+    runs = {}
+    for name, extra in (("bundled", []), ("user", ["--ontology", str(taxonomy)])):
+        out = tmp_path / name
+        code = main(["segment", "--corpus", gold_path, "--segmenter", "keyword", *extra, "--out", str(out)])
+        assert code == OK
+        runs[name] = read_jsonl(out / "predictions.jsonl")
+    for bundled, user in zip(runs["bundled"], runs["user"]):
+        assert (user["headers"], user["spans"]) == (bundled["headers"], bundled["spans"])
+        assert user["categories"] == [
+            "Plan" if h.lower() == "plan" else ontology.UNKNOWN for h in user["headers"]
+        ]

@@ -3,11 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sectionid.errors import LengthMismatch, MalformedTags, OverlapError
 from sectionid.tokenizer import (
-    B, I, O, Token, iob_to_spans, is_well_formed, spans_to_iob, tokenize,
+    B, I, O, Token, count_tokens, iob_to_spans, is_well_formed, spans_to_iob, tokenize,
 )
 
 
@@ -136,6 +136,24 @@ def test_tokenize_total_and_deterministic(text):
         assert text[tok.start:tok.end] == tok.text
         assert not any(c.isspace() for c in tok.text)
         prev_end = tok.end
+
+
+# `İ` lowercases to two characters, `_` is a word character that is no
+# alphanumeric, and a text may hold no token at all
+@given(
+    st.text(alphabet=st.sampled_from("aZ9 \n\t_.:-İıßΣς") | st.characters(), max_size=60),
+    st.integers(min_value=0, max_value=60),
+    st.none() | st.integers(min_value=0, max_value=60),
+)
+@example("", 0, None)
+@example(" \n\t ", 1, 3)
+@example("İİ_x", 1, None)
+@example("a_b__c", 2, 5)
+@example("Σς: İstanbul", 5, 2)
+def test_count_tokens_equals_tokenize_of_the_slice(text, start, end):
+    start = min(start, len(text))
+    end = None if end is None else min(end, len(text))
+    assert count_tokens(text, start, end) == len(tokenize(text[start:end]))
 
 
 @given(st.data())
