@@ -376,7 +376,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     predictions = _load_predictions(args.predictions, docs)
-    ont = ontology.load_ontology(config["ontology"])
+    # only close-ended scoring reads the taxonomy; a user's file is still checked
+    ont = None
+    if config["close_ended_eval"] or config["ontology"] is not None:
+        ont = ontology.load_ontology(config["ontology"])
     run = metrics.evaluate_run(
         docs,
         predictions,

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import EmptyCorpus, FormatError, SpanError
-from .tokenizer import count_tokens
+from .tokenizer import tokens_before
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -359,7 +359,7 @@ def corpus_stats(docs: list[AnnotatedDocument]) -> CorpusStats:
     """Mean and population standard deviation of tokens and sections per document."""
     if not docs:
         raise EmptyCorpus("corpus_stats needs at least one document")
-    token_counts = [count_tokens(doc.text) for doc in docs]
+    token_counts = [tokens_before(doc.text)[len(doc.text)] for doc in docs]
     section_counts = [len(doc.sections) for doc in docs]
     return CorpusStats(
         document_count=len(docs),

@@ -24,7 +24,7 @@ from .corpus import AnnotatedDocument
 from .errors import EmptyInput, LengthMismatch, MalformedTags
 from .ontology import Ontology, categorize, normalize_surface
 from .prediction import Prediction
-from .tokenizer import O, _check_spans, count_tokens, is_well_formed, splits_token
+from .tokenizer import O, _check_spans, is_well_formed, splits_token, tokens_before
 
 
 @dataclass
@@ -141,20 +141,16 @@ def span_counts(
     spans_to_iob(tokenize(text), pred_spans))``, and the spans are checked
     the same way, but no token or tag is built. Each span claims a run of
     token indices, found from the number of tokens that start before each of
-    its offsets; every count follows from the two run lists.
+    its offsets (``tokens_before``: one ``str.translate`` of the text, then
+    C-level ``str.count`` calls per gap between offsets); every count
+    follows from the two run lists.
     """
     _check_spans(gold_spans)
     _check_spans(pred_spans)
     n = len(text)
-    offsets = {min(max(p, 0), n) for span in (*gold_spans, *pred_spans) for p in span}
-    # before[p]: tokens that start before p. Counting from a alone also
-    # counts the tail of a token cut at a, which started before a.
-    before = {0: 0}
-    a = 0
-    for b in sorted(offsets | {n}):
-        if b > a:
-            before[b] = before[a] + count_tokens(text, a, b) - splits_token(text, a)
-            a = b
+    before = tokens_before(
+        text, {min(max(p, 0), n) for span in (*gold_spans, *pred_spans) for p in span}
+    )
 
     def runs(spans: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         # the [first, last) token runs that spans_to_iob tags B, I...; a

@@ -4,12 +4,16 @@ Tokens carry character offsets into the original text so that span-level
 annotations and token-level tags can be converted back and forth without
 loss. The tagger uses a single implicit HEADER class: B marks the first
 token of a header span, I the rest, O everything else.
+
+Scoring counts tokens without building them: ``tokens_before`` classifies
+each character of a note once, with one ``str.translate``, and counts the
+token starts between two offsets with C-level ``str.count`` calls.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LengthMismatch, MalformedTags, OverlapError
 
@@ -40,13 +44,44 @@ def tokenize(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
-def count_tokens(text: str, start: int = 0, end: int | None = None) -> int:
-    """``len(tokenize(text[start:end]))`` for offsets in ``[0, len(text)]``.
+class _TokenClasses(dict):
+    """A ``str.translate`` table that maps each character to its class.
 
-    The tokens are counted in one C call and never built. A token that
-    straddles ``start`` or ``end`` counts once, for its part inside the range.
+    ``"a"`` for alphanumeric (``[^\\W_]``), ``" "`` for whitespace (``\\s``)
+    and ``"p"`` for any other character, which is a token of its own. A
+    class is looked up once per distinct character, on first use; make a
+    fresh table for each text.
     """
-    return _TOKEN_RE.subn("", text[start:end])[1]
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        cls = self[code] = "a" if char.isalnum() else " " if char.isspace() else "p"
+        return cls
+
+
+def tokens_before(text: str, offsets: Iterable[int] = ()) -> dict[int, int]:
+    """Map 0, ``len(text)`` and each offset to ``len(tokenize(text[:offset]))``.
+
+    That is the number of tokens that start before the offset; offsets must
+    lie in ``[0, len(text)]``. The text is classified once, and the token
+    starts between consecutive offsets are counted in C: every ``p``, and
+    every ``a`` after a ``p`` or a space (a leading space stands before the
+    first character). No token is built.
+    """
+    classes = " " + text.translate(_TokenClasses())
+    before = {0: 0}
+    a = 0
+    for b in sorted({*offsets, len(text)}):
+        if b > a:
+            # classes[i + 1] is the class of text[i]
+            before[b] = (
+                before[a]
+                + classes.count("p", a + 1, b + 1)
+                + classes.count(" a", a, b + 1)
+                + classes.count("pa", a, b + 1)
+            )
+            a = b
+    return before
 
 
 def splits_token(text: str, offset: int) -> bool:

@@ -662,16 +662,20 @@ def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
      " row 3: level must be coarse or fine"),
     ("plan,A,coarse\n", ": taxonomy file must start with a surface_form,category,level header"),
 ], ids=["missing_category", "bad_level", "bad_header"])
-def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, rows, message):
+def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, gold_path, rows, message):
     taxonomy = tmp_path / "tax.csv"
     taxonomy.write_text(rows, encoding="utf-8")
-    code = main([
-        "normalize", "--names", str(FIXTURES / "order_variants.txt"),
-        "--ontology", str(taxonomy),
-    ])
-    err = capsys.readouterr().err
-    assert code == FATAL
-    assert err == f"error: {taxonomy}{message}\n"
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("", encoding="utf-8")
+    # open-mode evaluate does not use the taxonomy but still checks a user's file
+    for argv in (
+        ["normalize", "--names", str(FIXTURES / "order_variants.txt")],
+        ["evaluate", "--corpus", gold_path, "--predictions", str(preds), "--out", str(tmp_path)],
+    ):
+        code = main([*argv, "--ontology", str(taxonomy)])
+        err = capsys.readouterr().err
+        assert code == FATAL
+        assert err == f"error: {taxonomy}{message}\n"
 
 
 def test_stats_on_corpus_that_is_not_utf8_is_fatal(tmp_path, capsys):
@@ -1057,6 +1061,17 @@ def test_segment_loads_the_taxonomy_once(tmp_path, gold_path, monkeypatch):
     loads = _count_calls(monkeypatch, ontology, "load_ontology")
     code = main(["segment", "--corpus", gold_path, "--segmenter", "rules", "--out", str(tmp_path / "r")])
     assert code == OK
+    assert loads == [(None,)]
+
+
+def test_open_evaluate_loads_no_taxonomy(tmp_path, gold_path, monkeypatch):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "fx1", "headers": ["Allergies"]}) + "\n", encoding="utf-8")
+    loads = _count_calls(monkeypatch, ontology, "load_ontology")
+    argv = ["evaluate", "--corpus", gold_path, "--predictions", str(preds)]
+    assert main([*argv, "--out", str(tmp_path / "open")]) == PARTIAL
+    assert loads == []
+    assert main([*argv, "--close-ended", "--out", str(tmp_path / "closed")]) == PARTIAL
     assert loads == [(None,)]
 
 

@@ -375,8 +375,10 @@ def test_report_bytes_are_golden(name, close_ended):
 
 
 # letters, digits, underscore, punctuation, whitespace, letters whose case
-# mapping changes length or context (İ, ß, Σ/ς) and a combining acute accent
-_COUNTER_ALPHABET = "aZ9_.:-, \n\tİßΣς\u0301"
+# mapping changes length or context (İ, ß, Σ/ς), a combining acute accent,
+# non-ASCII space (no-break, line separator), a control character, a
+# superscript digit, an em dash and a letter outside the BMP
+_COUNTER_ALPHABET = "aZ9_.:-, \n\tİßΣς\u0301\u00a0\x1f\u2028²—\U00010400"
 
 
 @st.composite

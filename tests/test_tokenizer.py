@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from sectionid.errors import LengthMismatch, MalformedTags, OverlapError
 from sectionid.tokenizer import (
-    B, I, O, Token, count_tokens, iob_to_spans, is_well_formed, spans_to_iob, tokenize,
+    B, I, O, Token, _TOKEN_RE, _TokenClasses, iob_to_spans, is_well_formed, spans_to_iob,
+    tokenize, tokens_before,
 )
 
 
@@ -150,10 +153,23 @@ def test_tokenize_total_and_deterministic(text):
 @example("İİ_x", 1, None)
 @example("a_b__c", 2, 5)
 @example("Σς: İstanbul", 5, 2)
-def test_count_tokens_equals_tokenize_of_the_slice(text, start, end):
+def test_tokens_before_equals_tokenize_of_the_slice(text, start, end):
     start = min(start, len(text))
     end = None if end is None else min(end, len(text))
-    assert count_tokens(text, start, end) == len(tokenize(text[start:end]))
+    offsets = [start] if end is None else [start, end]
+    # a token cut at an offset counts once, for its part before the offset
+    assert tokens_before(text, offsets) == {
+        p: len(tokenize(text[:p])) for p in (0, *offsets, len(text))
+    }
+
+
+def test_token_classes_are_the_token_pattern_classes():
+    # every code point, surrogates too: alphanumeric where the pattern's
+    # [^\W_] matches, space where \s matches, else a token of its own
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = re.sub(r"\s", " ", re.sub(r"[^\w\s]|_", "p", re.sub(r"[^\W_]", "a", chars)))
+    assert _TOKEN_RE.pattern == r"[^\W_]+|[^\w\s]|_"
+    assert chars.translate(_TokenClasses()) == expected
 
 
 @given(st.data())
