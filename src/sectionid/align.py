@@ -24,12 +24,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .corpus import Document, SectionAnnotation
-from .prediction import Prediction
+from .prediction import CASE_INSENSITIVE, EXACT, FUZZY, Prediction
 from .textdist import max_edits, prefix_distances
-
-EXACT = "exact"
-CASE_INSENSITIVE = "case_insensitive"
-FUZZY = "fuzzy"
 
 DEFAULT_MAX_EDIT_RATIO = 0.2
 
@@ -178,20 +174,13 @@ def align_headers(
 ) -> AlignmentResult:
     """Ground each predicted header to its first plausible span after the cursor.
 
-    Already-grounded predictions pass through unchanged, a ``None`` span
-    listed as unmatched. Headers that cannot be placed are listed in
+    Only ``pred.headers`` is read; spans the prediction carries play no
+    part. Headers that cannot be placed are listed in
     ``unmatched_predictions``; they never raise.
     """
     if not 0 <= max_edit_ratio < 1:
         raise ValueError("max_edit_ratio must be in [0, 1)")
     result = AlignmentResult()
-    if pred.grounded:
-        for i, span in enumerate(pred.spans or ()):
-            if span is None:
-                result.unmatched_predictions.append(i)
-            else:
-                result.matches.append(HeaderMatch(i, span, EXACT))
-        return result
     text = doc.text
     lines: _NoteLines | None = None
     cursor = 0

@@ -29,13 +29,12 @@ from .corpus import (
     AnnotatedDocument,
     Document,
     _jsonl_objects,
-    _parse_span,
     corpus_stats,
     load_gold_corpus,
     open_text,
     read_json,
 )
-from .errors import FormatError, LengthMismatch, OverlapError, SectionIdError, SpanError
+from .errors import FormatError, SectionIdError
 from .llm import (
     CLOSE_ENDED,
     ONE_SHOT,
@@ -47,7 +46,7 @@ from .llm import (
     ReplayClient,
     extract_corpus,
 )
-from .prediction import Prediction
+from .prediction import Prediction, load_predictions, prediction_line
 
 OK = 0
 FATAL = 1
@@ -263,111 +262,16 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:
             pred = predictions.get(doc.id, Prediction(headers=[]))
-            # headers stay in model/segmenter order; fully grounded output
-            # carries a parallel span list, otherwise grounding is reported
-            # per header index so nothing is dropped
-            record: dict[str, object] = {
-                "id": doc.id,
-                "headers": pred.headers,
-                "spans": [list(s) for s in pred.spans] if pred.grounded else None,
-                "categories": [ontology.categorize(h, ont) for h in pred.headers],
-            }
+            matches = unmatched = None
             if not pred.grounded:
                 result = align.align_headers(doc.document, pred, max_edit_ratio=max_ratio)
-                record["grounding"] = [
-                    {"header_index": m.prediction_index, "span": list(m.span), "kind": m.match_kind}
-                    for m in result.matches
-                ]
-                record["unmatched"] = result.unmatched_predictions
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                matches, unmatched = result.matches, result.unmatched_predictions
+            categories = [ontology.categorize(h, ont) for h in pred.headers]
+            fh.write(prediction_line(doc.id, pred, categories, matches, unmatched))
     if failed:
         print(f"{len(failed)} document(s) failed: {', '.join(sorted(failed))}", file=sys.stderr)
         return PARTIAL
     return OK
-
-
-_MATCH_KINDS = (align.EXACT, align.CASE_INSENSITIVE, align.FUZZY)
-
-
-def _carried_spans(
-    grounding: object, unmatched: object, count: int, where: str
-) -> list[tuple[int, int] | None]:
-    """The per-header spans a line's ``grounding`` and ``unmatched`` record."""
-    if not isinstance(grounding, list) or not all(isinstance(g, dict) for g in grounding):
-        raise FormatError(f"{where}: 'grounding' must be a list of objects")
-    spans: list[tuple[int, int] | None] = [None] * count
-    for entry in grounding:
-        index = entry.get("header_index")
-        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < count:
-            raise FormatError(
-                f"{where}: 'header_index' must be an int in [0, {count}), got {index!r}"
-            )
-        if spans[index] is not None:
-            raise FormatError(f"{where}: header {index} is grounded twice")
-        if entry.get("kind") not in _MATCH_KINDS:
-            raise FormatError(
-                f"{where}: 'kind' must be one of {', '.join(_MATCH_KINDS)}, "
-                f"got {entry.get('kind')!r}"
-            )
-        spans[index] = _parse_span(entry.get("span"), "each grounding span", where)
-    left = [i for i, span in enumerate(spans) if span is None]
-    if not (
-        isinstance(unmatched, list)
-        and all(isinstance(i, int) and not isinstance(i, bool) for i in unmatched)
-        and unmatched == left
-    ):
-        raise FormatError(
-            f"{where}: 'unmatched' must list the ungrounded headers {left}, got {unmatched!r}"
-        )
-    return spans
-
-
-def _load_predictions(path: str | Path, docs: list[AnnotatedDocument]) -> dict[str, Prediction]:
-    """Read predictions JSONL; every bad line fails with the file and line number.
-
-    A line's ``grounding`` and ``unmatched`` become its per-header spans, so
-    only a line with neither ``spans`` nor ``grounding`` is aligned later.
-    """
-    lengths = {doc.id: len(doc.text) for doc in docs}
-    predictions: dict[str, Prediction] = {}
-    first_line: dict[str, int] = {}
-    for lineno, where, obj in _jsonl_objects(path):
-        if not isinstance(obj.get("id"), str):
-            raise FormatError(f"{where}: 'id' must be a string")
-        if obj["id"] in first_line:
-            raise FormatError(
-                f"{where}: duplicate prediction for document {obj['id']!r} "
-                f"(first on line {first_line[obj['id']]})"
-            )
-        first_line[obj["id"]] = lineno
-        headers = obj.get("headers", [])
-        if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
-            raise FormatError(f"{where}: 'headers' must be a list of strings")
-        spans = obj.get("spans")
-        if spans is not None:
-            if not isinstance(spans, list):
-                raise FormatError(f"{where}: 'spans' must be a list or null")
-            spans = [_parse_span(s, "each span", where) for s in spans]
-        grounding, unmatched = obj.get("grounding"), obj.get("unmatched")
-        if grounding is not None or unmatched is not None:
-            if spans is not None:
-                raise FormatError(f"{where}: a line sets 'spans' or 'grounding', not both")
-            spans = _carried_spans(grounding, unmatched, len(headers), where)
-        try:
-            pred = Prediction(headers=headers, spans=spans)
-        except (LengthMismatch, OverlapError) as exc:
-            raise SpanError(f"{where}: {exc}") from exc
-        placed = pred.placed_spans()
-        length = lengths.get(obj["id"])
-        if placed and length is not None and not (
-            0 <= placed[0][0] and placed[-1][1] <= length
-        ):
-            raise SpanError(
-                f"{where}: spans must lie within document {obj['id']!r} "
-                f"of {length} characters"
-            )
-        predictions[obj["id"]] = pred
-    return predictions
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -375,7 +279,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not config["corpus"]:
         raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
-    predictions = _load_predictions(args.predictions, docs)
+    predictions = load_predictions(args.predictions, docs)
     # only close-ended scoring reads the taxonomy; a user's file is still checked
     ont = None
     if config["close_ended_eval"] or config["ontology"] is not None:
@@ -398,17 +302,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(rendered, end="")  # the table, written last
     missing = [doc.id for doc in docs if doc.id not in predictions]
     unknown = predictions.keys() - {doc.id for doc in docs}
-    if missing:
-        print(
-            f"{len(missing)} document(s) had no prediction and scored empty: "
-            f"{', '.join(sorted(missing))}",
-            file=sys.stderr,
-        )
-    if unknown:
-        print(
-            f"{len(unknown)} prediction(s) name no corpus document: {', '.join(sorted(unknown))}",
-            file=sys.stderr,
-        )
+    for ids, what in (
+        (missing, "document(s) had no prediction and scored empty"),
+        (unknown, "prediction(s) name no corpus document"),
+    ):
+        if ids:
+            print(f"{len(ids)} {what}: {', '.join(sorted(ids))}", file=sys.stderr)
     return PARTIAL if missing or unknown else OK
 
 
@@ -573,10 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return int(args.func(args))
-    except SectionIdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FATAL
-    except OSError as exc:
+    except (SectionIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FATAL
 

@@ -225,13 +225,12 @@ def _not_utf8(path: str | Path | Traversable) -> str:
 
 
 def _parse_span(value: object, what: str, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise FormatError(f"{where}: {what} must be a [start, end] pair of ints")
-    return (value[0], value[1])
+    # type() is int, where isinstance would let a bool through
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        start, end = value
+        if type(start) is int and type(end) is int:
+            return (start, end)
+    raise FormatError(f"{where}: {what} must be a [start, end] pair of ints")
 
 
 def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDocument]:

@@ -282,11 +282,11 @@ def evaluate_run(
 ) -> RunReport:
     """Score one segmenter run against gold annotations.
 
-    Open mode grounds each prediction that carries no spans (module
-    ``align``; a grounded one passes through as it is), counts gold and
-    predicted spans as token IOB tags (``span_counts``), and micro-averages;
-    exact match is macro-averaged per document. Close-ended mode instead
-    compares the categorized label sets, which requires an ontology.
+    Open mode scores a grounded prediction's placed spans, its ``None``
+    entries as unmatched headers, and aligns one without spans (``align``)
+    first; spans count as token IOB tags (``span_counts``), micro-averaged,
+    and exact match is macro-averaged per document. Close-ended mode
+    compares the categorized label sets instead, which needs an ontology.
     Documents without a prediction are scored against an empty one.
     """
     if close_ended and ontology is None:
@@ -302,11 +302,16 @@ def evaluate_run(
             )
             unmatched: list[str] = []
         else:
-            alignment = align_headers(doc.document, pred, max_edit_ratio=max_edit_ratio)
-            counts = span_counts(doc.text, doc.header_spans(), alignment.matched_spans())
+            if pred.grounded:
+                spans = pred.placed_spans()
+                unmatched = [h for h, span in zip(pred.headers, pred.spans or ()) if span is None]
+            else:
+                alignment = align_headers(doc.document, pred, max_edit_ratio=max_edit_ratio)
+                spans = alignment.matched_spans()
+                unmatched = [pred.headers[i] for i in alignment.unmatched_predictions]
+            counts = span_counts(doc.text, doc.header_spans(), spans)
             counts.gold_headers = len(doc.sections)
             counts.matched_exact = exact_match_count(doc.header_texts(), pred.headers)
-            unmatched = [pred.headers[i] for i in alignment.unmatched_predictions]
         per_doc.append(DocScore(counts=counts, doc_id=doc.id, unmatched_headers=unmatched))
         total.add(counts)
     em = sum(d.em for d in per_doc) / len(per_doc) if per_doc else 1.0

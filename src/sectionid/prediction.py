@@ -1,11 +1,27 @@
-"""Segmenter output: an ordered header list, optionally grounded to spans."""
+"""Segmenter output, an ordered header list optionally grounded to spans,
+and ``predictions.jsonl``: ``segment`` writes each line with
+``prediction_line`` and ``evaluate`` reads the file with ``load_predictions``.
+"""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import LengthMismatch
+from .corpus import AnnotatedDocument, _jsonl_objects, _parse_span
+from .errors import FormatError, LengthMismatch, OverlapError, SpanError
 from .tokenizer import _check_spans
+
+if TYPE_CHECKING:
+    from .align import HeaderMatch
+
+# How alignment placed a header; ``align`` imports these.
+EXACT = "exact"
+CASE_INSENSITIVE = "case_insensitive"
+FUZZY = "fuzzy"
+MATCH_KINDS = (EXACT, CASE_INSENSITIVE, FUZZY)
 
 
 @dataclass
@@ -30,3 +46,97 @@ class Prediction:
 
     def placed_spans(self) -> list[tuple[int, int]]:
         return [span for span in self.spans or () if span is not None]
+
+
+def prediction_line(
+    doc_id: str, pred: Prediction, categories: list[str],
+    matches: Sequence[HeaderMatch] | None = None, unmatched: list[int] | None = None,
+) -> str:
+    """One ``predictions.jsonl`` line, newline included, headers in segmenter order.
+
+    An ungrounded prediction (``"spans": null``) carries its alignment: a
+    ``grounding`` entry per one of ``matches`` and the ``unmatched`` indices.
+    """
+    record: dict[str, object] = {
+        "id": doc_id, "headers": pred.headers, "spans": pred.spans, "categories": categories,
+    }
+    if matches is not None:
+        record["grounding"] = [
+            {"header_index": m.prediction_index, "span": m.span, "kind": m.match_kind}
+            for m in matches
+        ]
+        record["unmatched"] = unmatched
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _line_spans(obj: dict, count: int, where: str) -> list[tuple[int, int] | None] | None:
+    """A line's per-header spans: its ``spans``, or those its ``grounding`` and
+    ``unmatched`` record; ``None`` for a line with neither."""
+    spans, grounding, unmatched = obj.get("spans"), obj.get("grounding"), obj.get("unmatched")
+    if spans is not None:
+        if not isinstance(spans, list):
+            raise FormatError(f"{where}: 'spans' must be a list or null")
+        spans = [_parse_span(s, "each span", where) for s in spans]
+    if grounding is None and unmatched is None:
+        return spans
+    if spans is not None:
+        raise FormatError(f"{where}: a line sets 'spans' or 'grounding', not both")
+    if not isinstance(grounding, list) or not all(isinstance(g, dict) for g in grounding):
+        raise FormatError(f"{where}: 'grounding' must be a list of objects")
+    carried: list[tuple[int, int] | None] = [None] * count
+    for entry in grounding:
+        index, kind = entry.get("header_index"), entry.get("kind")
+        if type(index) is not int or not 0 <= index < count:
+            raise FormatError(
+                f"{where}: 'header_index' must be an int in [0, {count}), got {index!r}"
+            )
+        if carried[index] is not None:
+            raise FormatError(f"{where}: header {index} is grounded twice")
+        if kind not in MATCH_KINDS:
+            raise FormatError(
+                f"{where}: 'kind' must be one of {', '.join(MATCH_KINDS)}, got {kind!r}"
+            )
+        carried[index] = _parse_span(entry.get("span"), "each grounding span", where)
+    left = [i for i, span in enumerate(carried) if span is None]
+    # == alone would take True for 1
+    ints = isinstance(unmatched, list) and all(type(i) is int for i in unmatched)
+    if not ints or unmatched != left:
+        raise FormatError(
+            f"{where}: 'unmatched' must list the ungrounded headers {left}, got {unmatched!r}"
+        )
+    return carried
+
+
+def load_predictions(path: str | Path, docs: Sequence[AnnotatedDocument]) -> dict[str, Prediction]:
+    """Read predictions JSONL; every bad line fails with the file and line number.
+
+    Only a line with neither ``spans`` nor ``grounding`` is left ungrounded.
+    Placed spans must lie within the corpus document the line names.
+    """
+    lengths = {doc.id: len(doc.text) for doc in docs}
+    predictions: dict[str, Prediction] = {}
+    first_line: dict[str, int] = {}
+    for lineno, where, obj in _jsonl_objects(path):
+        doc_id, headers = obj.get("id"), obj.get("headers", [])
+        if not isinstance(doc_id, str):
+            raise FormatError(f"{where}: 'id' must be a string")
+        if doc_id in first_line:
+            raise FormatError(
+                f"{where}: duplicate prediction for document {doc_id!r} "
+                f"(first on line {first_line[doc_id]})"
+            )
+        first_line[doc_id] = lineno
+        if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
+            raise FormatError(f"{where}: 'headers' must be a list of strings")
+        spans = _line_spans(obj, len(headers), where)
+        try:
+            pred = Prediction(headers=headers, spans=spans)
+        except (LengthMismatch, OverlapError) as exc:
+            raise SpanError(f"{where}: {exc}") from exc
+        placed, length = pred.placed_spans(), lengths.get(doc_id)
+        if placed and length is not None and not (0 <= placed[0][0] and placed[-1][1] <= length):
+            raise SpanError(
+                f"{where}: spans must lie within document {doc_id!r} of {length} characters"
+            )
+        predictions[doc_id] = pred
+    return predictions

@@ -29,8 +29,8 @@ from sectionid.align import (
     line_starts,
     sections_from_alignment,
 )
-from sectionid.corpus import Document, validate_corpus
-from sectionid.prediction import Prediction
+from sectionid.corpus import AnnotatedDocument, Document, validate_corpus
+from sectionid.prediction import Prediction, load_predictions, prediction_line
 from sectionid.textdist import edit_ratio, levenshtein
 
 
@@ -194,15 +194,6 @@ def test_cursor_skips_earlier_text():
     assert result.matches[1].span == (22, 28)
 
 
-def test_grounded_prediction_passes_through():
-    doc = Document("d", "Alpha: one\nBeta: two\n")
-    pred = Prediction(headers=["Alpha", "Gamma", "Beta"], spans=[(0, 5), None, (11, 15)])
-    result = align_headers(doc, pred)
-    assert result.matched_spans() == [(0, 5), (11, 15)]
-    assert [m.prediction_index for m in result.matches] == [0, 2]
-    assert result.unmatched_predictions == [1]
-
-
 def test_matches_strictly_increase():
     rng = random.Random(3)
     for doc in make_synthetic_corpus(rng, 20, min_sections=1):
@@ -255,17 +246,27 @@ def test_every_header_is_matched_or_unmatched_never_both(case, ratio):
 
 @settings(max_examples=300, deadline=None)
 @given(_text_and_headers(), st.floats(0.0, 1.0, exclude_max=True))
-def test_alignment_carried_as_spans_passes_through_unchanged(case, ratio):
-    # the per-header spans evaluate reads from segment's grounding
+def test_every_prediction_segment_writes_reads_back(tmp_path_factory, case, ratio):
+    # segment writes an aligned prediction with its grounding, and a
+    # grounded one (the rules segmenters') with its spans
     text, headers = case
     doc = Document("d", text)
-    result = align_headers(doc, Prediction(headers=headers), ratio)
+    pred = Prediction(headers=headers)
+    result = align_headers(doc, pred, ratio)
     spans: list[tuple[int, int] | None] = [None] * len(headers)
     for m in result.matches:
         spans[m.prediction_index] = m.span
-    carried = align_headers(doc, Prediction(headers=headers, spans=spans), ratio)
-    assert carried.matched_spans() == result.matched_spans()
-    assert carried.unmatched_predictions == result.unmatched_predictions
+    grounded = Prediction(
+        [headers[m.prediction_index] for m in result.matches], result.matched_spans()
+    )
+    lines = prediction_line(
+        "aligned", pred, ["UNKNOWN"] * len(headers), result.matches, result.unmatched_predictions
+    ) + prediction_line("grounded", grounded, ["UNKNOWN"] * len(grounded.headers))
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    path.write_text(lines, encoding="utf-8")
+    docs = [AnnotatedDocument(Document(doc_id, text)) for doc_id in ("aligned", "grounded")]
+    read = load_predictions(path, docs)
+    assert read == {"aligned": Prediction(headers, spans), "grounded": grounded}
 
 
 @settings(max_examples=300, deadline=None)

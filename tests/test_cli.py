@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import re
@@ -64,6 +65,26 @@ def test_segment_llm_replay_deterministic(tmp_path, gold_path, replay_store):
     fx5 = records[-1]
     assert fx5["headers"] == ["Allergies", "Famly History"]
     assert fx5["grounding"][1]["kind"] == "fuzzy"
+
+
+# sha256 of segment's predictions.jsonl on gold_small, first 16 hex digits;
+# pins every byte of both the grounded (rules) and the aligned (llm) format.
+# run_config.json is left out: it holds absolute paths.
+GOLDEN_PREDICTIONS = {
+    "rules": "d9dd2e7791fc0095",
+    "llm": "7d2d1a9e2eda1cf8",
+}
+
+
+@pytest.mark.parametrize("segmenter", list(GOLDEN_PREDICTIONS))
+def test_predictions_bytes_are_golden(tmp_path, gold_path, replay_store, segmenter):
+    out = tmp_path / "run"
+    replay = ["--replay", str(replay_store)] if segmenter == "llm" else []
+    assert main([
+        "segment", "--corpus", gold_path, "--segmenter", segmenter, *replay, "--out", str(out),
+    ]) == OK
+    digest = hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest()[:16]
+    assert digest == GOLDEN_PREDICTIONS[segmenter]
 
 
 def test_evaluate_gold_echo_scores_100(tmp_path, gold_path, gold_small, capsys):
@@ -367,6 +388,7 @@ def _regrounded(first=None, second=None, **fields):
     (_regrounded(second={"header_index": 0}), "header 0 is grounded twice"),
     (_regrounded({"span": [0]}), "each grounding span must be a [start, end] pair of ints"),
     (_regrounded({"span": [0, 3.0]}), "each grounding span must be a [start, end] pair of ints"),
+    (_regrounded({"span": [0, True]}), "each grounding span must be a [start, end] pair of ints"),
     (_regrounded(second={"span": [44, 900]}), "spans must lie within document 'fx2' of 65 characters"),
     (_regrounded({"span": [-1, 3]}), "spans must lie within document 'fx2' of 65 characters"),
     (_regrounded({"span": [44, 48]}, {"span": [0, 3]}), "got start 0 before 48"),
@@ -382,8 +404,8 @@ def _regrounded(first=None, second=None, **fields):
     (_regrounded(spans=[[0, 3], [25, 35], [44, 48]]), "a line sets 'spans' or 'grounding', not both"),
 ], ids=[
     "index-not-int", "index-bool", "index-out-of-range", "index-repeats", "span-not-pair",
-    "span-not-ints", "span-past-end", "span-before-start", "unsorted", "overlapping", "empty-span",
-    "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
+    "span-not-ints", "span-bool", "span-past-end", "span-before-start", "unsorted", "overlapping",
+    "empty-span", "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
     "unmatched-not-ints", "unmatched-without-grounding", "grounding-not-objects",
     "spans-and-grounding",
 ])

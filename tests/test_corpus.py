@@ -63,6 +63,18 @@ def test_load_refuses_a_label_that_is_not_a_string(tmp_path, strict, label):
         load_gold_corpus(path, strict=strict)
 
 
+@pytest.mark.parametrize("span", [[0], [0, 4, 5], [0, 4.0], [0, True], "0-4", None])
+def test_load_refuses_a_header_span_that_is_not_a_pair_of_ints(tmp_path, span):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [{"id": "d1", "text": "Plan: rest", "sections": [
+        {"label": "Plan", "header_span": span},
+    ]}])
+    with pytest.raises(FormatError, match=(
+        f"^{re.escape(str(path))} line 1: header_span must be a \\[start, end\\] pair of ints$"
+    )):
+        load_gold_corpus(path)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")

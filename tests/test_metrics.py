@@ -287,6 +287,19 @@ def test_evaluate_run_three_doc_planted_miss():
     assert ems == {"da": 1.0, "db": 0.0, "dc": 1.0}
 
 
+def test_evaluate_run_scores_carried_spans_as_they_are():
+    # aligning da's headers again would place both on gold; the carried
+    # spans place "Alpha One" nowhere and "Beta Two" on the body word "cc"
+    corpus = _planted_miss_corpus()[:1]
+    headers = ["Alpha One", "Beta Two"]
+    realigned = evaluate_run(corpus, {"da": Prediction(headers=headers)})
+    assert (realigned.report.counts.tp, realigned.per_doc[0].unmatched_headers) == (4, [])
+    run = evaluate_run(corpus, {"da": Prediction(headers=headers, spans=[None, (27, 29)])})
+    c = run.report.counts
+    assert (c.tp, c.fp, c.fn, c.pred_tokens) == (0, 1, 4, 1)
+    assert run.per_doc[0].unmatched_headers == ["Alpha One"]
+
+
 def test_render_report_formats():
     rng = random.Random(79)
     corpus = make_synthetic_corpus(rng, 5)
@@ -478,15 +491,13 @@ def test_evaluate_aligns_no_prediction_segment_grounded(replay_store, monkeypatc
     expected = reports("plain")
     real = align.align_headers
 
-    def grounded_only(doc, pred, *args, **kwargs):
-        if pred.spans is None:
-            raise AssertionError("evaluate aligned a prediction that segment grounded")
-        return real(doc, pred, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate aligned a prediction that segment grounded")
 
     # every name bound to it in the package, imported names included
     for name, module in list(sys.modules.items()):
         if name == "sectionid" or name.startswith("sectionid."):
             for attr, value in list(vars(module).items()):
                 if value is real:
-                    monkeypatch.setattr(module, attr, grounded_only)
+                    monkeypatch.setattr(module, attr, refuse)
     assert reports("patched") == expected
