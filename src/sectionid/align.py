@@ -5,7 +5,9 @@ document left to right with a cursor: each header is searched for from the
 cursor, first verbatim, then case-insensitively, then by fuzzy comparison
 against the prefixes of upcoming lines. Fuzzy matching absorbs OCR-style
 misspellings; headers that summarize rather than quote the document stay
-unmatched and are reported, not guessed at.
+unmatched and are reported, not guessed at. ``prediction`` owns the result
+types; its ``prediction_line`` writes one ``AlignmentResult`` per ungrounded
+prediction and refuses a grounded one with a ``None`` span or an alignment.
 
 The fuzzy stage reads each line's folded prefix from one per-note
 ``_NoteLines``, built at the first header that reaches it, and runs a DP
@@ -21,10 +23,9 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .corpus import Document, SectionAnnotation
-from .prediction import CASE_INSENSITIVE, EXACT, FUZZY, Prediction
+from .prediction import CASE_INSENSITIVE, EXACT, FUZZY, AlignmentResult, HeaderMatch, Prediction
 from .textdist import max_edits, prefix_distances
 
 DEFAULT_MAX_EDIT_RATIO = 0.2
@@ -32,22 +33,6 @@ DEFAULT_MAX_EDIT_RATIO = 0.2
 # Fuzzy candidates are line prefixes; headers longer than this are compared
 # against at most the first 80 characters of a line.
 _LINE_PREFIX_LIMIT = 80
-
-
-@dataclass
-class HeaderMatch:
-    prediction_index: int
-    span: tuple[int, int]
-    match_kind: str
-
-
-@dataclass
-class AlignmentResult:
-    matches: list[HeaderMatch] = field(default_factory=list)
-    unmatched_predictions: list[int] = field(default_factory=list)
-
-    def matched_spans(self) -> list[tuple[int, int]]:
-        return [m.span for m in self.matches]
 
 
 def line_starts(text: str) -> list[int]:
@@ -72,17 +57,16 @@ def _fold(s: str) -> str:
 class _NoteLines:
     """One note's lines as the fuzzy stage reads them, shared by its headers.
 
-    ``raw[i]`` is line ``i``'s first ``_LINE_PREFIX_LIMIT`` characters and
-    ``folded[i]`` is that prefix folded with ``_fold`` on its own, exactly the
-    string the DP reads (so a final sigma at the cut stays as it was).
+    ``folded[i]`` is line ``i``'s first ``_LINE_PREFIX_LIMIT`` characters folded
+    on their own, exactly what the DP reads (a final sigma at the cut stays as
+    it was), and as long and as blank as the raw prefix.
     ``joined`` is the folded prefixes joined by '\n'; line ``i`` begins at
     ``offsets[i]`` in it.
     """
 
     def __init__(self, text: str) -> None:
         self.starts = line_starts(text)
-        self.raw = [line[:_LINE_PREFIX_LIMIT] for line in text.split("\n")]
-        self.folded = [_fold(prefix) for prefix in self.raw]
+        self.folded = [_fold(line[:_LINE_PREFIX_LIMIT]) for line in text.split("\n")]
         self.joined = "\n".join(self.folded)
         self.offsets: list[int] = []
         offset = 0
@@ -148,9 +132,9 @@ def _fuzzy_line_match(
         candidates = range(first, len(lines.starts))
     lo = max(1, len(needle) - slack)
     for i in candidates:
-        if not lines.raw[i].strip():
+        if not lines.folded[i].strip():
             continue
-        hi = min(len(lines.raw[i]), width)
+        hi = min(len(lines.folded[i]), width)
         if lo > hi:
             continue
         # no prefix past hi is read

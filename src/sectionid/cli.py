@@ -262,12 +262,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:
             pred = predictions.get(doc.id, Prediction(headers=[]))
-            matches = unmatched = None
-            if not pred.grounded:
-                result = align.align_headers(doc.document, pred, max_edit_ratio=max_ratio)
-                matches, unmatched = result.matches, result.unmatched_predictions
+            alignment = None if pred.grounded else align.align_headers(doc.document, pred, max_ratio)
             categories = [ontology.categorize(h, ont) for h in pred.headers]
-            fh.write(prediction_line(doc.id, pred, categories, matches, unmatched))
+            fh.write(prediction_line(doc.id, pred, categories, alignment))
     if failed:
         print(f"{len(failed)} document(s) failed: {', '.join(sorted(failed))}", file=sys.stderr)
         return PARTIAL

@@ -1,27 +1,42 @@
-"""Segmenter output, an ordered header list optionally grounded to spans,
-and ``predictions.jsonl``: ``segment`` writes each line with
-``prediction_line`` and ``evaluate`` reads the file with ``load_predictions``.
+"""Segmenter output (``Prediction``), the grounding types ``align`` fills in
+(``HeaderMatch``, ``AlignmentResult``) and ``predictions.jsonl``: ``segment``
+writes each line with ``prediction_line`` from one alignment, refusing a
+grounded prediction with a ``None`` span or an alignment, and ``evaluate``
+reads the file with ``load_predictions``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .corpus import AnnotatedDocument, _jsonl_objects, _parse_span
 from .errors import FormatError, LengthMismatch, OverlapError, SpanError
 from .tokenizer import _check_spans
 
-if TYPE_CHECKING:
-    from .align import HeaderMatch
-
-# How alignment placed a header; ``align`` imports these.
+# How alignment placed a header; ``align`` imports these and the types below.
 EXACT = "exact"
 CASE_INSENSITIVE = "case_insensitive"
 FUZZY = "fuzzy"
 MATCH_KINDS = (EXACT, CASE_INSENSITIVE, FUZZY)
+
+
+@dataclass
+class HeaderMatch:
+    prediction_index: int
+    span: tuple[int, int]
+    match_kind: str
+
+
+@dataclass
+class AlignmentResult:
+    matches: list[HeaderMatch] = field(default_factory=list)
+    unmatched_predictions: list[int] = field(default_factory=list)
+
+    def matched_spans(self) -> list[tuple[int, int]]:
+        return [m.span for m in self.matches]
 
 
 @dataclass
@@ -49,23 +64,26 @@ class Prediction:
 
 
 def prediction_line(
-    doc_id: str, pred: Prediction, categories: list[str],
-    matches: Sequence[HeaderMatch] | None = None, unmatched: list[int] | None = None,
+    doc_id: str, pred: Prediction, categories: list[str], alignment: AlignmentResult | None = None
 ) -> str:
     """One ``predictions.jsonl`` line, newline included, headers in segmenter order.
 
-    An ungrounded prediction (``"spans": null``) carries its alignment: a
-    ``grounding`` entry per one of ``matches`` and the ``unmatched`` indices.
+    An ungrounded prediction (``"spans": null``) carries its ``alignment``;
+    a grounded one must place every header and takes none (``ValueError``).
     """
+    if pred.spans is not None and alignment is not None:
+        raise ValueError(f"{doc_id}: a grounded prediction takes no alignment")
+    if pred.spans is not None and None in pred.spans:
+        raise ValueError(f"{doc_id}: a grounded prediction must place every header")
     record: dict[str, object] = {
         "id": doc_id, "headers": pred.headers, "spans": pred.spans, "categories": categories,
     }
-    if matches is not None:
+    if alignment is not None:
         record["grounding"] = [
             {"header_index": m.prediction_index, "span": m.span, "kind": m.match_kind}
-            for m in matches
+            for m in alignment.matches
         ]
-        record["unmatched"] = unmatched
+        record["unmatched"] = alignment.unmatched_predictions
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -22,6 +22,8 @@ from sectionid.align import (
     DEFAULT_MAX_EDIT_RATIO,
     EXACT,
     FUZZY,
+    AlignmentResult,
+    HeaderMatch,
     _fold,
     _fuzzy_line_match,
     _NoteLines,
@@ -90,11 +92,15 @@ def test_fuzzy_span_counts_dotted_capital_i_once(text, header, span):
     assert [(m.span, m.match_kind) for m in result.matches] == [(span, FUZZY)]
 
 
+@example("".join(map(chr, range(0x110000))))  # every code point
 @given(st.text(st.one_of(st.sampled_from("İiIßẞΣσς\u0307"), st.characters()), max_size=30))
 def test_fold_keeps_every_offset(text):
-    assert len(_fold(text)) == len(text)
+    folded = _fold(text)
+    assert len(folded) == len(text)
+    # so a line's folded prefix is as long, and as blank, as its raw prefix
+    assert [c.isspace() for c in folded] == [c.isspace() for c in text]
     if "İ" not in text:
-        assert _fold(text) == text.lower()
+        assert folded == text.lower()
 
 
 # Lines of a few letters, so that near matches are common, with cased and
@@ -259,14 +265,25 @@ def test_every_prediction_segment_writes_reads_back(tmp_path_factory, case, rati
     grounded = Prediction(
         [headers[m.prediction_index] for m in result.matches], result.matched_spans()
     )
-    lines = prediction_line(
-        "aligned", pred, ["UNKNOWN"] * len(headers), result.matches, result.unmatched_predictions
-    ) + prediction_line("grounded", grounded, ["UNKNOWN"] * len(grounded.headers))
+    lines = prediction_line("aligned", pred, ["UNKNOWN"] * len(headers), result) + (
+        prediction_line("grounded", grounded, ["UNKNOWN"] * len(grounded.headers))
+    )
     path = tmp_path_factory.getbasetemp() / "written.jsonl"
     path.write_text(lines, encoding="utf-8")
     docs = [AnnotatedDocument(Document(doc_id, text)) for doc_id in ("aligned", "grounded")]
     read = load_predictions(path, docs)
     assert read == {"aligned": Prediction(headers, spans), "grounded": grounded}
+
+
+@pytest.mark.parametrize("pred, alignment", [
+    # "spans": [[0, 1], null], refused as not a [start, end] pair
+    (Prediction(["A", "B"], [(0, 1), None]), None),
+    # both 'spans' and 'grounding', refused as setting both
+    (Prediction(["A"], [(0, 1)]), AlignmentResult([HeaderMatch(0, (0, 1), EXACT)])),
+])
+def test_writer_refuses_a_line_the_reader_refuses(pred, alignment):
+    with pytest.raises(ValueError, match="grounded prediction"):
+        prediction_line("d", pred, ["X"] * len(pred.headers), alignment)
 
 
 @settings(max_examples=300, deadline=None)

@@ -402,12 +402,17 @@ def _regrounded(first=None, second=None, **fields):
     (_regrounded(grounding=None), "'grounding' must be a list of objects"),
     (_regrounded(grounding=[[0, [0, 3], "exact"]]), "'grounding' must be a list of objects"),
     (_regrounded(spans=[[0, 3], [25, 35], [44, 48]]), "a line sets 'spans' or 'grounding', not both"),
+    (_regrounded(id=2), "'id' must be a string"),
+    (_regrounded(headers=["HPI", 1, "Plan"]), "'headers' must be a list of strings"),
+    (_regrounded(headers="HPI"), "'headers' must be a list of strings"),
+    (_regrounded(spans={"HPI": [0, 3]}), "'spans' must be a list or null"),
 ], ids=[
     "index-not-int", "index-bool", "index-out-of-range", "index-repeats", "span-not-pair",
     "span-not-ints", "span-bool", "span-past-end", "span-before-start", "unsorted", "overlapping",
     "empty-span", "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
     "unmatched-not-ints", "unmatched-without-grounding", "grounding-not-objects",
-    "spans-and-grounding",
+    "spans-and-grounding", "id-not-string", "headers-not-strings", "headers-not-list",
+    "spans-not-list",
 ])
 def test_evaluate_bad_grounding_is_fatal(tmp_path, gold_path, capsys, line, message):
     err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
@@ -995,6 +1000,18 @@ def test_segment_uses_configured_llm_settings(tmp_path, gold_path, gold_small, l
     ])
     assert code == OK
     assert all(r["headers"] == ["Plan"] for r in read_jsonl(out / "predictions.jsonl"))
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_segment_and_evaluate_need_a_corpus(tmp_path, capsys, command):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    code = main([command, *extra, "--out", str(out)])
+    assert code == FATAL
+    assert capsys.readouterr().err == f"error: {command} needs --corpus\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("is_file", [False, True], ids=["missing", "file"])

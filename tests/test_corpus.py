@@ -105,6 +105,31 @@ def test_lenient_mode_drops_bad_sections_keeps_documents(tmp_path):
     assert [s.label for s in docs[0].sections] == ["Plan"]
 
 
+def test_strict_mode_refuses_a_duplicate_document_id(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    write_jsonl(path, [{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}])
+    with pytest.raises(FormatError, match="line 2: duplicate document id 'd1'"):
+        load_gold_corpus(path, strict=True)
+
+
+def test_lenient_mode_keeps_a_duplicate_document_id(tmp_path, caplog):
+    path = tmp_path / "dup.jsonl"
+    write_jsonl(path, [{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}])
+    docs = load_gold_corpus(path, strict=False)
+    assert [(d.id, d.text) for d in docs] == [("d1", "a"), ("d1", "b")]
+    assert "line 2: duplicate document id 'd1' kept in lenient mode" in caplog.text
+
+
+def test_lenient_mode_skips_a_malformed_json_line(tmp_path, caplog):
+    path = tmp_path / "broken.jsonl"
+    path.write_text(
+        '{"id": "d1", "text": "a"}\n{oops\n{"id": "d2", "text": "b"}\n', encoding="utf-8"
+    )
+    docs = load_gold_corpus(path, strict=False)
+    assert [d.id for d in docs] == ["d1", "d2"]
+    assert "line 2: skipping malformed JSON line" in caplog.text
+
+
 def test_load_rejects_malformed_json_with_line_number(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"id": "d1", "text": "ok", "sections": []}\n{oops\n', encoding="utf-8")

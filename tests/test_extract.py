@@ -66,6 +66,11 @@ def test_chunk_text_short_input_is_single_chunk():
     assert chunk_text("short", 100) == ["short"]
 
 
+def test_chunk_text_refuses_a_budget_below_one():
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        chunk_text("short", 0)
+
+
 def _quadratic_chunk_text(text: str, budget: int) -> list[str]:
     """Reference chunker: rescans every line start for each chunk."""
     if len(text) <= budget:

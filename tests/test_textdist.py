@@ -69,6 +69,9 @@ def test_max_edits_counts_past_float_rounding():
     # 0.29 * 100 is 28.999999999999996, yet 29 / 100 <= 0.29
     assert max_edits(100, 0.29) == 29
     assert max_edits(50, 0.58) == 29
+    # 0.8999999999999999 * 10 is 9.0, yet 9 / 10 > 0.8999999999999999
+    assert max_edits(10, 0.8999999999999999) == 8
+    assert max_edits(6, 0.8333333333333333) == 4
 
 
 def test_empty_strings():
