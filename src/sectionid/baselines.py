@@ -38,7 +38,9 @@ class HeaderLexicon:
 
     ``by_first`` indexes the entries for ``keyword_segment``: each entry and
     its lowercase form, under the first character of that form, longest
-    entry first. It is built once, from ``entries`` as given.
+    entry first. It is built once, from ``entries`` as given. A match depends
+    only on an entry's length and lowercase form, so of the entries that
+    share both only the first, in that order, is indexed.
     """
 
     entries: set[str]
@@ -51,9 +53,11 @@ class HeaderLexicon:
             raise ValueError("lexicon must contain at least one entry")
         if any(not e.strip() for e in self.entries):
             raise ValueError("lexicon entries must not be whitespace-only")
-        self.by_first = {}
+        first: dict[tuple[int, str], str] = {}
         for entry in sorted(self.entries, key=lambda e: (-len(e), e)):
-            folded = entry.lower()
+            first.setdefault((len(entry), entry.lower()), entry)
+        self.by_first = {}
+        for (_, folded), entry in first.items():
             self.by_first.setdefault(folded[:1], []).append((entry, folded))
 
 

@@ -26,8 +26,6 @@ from typing import Callable
 
 from . import align, baselines, metrics, ontology
 from .corpus import (
-    AnnotatedDocument,
-    Document,
     _jsonl_objects,
     corpus_stats,
     load_gold_corpus,
@@ -196,68 +194,47 @@ def _build_strategy(config: dict) -> PromptStrategy:
     return PromptStrategy(kind)
 
 
-def _llm_config(config: dict) -> LLMConfig:
-    fields = LLMConfig.__dataclass_fields__
-    return LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
-
-
-def _segmenter(
-    config: dict, bundled: ontology.Ontology | None,
-) -> Callable[[list[AnnotatedDocument]], tuple[dict[str, Prediction], list[str]]]:
-    """Set up the configured segmenter, reading every file and store it needs.
-
-    A refused setting fails here, before any output is written. The function
-    returned maps a corpus to its predictions and the ids of failed documents.
-    ``bundled`` is the bundled taxonomy if the run has loaded it, for the
-    default lexicon.
-    """
-    segmenter = config["segmenter"]
-    if segmenter == "llm":
-        if not config["replay"] and not config["llm"].get("endpoint_url"):
-            raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
-        strategy = _build_strategy(config)
-        llm = _llm_config(config)
-        client = ReplayClient(config["replay"]) if config["replay"] else HTTPChatClient(llm)
-        if config["record"]:
-            client = RecordingClient(client, config["record"])
-
-        def extract(docs: list[AnnotatedDocument]) -> tuple[dict[str, Prediction], list[str]]:
-            predictions, failures = extract_corpus(
-                [d.document for d in docs], strategy, llm, client
-            )
-            return predictions, [f.doc_id for f in failures]
-        return extract
-
-    lexicon = (
-        baselines.load_lexicon(config["lexicon"])
-        if config["lexicon"]
-        else baselines.HeaderLexicon(entries=ontology.default_lexicon_entries(bundled))
-    )
-    rules = (
-        baselines.load_ruleset(config["ruleset"]) if config["ruleset"] else baselines.DEFAULT_RULES
-    )
-
-    def segment(doc: Document) -> Prediction:
-        if segmenter == "keyword":
-            return baselines.keyword_segment(doc, lexicon)
-        if segmenter == "regex":
-            return baselines.regex_segment(doc, rules)
-        return baselines.rule_segment(doc, lexicon, rules)
-    return lambda docs: ({doc.id: segment(doc.document) for doc in docs}, [])
-
-
 def cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config["corpus"]:
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = ontology.load_ontology(config["ontology"])
-    # the default lexicon is built from the bundled taxonomy, whichever one
-    # the run categorizes with
-    segment = _segmenter(config, ont if config["ontology"] is None else None)
+    # set up the segmenter, reading every file and store it needs, so that a
+    # refused setting fails before any output is written
+    segmenter = config["segmenter"]
+    if segmenter == "llm":
+        if not config["replay"] and not config["llm"].get("endpoint_url"):
+            raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
+        strategy = _build_strategy(config)
+        fields = LLMConfig.__dataclass_fields__
+        llm = LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
+        client = ReplayClient(config["replay"]) if config["replay"] else HTTPChatClient(llm)
+        if config["record"]:
+            client = RecordingClient(client, config["record"])
+    else:
+        if config["lexicon"]:
+            lexicon = baselines.load_lexicon(config["lexicon"])
+        else:
+            # the default lexicon is built from the bundled taxonomy, whichever
+            # one the run categorizes with
+            bundled = ont if config["ontology"] is None else None
+            lexicon = baselines.HeaderLexicon(entries=ontology.default_lexicon_entries(bundled))
+        rules = baselines.DEFAULT_RULES
+        if config["ruleset"]:
+            rules = baselines.load_ruleset(config["ruleset"])
     out_dir = Path(config["out"])
     _write_snapshot(config, out_dir)
-    predictions, failed = segment(docs)
+    failed: list[str] = []
+    if segmenter == "llm":
+        predictions, failures = extract_corpus([d.document for d in docs], strategy, llm, client)
+        failed = [f.doc_id for f in failures]
+    elif segmenter == "keyword":
+        predictions = {d.id: baselines.keyword_segment(d.document, lexicon) for d in docs}
+    elif segmenter == "regex":
+        predictions = {d.id: baselines.regex_segment(d.document, rules) for d in docs}
+    else:
+        predictions = {d.id: baselines.rule_segment(d.document, lexicon, rules) for d in docs}
     max_ratio = config["alignment"]["max_edit_ratio"]
     with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:

@@ -151,12 +151,13 @@ def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:
 def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
     """Open a user file, or a bundled ``data_path`` resource, as UTF-8 text.
 
-    Every reader of a user file opens it here. A ``UnicodeDecodeError``
+    Every reader of a user file opens it here. A leading byte order mark is
+    skipped, as editors on some systems write one. A ``UnicodeDecodeError``
     raised inside the ``with`` body becomes a FormatError naming the line and
     offset of the first byte that is not UTF-8. Text mode stays, so a lone
     CR still ends a line.
     """
-    with (Path(src) if isinstance(src, str) else src).open(encoding="utf-8") as fh:
+    with (Path(src) if isinstance(src, str) else src).open(encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -239,9 +240,10 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
     Every error names the file and line. In strict mode any invariant
     violation raises (FormatError for malformed lines and fields, SpanError
     for span problems, naming the document). In lenient mode a line that is
-    not JSON is skipped, and exactly the sections and bodies that
-    ``validate_corpus`` flags are dropped with a logged warning; documents
-    themselves are always kept.
+    not JSON is skipped, and exactly the documents, sections and bodies that
+    ``validate_corpus`` flags are dropped with a logged warning: a document
+    whose id repeats an earlier one is still read and checked, then dropped,
+    so the first document with each id is the one kept.
     """
     docs: list[AnnotatedDocument] = []
     seen_ids: set[str] = set()
@@ -261,10 +263,9 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
             log.warning("%s: document %s: unknown source_kind %r, using ehr_clean",
                         where, doc_id, source_kind)
             source_kind = "ehr_clean"
-        if doc_id in seen_ids:
-            if strict:
-                raise FormatError(f"{where}: duplicate document id {doc_id!r}")
-            log.warning("%s: duplicate document id %r kept in lenient mode", where, doc_id)
+        repeated = doc_id in seen_ids
+        if repeated and strict:
+            raise FormatError(f"{where}: duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
 
         raw_sections = obj.get("sections", [])
@@ -307,6 +308,9 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
                 dropped.add(i)
         if dropped:
             doc.sections = [sec for i, sec in enumerate(sections) if i not in dropped]
+        if repeated:
+            log.warning("%s: dropping document %r: its id repeats an earlier line", where, doc_id)
+            continue
         docs.append(doc)
     return docs
 

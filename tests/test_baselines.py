@@ -82,6 +82,18 @@ def test_keyword_match_is_lowercased_alone():
     assert (pred.headers, pred.spans) == (["ΟΣ"], [(0, 2)])
 
 
+def test_lexicon_indexes_each_distinct_match_once():
+    # 'İd' lowercases to 'i̇d', three characters, so it and 'i̇d' differ in length
+    lexicon = HeaderLexicon(entries={"Plan", "PLAN", "plan", "İd", "i\u0307d"})
+    assert lexicon.by_first == {
+        "p": [("PLAN", "plan")],
+        "i": [("i\u0307d", "i\u0307d"), ("İd", "i\u0307d")],
+    }
+    doc = Document("d", "plan: x\nİd 1\ni\u0307d 2\nİD\nPlanning")
+    assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
+    assert keyword_segment(doc, lexicon).headers == ["plan", "İd", "i\u0307d", "İD"]
+
+
 def test_lexicon_rejects_empty_and_blank():
     with pytest.raises(ValueError):
         HeaderLexicon(entries=set())

@@ -3,17 +3,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, StaticClient, make_synthetic_corpus, perturb_header
-from sectionid import metrics, ontology
+from sectionid import baselines, metrics, ontology
 from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -606,6 +613,27 @@ def test_lenient_run_drops_overlapping_section_with_bad_body(tmp_path, caplog):
     assert "body_span" not in caplog.text
 
 
+def test_lenient_run_drops_a_repeated_document_id(tmp_path, caplog):
+    # the second note's Plan span, written for both notes, was "ergi" in the first
+    corpus = tmp_path / "dup.jsonl"
+    corpus.write_text("".join(json.dumps({"id": "d1", "text": text}) + "\n" for text in (
+        "Allergies: none", "xx\nPlan: rest and more text",
+    )), encoding="utf-8")
+    common = ["--corpus", str(corpus), "--no-strict"]
+    assert main(["segment", *common, "--segmenter", "regex", "--out", str(tmp_path / "s")]) == OK
+    records = read_jsonl(tmp_path / "s" / "predictions.jsonl")
+    assert [(r["id"], r["headers"], r["spans"]) for r in records] == [
+        ("d1", ["Allergies"], [[0, 9]]),
+    ]
+    assert main([
+        "evaluate", *common, "--predictions", str(tmp_path / "s" / "predictions.jsonl"),
+        "--out", str(tmp_path / "e"),
+    ]) == OK
+    report = json.loads((tmp_path / "e" / "report.json").read_text(encoding="utf-8"))
+    assert [doc["doc_id"] for doc in report["per_doc"]] == ["d1"]
+    assert f"{corpus} line 2: dropping document 'd1': its id repeats an earlier line" in caplog.text
+
+
 @pytest.mark.parametrize("command", [["stats"], ["segment", "--segmenter", "regex"]])
 def test_bad_corpus_error_names_file_and_line(tmp_path, capsys, command):
     corpus = tmp_path / "bad.jsonl"
@@ -703,6 +731,53 @@ def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, gold_path, rows, me
         err = capsys.readouterr().err
         assert code == FATAL
         assert err == f"error: {taxonomy}{message}\n"
+
+
+# Per user file: its flag, the command reading it, and its contents. Each
+# first line holds something the run uses, which a byte order mark read as
+# text would break.
+_GOLD = str(FIXTURES / "gold_small.jsonl")
+_BOM_INPUTS = {
+    "corpus": ("--corpus", ["stats"], Path(_GOLD).read_text(encoding="utf-8")),
+    "predictions": ("--predictions", ["evaluate", "--corpus", _GOLD],
+                    json.dumps({"id": "fx1", "headers": ["Allergies"]}) + "\n"),
+    "taxonomy": ("--ontology", ["normalize", "--names", str(FIXTURES / "order_variants.txt")],
+                 "surface_form,category,level\norders placed,Orders,coarse\n"),
+    "lexicon": ("--lexicon", ["segment", "--corpus", _GOLD, "--segmenter", "keyword"],
+                "Plan\nAllergies\n"),
+    "ruleset": ("--ruleset", ["segment", "--corpus", _GOLD, "--segmenter", "regex"],
+                json.dumps([{"name": "plan", "pattern": "(Plan):"}])),
+    "names": ("--names", ["normalize"], "Plan\nallergies\n"),
+    "config": ("--config", ["segment", "--corpus", _GOLD], json.dumps({"segmenter": "keyword"})),
+    "pairs": ("--pairs", ["iaa"], json.dumps({"id": "p1", "a": ["Plan"], "b": ["Plan"]}) + "\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BOM_INPUTS))
+def test_user_file_may_start_with_a_byte_order_mark(tmp_path, capsys, monkeypatch, kind):
+    flag, argv, content = _BOM_INPUTS[kind]
+    out = "names.tsv" if argv[0] == "normalize" else "out"
+    runs = []
+    # relative paths in their own directories, so the run_config.json of each is the same
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("input").write_bytes(prefix + content.encode("utf-8"))
+        code = main([*argv, flag, "input", "--out", out])
+        outputs = {
+            path.as_posix(): path.read_bytes()
+            for path in sorted(Path().rglob("*")) if path.is_file() and path.name != "input"
+        }
+        runs.append((code, capsys.readouterr(), outputs))
+    assert runs[0][0] != FATAL and runs[0][2]
+    assert runs[1] == runs[0]
+
+
+def test_byte_order_mark_keeps_the_not_utf8_line(tmp_path, capsys):
+    names = tmp_path / "names.txt"
+    names.write_bytes(b"\xef\xbb\xbfPlan\n\xff\n")
+    assert main(["normalize", "--names", str(names)]) == FATAL
+    assert capsys.readouterr().err == f"error: {names} line 2: not UTF-8: byte 0xff at offset 8\n"
 
 
 def test_stats_on_corpus_that_is_not_utf8_is_fatal(tmp_path, capsys):
@@ -1129,3 +1204,65 @@ def test_segment_lexicon_is_bundled_under_any_taxonomy(tmp_path, gold_path):
         assert user["categories"] == [
             "Plan" if h.lower() == "plan" else ontology.UNKNOWN for h in user["headers"]
         ]
+
+
+@pytest.mark.parametrize("segmenter, function", [
+    ("keyword", "keyword_segment"), ("regex", "regex_segment"), ("rules", "rule_segment"),
+])
+def test_segment_calls_its_segmenter_through_the_module(
+    tmp_path, gold_path, gold_small, monkeypatch, segmenter, function,
+):
+    # the benchmark's tracer times each segmenter by replacing these attributes
+    calls = {
+        name: _count_calls(monkeypatch, baselines, name)
+        for name in ("keyword_segment", "regex_segment", "rule_segment")
+    }
+    argv = ["segment", "--corpus", gold_path, "--segmenter", segmenter, "--out", str(tmp_path)]
+    assert main(argv) == OK
+    assert {name: [args[0].id for args in made] for name, made in calls.items()} == {
+        name: [doc.id for doc in gold_small] if name == function else [] for name in calls
+    }
+
+
+def _run_in(work: Path, hash_seed: str, workers: str) -> dict[str, object]:
+    """Run four commands as fresh processes in ``work`` on relative paths; return
+    each command's exit code, stdout and stderr, and every file's sha256."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    segment = ["segment", "--corpus", "gold.jsonl", "--workers", workers]
+    results: dict[str, object] = {}
+    for argv in (
+        [*segment, "--segmenter", "rules", "--out", "rules"],
+        [*segment, "--segmenter", "llm", "--replay", "replay", "--out", "llm"],
+        ["evaluate", "--corpus", "gold.jsonl", "--predictions", "llm/predictions.jsonl",
+         "--out", "eval"],
+        ["normalize", "--names", "names.txt", "--out", "names.tsv"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sectionid.cli", *argv],
+            cwd=work, env=env, capture_output=True, timeout=60,
+        )
+        results[argv[0] + " " + argv[-1]] = (done.returncode, done.stdout, done.stderr)
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "run_config.json":
+                config = json.loads(data)
+                config["llm"].pop("max_in_flight", None)
+                data = json.dumps(config, sort_keys=True).encode()
+            results[path.relative_to(work).as_posix()] = hashlib.sha256(data).hexdigest()
+    return results
+
+
+def test_outputs_are_the_same_under_any_hash_seed_and_workers(tmp_path, replay_store):
+    runs = []
+    for hash_seed, workers in (("0", "1"), ("12345", "3")):
+        work = tmp_path / hash_seed
+        shutil.copytree(replay_store, work / "replay")
+        shutil.copy(FIXTURES / "gold_small.jsonl", work / "gold.jsonl")
+        shutil.copy(FIXTURES / "order_variants.txt", work / "names.txt")
+        runs.append(_run_in(work, hash_seed, workers))
+    codes = {key: value[0] for key, value in runs[0].items() if isinstance(value, tuple)}
+    commands = ("segment rules", "segment llm", "evaluate eval", "normalize names.tsv")
+    assert codes == dict.fromkeys(commands, OK)
+    assert {"rules/predictions.jsonl", "llm/run_config.json", "eval/report.txt"} <= runs[0].keys()
+    assert runs[1] == runs[0]

@@ -112,12 +112,19 @@ def test_strict_mode_refuses_a_duplicate_document_id(tmp_path):
         load_gold_corpus(path, strict=True)
 
 
-def test_lenient_mode_keeps_a_duplicate_document_id(tmp_path, caplog):
+def test_lenient_mode_drops_a_repeated_document_id(tmp_path, caplog):
     path = tmp_path / "dup.jsonl"
-    write_jsonl(path, [{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}])
+    records = [{"id": "d1", "text": "a"}, {"id": "d2", "text": "b"}, {"id": "d1", "text": "c"}]
+    write_jsonl(path, records)
     docs = load_gold_corpus(path, strict=False)
-    assert [(d.id, d.text) for d in docs] == [("d1", "a"), ("d1", "b")]
-    assert "line 2: duplicate document id 'd1' kept in lenient mode" in caplog.text
+    assert [(d.id, d.text) for d in docs] == [("d1", "a"), ("d2", "b")]
+    assert f"{path} line 3: dropping document 'd1': its id repeats an earlier line" in caplog.text
+    assert validate_corpus(docs) == []
+    # the repeat is still checked before it is dropped
+    records[2]["sections"] = [{"label": "X"}]
+    write_jsonl(path, records)
+    with pytest.raises(FormatError, match="line 3: section needs 'label' and 'header_span'"):
+        load_gold_corpus(path, strict=False)
 
 
 def test_lenient_mode_skips_a_malformed_json_line(tmp_path, caplog):
