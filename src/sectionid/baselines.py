@@ -1,21 +1,27 @@
 """Non-LLM segmenters: lexicon lookup, line-pattern rules, and their hybrid.
 
-All three make one pass over a note's lines and return grounded predictions
-(header text plus character span). The hybrid takes each line's lexicon
-match and its first rule match, and drops the rule match where it overlaps
-the lexicon match. Matching is line-initial: clinical headers sit at the
-start of a line in the corpora this package targets, and anchoring there
-keeps false positives out of prose.
+All three return grounded predictions (header text plus character span),
+with at most one lexicon match and one rule match per line. The hybrid
+drops a line's rule match where it overlaps the line's lexicon match.
+Matching is line-initial: clinical headers sit at the start of a line in
+the corpora this package targets, and anchoring there keeps false positives
+out of prose.
+
+Most lines of a note are body text that nothing can match, so a few C-level
+passes over the whole note pick the lines that could match and only those
+are checked: lines whose first word starts a lexicon entry, lines with a
+':' and ALL-CAPS lines. The output is the same as checking every line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count, repeat
+from operator import add, contains, eq
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .align import line_starts
 from .corpus import Document, comment_lines, read_json
 from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
@@ -30,21 +36,37 @@ _MAX_HEADER_TOKENS = 8
 # Word tokens: the maximal alphanumeric runs, which are the tokens
 # ``tokenizer.tokenize`` cuts that start with an alphanumeric character.
 _WORD_RE = re.compile(r"[^\W_]+")
+# A '\n', the characters of the next line before its first word token, and
+# that token, or "" when the line has none.
+_LINE_WORD_RE = re.compile(r"\n(?:[^\w\n]|_)*([^\W_]*)")
+
+
+def _line_words(text: str) -> list[str]:
+    """The first word token of each line of ``text``, lowercased, with 'ς'
+    as 'σ', or "" for a line without one.
+
+    'Σ' lowercases to final 'ς' or to 'σ' depending on its neighbours, so
+    text and its slices can lowercase it differently; as 'σ' they agree.
+    """
+    return _LINE_WORD_RE.findall("\n" + text.lower().replace("ς", "σ"))
 
 
 @dataclass
 class HeaderLexicon:
     """Header surface forms, matched case-insensitively.
 
-    ``by_first`` indexes the entries for ``keyword_segment``: each entry and
-    its lowercase form, under the first character of that form, longest
-    entry first. It is built once, from ``entries`` as given. A match depends
-    only on an entry's length and lowercase form, so of the entries that
-    share both only the first, in that order, is indexed.
+    ``by_word`` indexes the entries for the segmenters under their first
+    word, as ``_line_words`` gives it: each entry and its lowercase form,
+    longest entry first. An entry with no letter or digit goes under the
+    key "", and after the own entries of every other key, since it can
+    match any line but loses on length to an entry with a word that matches
+    the same line. The index is built once, from ``entries`` as given. A
+    match depends only on an entry's length and lowercase form, so of the
+    entries that share both only the first, in that order, is indexed.
     """
 
     entries: set[str]
-    by_first: dict[str, list[tuple[str, str]]] = field(
+    by_word: dict[str, list[tuple[str, str]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -56,9 +78,13 @@ class HeaderLexicon:
         first: dict[tuple[int, str], str] = {}
         for entry in sorted(self.entries, key=lambda e: (-len(e), e)):
             first.setdefault((len(entry), entry.lower()), entry)
-        self.by_first = {}
+        self.by_word = {}
         for (_, folded), entry in first.items():
-            self.by_first.setdefault(folded[:1], []).append((entry, folded))
+            self.by_word.setdefault(_line_words(entry)[0], []).append((entry, folded))
+        unkeyed = self.by_word.get("", [])
+        for word, bucket in self.by_word.items():
+            if word:
+                bucket.extend(unkeyed)
 
 
 def load_lexicon(path: str | Path) -> HeaderLexicon:
@@ -163,28 +189,64 @@ def load_ruleset(path: str | Path) -> list[Rule]:
     return rules
 
 
+def _lines_to_check(
+    text: str, lexicon: HeaderLexicon | None, rules: Sequence[Rule]
+) -> Iterator[tuple[int, str, str]]:
+    """(start, line, first word) of each line of ``text`` that the lexicon
+    or a rule could match, in order; the word is "" without a lexicon.
+
+    A line is left out only when nothing can match it:
+    - a lexicon match follows whitespace, lowercases to its entry, and ends
+      the line or comes before a character that is not alphanumeric and
+      does not lowercase to one. So the line's first word (``_line_words``)
+      is the entry's first word, a key of ``lexicon.by_word``.
+    - ``_match_titlecase_colon`` needs a ':'.
+    - ``_match_allcaps_line`` needs the line's stripped content to equal its
+      uppercase form. ``str.upper`` maps each character on its own and no
+      whitespace character has a case mapping, so that holds exactly when
+      the whole line equals its uppercase form.
+    Every line is kept when the lexicon holds an entry with no letter or
+    digit, or when a rule is not one of the two defaults. With a lexicon,
+    every line is also kept when the note holds an 'İ', the one character
+    that lowercases to two: the first-word argument does not need this,
+    but it keeps a note whose lowercase form is longer out of the filter.
+    Each test is one C-level pass over the note.
+    """
+    lines = text.split("\n")
+    words = _line_words(text) if lexicon is not None else repeat("")
+    starts = map(add, accumulate(map(len, lines), initial=0), count())
+    rows = zip(starts, lines, words)
+    if any(r is not _match_titlecase_colon and r is not _match_allcaps_line for r in rules):
+        return rows
+    hits = []
+    if lexicon is not None:
+        if "" in lexicon.by_word or "\u0130" in text:
+            return rows
+        hits.append(map(lexicon.by_word.__contains__, words))
+    if _match_titlecase_colon in rules:
+        hits.append(map(contains, lines, repeat(":")))
+    if _match_allcaps_line in rules:
+        hits.append(map(eq, lines, text.upper().split("\n")))
+    return compress(rows, map(any, zip(*hits)))
+
+
 def _segment(doc: Document, lexicon: HeaderLexicon | None, rules: Sequence[Rule]) -> Prediction:
-    """One pass over the lines: each line's lexicon match, then its first
-    rule match unless that overlaps the lexicon match."""
-    # str.lower maps each character on its own, except 'Σ', which lowercases
-    # to final 'ς' or to 'σ' depending on its neighbours. So a lexicon match,
-    # which lowercases to its entry's lowercase form, shares the first
-    # character of the lowercased line, and each line scans one bucket of
-    # ``lexicon.by_first``; on a line without 'Σ' the match's lowercase form
-    # also starts the lowercased line, a cheap test that rejects most entries.
+    """Each line's lexicon match, then its first rule match unless that
+    overlaps the lexicon match, on the lines ``_lines_to_check`` keeps."""
+    by_word = lexicon.by_word if lexicon is not None else {}
+    unkeyed = by_word.get("", ())
     spans: list[tuple[int, int]] = []
-    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+    for line_start, line, word in _lines_to_check(doc.text, lexicon, rules):
         # A lexicon match starts at the line's first non-space character and
         # a rule match ends on a non-space one, so the two overlap unless the
         # rule match starts at or after the lexicon match's end.
         rule_from = line_start
-        if lexicon is not None:
+        # the entries that could match: the line's first word's, then those
+        # without a word
+        bucket = by_word.get(word, unkeyed)
+        if bucket:
             content = line.lstrip()
-            folded_content = content.lower()
-            screen = "Σ" not in content
-            for entry, folded_entry in lexicon.by_first.get(folded_content[:1], ()):
-                if screen and not folded_content.startswith(folded_entry):
-                    continue
+            for entry, folded_entry in bucket:
                 size = len(entry)
                 if len(content) < size or content[:size].lower() != folded_entry:
                     continue

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,6 +361,9 @@ def corpus_stats(docs: list[AnnotatedDocument]) -> CorpusStats:
     """Mean and population standard deviation of tokens and sections per document."""
     if not docs:
         raise EmptyCorpus("corpus_stats needs at least one document")
+    # imported here so that only the stats command loads it
+    import statistics
+
     token_counts = [tokens_before(doc.text)[len(doc.text)] for doc in docs]
     section_counts = [len(doc.sections) for doc in docs]
     return CorpusStats(

@@ -12,7 +12,6 @@ whole pipelines re-run byte-identically with no endpoint.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -89,6 +88,9 @@ class ChatClient(Protocol):
 
 def prompt_hash(payload: dict) -> str:
     """Stable key for one interaction: hash of the canonical request body."""
+    # imported here so that commands which never hash a prompt do not load it
+    import hashlib
+
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

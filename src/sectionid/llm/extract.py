@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..align import line_starts
@@ -92,6 +91,9 @@ def extract_corpus(
     contributes an empty prediction and a failure record instead of aborting
     the batch.
     """
+    # imported here so that commands which run no LLM do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     predictions: dict[str, Prediction] = {}
     failures: list[ExtractionFailure] = []
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from conftest import (
     reference_regex_segment,
     reference_rule_segment,
 )
+from sectionid import baselines
+from sectionid.align import line_starts
 from sectionid.baselines import (
     _WORD_RE,
     DEFAULT_RULES,
+    _line_words,
     _regex_rule,
     HeaderLexicon,
     keyword_segment,
@@ -85,13 +89,124 @@ def test_keyword_match_is_lowercased_alone():
 def test_lexicon_indexes_each_distinct_match_once():
     # 'İd' lowercases to 'i̇d', three characters, so it and 'i̇d' differ in length
     lexicon = HeaderLexicon(entries={"Plan", "PLAN", "plan", "İd", "i\u0307d"})
-    assert lexicon.by_first == {
-        "p": [("PLAN", "plan")],
+    assert lexicon.by_word == {
+        "plan": [("PLAN", "plan")],
         "i": [("i\u0307d", "i\u0307d"), ("İd", "i\u0307d")],
     }
     doc = Document("d", "plan: x\nİd 1\ni\u0307d 2\nİD\nPlanning")
     assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
     assert keyword_segment(doc, lexicon).headers == ["plan", "İd", "i\u0307d", "İD"]
+
+
+def test_lexicon_entries_without_a_word_follow_every_bucket():
+    lexicon = HeaderLexicon(entries={"Plan", "- Plan", "--", "#", "ΟΣ"})
+    assert lexicon.by_word == {
+        "plan": [("- Plan", "- plan"), ("Plan", "plan"), ("--", "--"), ("#", "#")],
+        "": [("--", "--"), ("#", "#")],
+        "οσ": [("ΟΣ", "ος"), ("--", "--"), ("#", "#")],
+    }
+    doc = Document("d", "-- Plan\n- Plan: x\n# 1\nΟΣ:K\nplanning")
+    assert keyword_segment(doc, lexicon) == reference_keyword_segment(doc, lexicon)
+    assert keyword_segment(doc, lexicon).headers == ["--", "- Plan", "#", "ΟΣ"]
+
+
+# A note of body lines and a few lines that a matcher could take, each
+# marked with the matchers that could: K the lexicon (its first word starts
+# an entry of LEX), T the Title-Case rule (a ':'), C the ALL-CAPS rule (the
+# line equals its uppercase form).
+_WORK_NOTE = [
+    ("Allergies: none", "KT"),
+    ("the patient reports mild pain", ""),
+    ("PHYSICAL EXAM", "C"),
+    ("he said: come back", "T"),
+    ("plan to follow up in two weeks", "K"),
+    ("  family history is noncontributory", "K"),
+    ("continue current tablets daily", ""),
+    ("", "C"),
+    ("- 12 mg at night\r", ""),
+    ("1. 2.", "C"),
+    ("stable since the last visit", ""),
+]
+
+
+def _checked_lines(monkeypatch, segment, *args):
+    """The lines ``segment`` checks, as ``_lines_to_check`` hands them over."""
+    checked = []
+    real = baselines._lines_to_check
+
+    def spy(*spy_args):
+        rows = list(real(*spy_args))
+        checked.extend(line for _, line, _ in rows)
+        return rows
+
+    monkeypatch.setattr(baselines, "_lines_to_check", spy)
+    segment(*args)
+    monkeypatch.undo()
+    return checked
+
+
+def test_segmenters_check_only_the_lines_that_could_match(monkeypatch):
+    lines = [line for line, _ in _WORK_NOTE]
+    doc = Document("d", "\n".join(lines))
+
+    def marked(marks):
+        return [line for line, mark in _WORK_NOTE if set(mark) & set(marks)]
+
+    assert _checked_lines(monkeypatch, keyword_segment, doc, LEX) == marked("K")
+    assert _checked_lines(monkeypatch, regex_segment, doc) == marked("TC")
+    assert _checked_lines(monkeypatch, regex_segment, doc, DEFAULT_RULES[:1]) == marked("T")
+    assert _checked_lines(monkeypatch, regex_segment, doc, DEFAULT_RULES[1:]) == marked("C")
+    assert _checked_lines(monkeypatch, regex_segment, doc, ()) == []
+    assert _checked_lines(monkeypatch, rule_segment, doc, LEX) == marked("KTC")
+    rows = list(baselines._lines_to_check(doc.text, LEX, DEFAULT_RULES))
+    starts = line_starts(doc.text)
+    words = _line_words(doc.text)
+    assert rows == [(starts[i], lines[i], words[i]) for i, (_, m) in enumerate(_WORK_NOTE) if m]
+
+    # One custom rule, one lexicon entry with no letter or digit, or an 'İ'
+    # beside a lexicon makes every line get checked.
+    custom = _regex_rule("numbered", r"\d+\. (\w+)")
+    assert _checked_lines(monkeypatch, regex_segment, doc, [custom]) == lines
+    assert _checked_lines(monkeypatch, rule_segment, doc, LEX, [*DEFAULT_RULES, custom]) == lines
+    unkeyed = HeaderLexicon(entries={"Plan", "--"})
+    assert _checked_lines(monkeypatch, keyword_segment, doc, unkeyed) == lines
+    dotted = Document("d", doc.text + "\nİd 2")
+    assert _checked_lines(monkeypatch, keyword_segment, dotted, LEX) == [*lines, "İd 2"]
+    assert _checked_lines(monkeypatch, regex_segment, dotted) == marked("TC")
+    assert list(baselines._lines_to_check(doc.text, unkeyed, ())) == list(
+        zip(starts, lines, words)
+    )
+
+
+_EVERY_CHARACTER = list(map(chr, range(sys.maxunicode + 1)))
+
+
+def test_no_whitespace_character_has_a_case_mapping():
+    # _lines_to_check compares a whole line with its uppercase form where
+    # _match_allcaps_line compares the stripped line with its own
+    assert [c for c in _EVERY_CHARACTER if c.isspace() and c.upper() != c] == []
+
+
+def test_only_dotted_capital_i_lowercases_to_more_than_one_character():
+    # a note without 'İ' lowercases to a string of its own length
+    assert [c for c in _EVERY_CHARACTER if len(c.lower()) != 1] == ["\u0130"]
+
+
+def test_lowercasing_makes_no_character_alphanumeric():
+    # a lexicon match ends before a character that is not alphanumeric, so
+    # the first word of the lowercased line ends inside the match
+    assert [
+        c for c in _EVERY_CHARACTER if not c.isalnum() and any(x.isalnum() for x in c.lower())
+    ] == []
+
+
+@given(st.one_of(st.text(), st.text("aZ9_ :-\n\r\t\x1c\x85\u2028\u3000İiΣσςß\u0307²")))
+def test_line_words_are_each_lines_first_word(text):
+    expected = []
+    for line in text.split("\n"):
+        match = _WORD_RE.search(line.lower().replace("ς", "σ"))
+        expected.append(match.group() if match else "")
+    assert _line_words(text) == expected
 
 
 def test_lexicon_rejects_empty_and_blank():
@@ -202,13 +317,13 @@ def test_segmenters_deterministic():
 
 
 # Pieces of lexicon entries. Some are prefixes of others, some start with
-# punctuation, and some fold in awkward ways: 'İ' lowercases to two
-# characters, 'ẞ' to 'ß', the Kelvin sign to 'k', and final and medial sigma
-# both uppercase to 'Σ'.
+# punctuation, some have no letter or digit, and some fold in awkward ways:
+# 'İ' lowercases to two characters, 'ẞ' to 'ß', the Kelvin sign to 'k', and
+# final and medial sigma both uppercase to 'Σ'.
 _ATOMS = [
     "Plan", "Pl", "plan", "PLAN", "Plan of Care", "A", "Assessment", "Hx", "(Hx)",
     "- Meds", "#1", "1.", "İd", "i\u0307d", "ß", "SS", "ẞ", "\u212a", "K", "k",
-    "Σ", "σ", "ς", "ΟΣ", "Straße",
+    "Σ", "σ", "ς", "ΟΣ", "Straße", "--", "#",
 ]
 # Phrases of one to three pieces, some led by a space or punctuation.
 _ENTRIES = st.builds(
@@ -216,8 +331,17 @@ _ENTRIES = st.builds(
     st.sampled_from(["", "", " ", "-", "("]),
     st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3),
 )
-_CHARS = "aZ9 :-.(\tİiıßẞ\u212akKΣσς\u0307\u2028"
+_CHARS = "aZ9 :-.(#\tİiıßẞ\u212akKΣσς\u0307\u2028\x1c\x85\u3000\r"
 _CASES = [str, str.upper, str.lower, str.title, str.swapcase, str.casefold]
+# Indentation, Unicode whitespace among it; str.split("\n") keeps the others.
+_INDENTS = ["", "", " ", "\t", "  ", "\x1c", "\x85 ", "\u2028", "\u3000", "\t\u3000"]
+
+
+def _add_dotted_line(draw, lines):
+    # an 'İ' anywhere in a note makes every line get checked
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(["İ", "xİ", "a İd"]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
 
 
 @st.composite
@@ -225,12 +349,14 @@ def _lexicon_and_text(draw):
     entries = draw(st.lists(_ENTRIES, min_size=1, max_size=8, unique=True))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        indent = draw(st.sampled_from(["", " ", "\t ", "   "]))
+        indent = draw(st.sampled_from(_INDENTS))
         if draw(st.booleans()):
             head = draw(st.sampled_from(_CASES))(draw(st.sampled_from(entries)))
         else:
             head = draw(st.text(_CHARS, max_size=6))
-        lines.append(indent + head + draw(st.text(_CHARS, max_size=4)))
+        end = draw(st.sampled_from(["", "\r"]))
+        lines.append(indent + head + draw(st.text(_CHARS, max_size=4)) + end)
+    _add_dotted_line(draw, lines)
     return entries, "\n".join(lines)
 
 
@@ -255,7 +381,9 @@ _RULES = [
     _regex_rule("colons", r"\s*(:+\s*)"),
     _regex_rule("numbered", r"(?:(\d+)\.)?\s*[A-ZΣİ]"),
 ]
-_NOTE_ATOMS = ["Plan", "PLAN", "Hx", "A", "#", "-", "(Hx)", "Σ", "ς", "σ", "ΟΣ", "İd", "1."]
+_NOTE_ATOMS = [
+    "Plan", "PLAN", "Hx", "A", "#", "-", "--", "(Hx)", "Σ", "ς", "σ", "ΟΣ", "İd", "1.",
+]
 
 
 @st.composite
@@ -264,16 +392,20 @@ def _segmenter_inputs(draw):
     pieces = st.one_of(
         st.sampled_from(_NOTE_ATOMS),
         st.sampled_from(_NOTE_ATOMS).map(str.lower),
-        st.text("aZ9 :-.İΣςσ", max_size=5),
+        st.text("aZ9 :-.İΣςσ\x1c\x85\u3000", max_size=5),
     )
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        indent = draw(st.sampled_from(["", "", " ", "\t", "  "]))
+        indent = draw(st.sampled_from(_INDENTS))
         words = draw(st.lists(pieces, max_size=3))
         colon = draw(st.sampled_from(["", ":", ": ", " : ", "::"]))
         tail = draw(st.lists(pieces, max_size=2))
-        lines.append(indent + " ".join(words) + colon + " ".join(tail))
-    rules = draw(st.permutations(_RULES))[:draw(st.integers(0, len(_RULES)))]
+        end = draw(st.sampled_from(["", "\r"]))
+        lines.append(indent + " ".join(words) + colon + " ".join(tail) + end)
+    _add_dotted_line(draw, lines)
+    # the default rules alone, in any order and number, or mixed with the others
+    pool = draw(st.sampled_from([DEFAULT_RULES, _RULES]))
+    rules = draw(st.permutations(pool))[:draw(st.integers(0, len(pool)))]
     return HeaderLexicon(entries=set(entries)), Document("d", "\n".join(lines)), rules
 
 

@@ -51,9 +51,11 @@ def test_pyproject_declares_no_runtime_dependency():
 
 
 def test_cli_import_loads_no_http_stack():
+    # nor the stdlib modules that only LLM runs and the stats command use
     code = (
         "import sys, sectionid.cli; "
-        "print(sorted({'urllib.request', 'http.client', 'requests'} & set(sys.modules)))"
+        "print(sorted({'urllib.request', 'http.client', 'requests', 'hashlib', "
+        "'concurrent.futures', 'statistics'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
