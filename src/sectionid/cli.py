@@ -209,7 +209,14 @@ def cmd_segment(args: argparse.Namespace) -> int:
         strategy = _build_strategy(config)
         fields = LLMConfig.__dataclass_fields__
         llm = LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
-        client = ReplayClient(config["replay"]) if config["replay"] else HTTPChatClient(llm)
+        if config["replay"]:
+            client = ReplayClient(config["replay"])
+            # a store answers from local files, so the work is CPU-bound under
+            # the interpreter lock and threads would only contend for it;
+            # run_config.json still shows the configured value
+            llm = dataclasses.replace(llm, max_in_flight=1)
+        else:
+            client = HTTPChatClient(llm)
         if config["record"]:
             client = RecordingClient(client, config["record"])
     else:

@@ -164,11 +164,14 @@ def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
 
 
 def read_json(src: str | Path | Traversable) -> object:
-    """``json.load`` a UTF-8 file; malformed JSON raises FormatError naming it."""
+    """``json.load`` a UTF-8 file; malformed JSON raises FormatError naming it.
+
+    JSON nested too deeply for the decoder counts as malformed.
+    """
     with open_text(src) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{src}: malformed JSON: {exc}") from exc
 
 
@@ -183,9 +186,9 @@ def _jsonl_objects(
 ) -> Iterator[tuple[int, str, dict]]:
     """(line number, "<path> line <n>", object) per non-blank line of a JSONL file.
 
-    A non-object line fails. A line that is not JSON fails too, unless
-    ``skip_malformed``, which logs and skips it. A file that is not UTF-8
-    fails whatever ``skip_malformed`` says.
+    A non-object line fails. A line that is not JSON, or is nested too deeply
+    to decode, fails too, unless ``skip_malformed``, which logs and skips it.
+    A file that is not UTF-8 fails whatever ``skip_malformed`` says.
     """
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -194,7 +197,7 @@ def _jsonl_objects(
             where = f"{path} line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 if skip_malformed:
                     log.warning("%s: skipping malformed JSON line", where)
                     continue

@@ -176,10 +176,10 @@ class ReplayClient:
     def send(self, payload: dict) -> ChatResult:
         key = prompt_hash(payload)
         path = self.store_dir / f"{key}.json"
-        if not path.exists():
-            raise ReplayMiss(f"no recorded interaction {key} in {self.store_dir}")
         try:
             record = read_json(path)
+        except FileNotFoundError as exc:
+            raise ReplayMiss(f"no recorded interaction {key} in {self.store_dir}") from exc
         except OSError as exc:
             raise FormatError(f"{path}: unreadable replay record: {exc}") from exc
         content = record.get("response_content") if isinstance(record, dict) else None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..align import line_starts
 from ..corpus import Document
@@ -87,13 +88,14 @@ def extract_corpus(
 ) -> tuple[dict[str, Prediction], list[ExtractionFailure]]:
     """Extract headers for a corpus, at most ``max_in_flight`` requests at once.
 
-    Results come back keyed by document id; a document whose extraction fails
-    contributes an empty prediction and a failure record instead of aborting
-    the batch.
+    Results come back keyed by document id, in document order; a document
+    whose extraction fails contributes an empty prediction and a failure
+    record instead of aborting the batch, and its failure is logged as it
+    finishes. Threads pay only while a request waits on a network, so a pool
+    of ``min(max_in_flight, len(docs))`` threads is started only when that
+    is more than one; otherwise each document runs in turn on the calling
+    thread.
     """
-    # imported here so that commands which run no LLM do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
     predictions: dict[str, Prediction] = {}
     failures: list[ExtractionFailure] = []
 
@@ -103,10 +105,21 @@ def extract_corpus(
         except SectionIdError as exc:
             return doc.id, Prediction(headers=[]), f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        for doc_id, prediction, error in pool.map(run, docs):
-            predictions[doc_id] = prediction
-            if error is not None:
-                failures.append(ExtractionFailure(doc_id, error))
-                log.warning("document %s failed: %s", doc_id, error)
+    def results() -> Iterator[tuple[str, Prediction, str | None]]:
+        # lazy, so that each failure is logged as its document finishes
+        workers = min(config.max_in_flight, len(docs))
+        if workers <= 1:
+            yield from map(run, docs)
+            return
+        # imported here so that runs which start no thread do not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, docs)
+
+    for doc_id, prediction, error in results():
+        predictions[doc_id] = prediction
+        if error is not None:
+            failures.append(ExtractionFailure(doc_id, error))
+            log.warning("document %s failed: %s", doc_id, error)
     return predictions, failures

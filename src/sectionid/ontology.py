@@ -7,14 +7,16 @@ ships the reference per-category counts observed when the taxonomy was
 built, so the distribution can be reproduced without the source documents.
 
 A name with no exact surface is compared by edit distance only with the
-surfaces that pass two exact filters, a length window and a shared 2-gram
-count read from a per-``Ontology`` 2-gram index built at the first such
-lookup, so the answer is the one a comparison with every surface gives.
+surfaces that pass two exact filters, a length window and a count of shared
+distinct 2-grams. Both read a per-``Ontology`` table of each surface and its
+2-gram set, grouped by length and built at the first such lookup, so the
+answer is the one a comparison with every surface gives.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -50,6 +52,11 @@ def normalize_surface(name: str) -> str:
     return s[start:end]
 
 
+def _grams(s: str) -> frozenset[str]:
+    """The distinct 2-grams of ``s``."""
+    return frozenset(map(operator.add, s, s[1:]))
+
+
 @dataclass
 class Ontology:
     categories: set[str]
@@ -66,36 +73,21 @@ class Ontology:
                 )
         # built at the first fuzzy lookup; a plain attribute, not a field, so
         # ==, repr and dataclasses.fields see only the taxonomy
-        self._grams: _GramIndex | None = None
+        self._fuzzy: dict[int, list[tuple[str, frozenset[str]]]] | None = None
 
-    def _gram_index(self) -> _GramIndex:
-        if self._grams is None:
-            self._grams = _GramIndex(self.surface_map)
-        return self._grams
+    def _fuzzy_table(self) -> dict[int, list[tuple[str, frozenset[str]]]]:
+        """Per surface length, each surface of that length and its 2-gram set."""
+        if self._fuzzy is None:
+            self._fuzzy = {}
+            for surface in self.surface_map:
+                self._fuzzy.setdefault(len(surface), []).append((surface, _grams(surface)))
+        return self._fuzzy
 
     def coarse_categories(self) -> set[str]:
         fine_only = {
             self.surface_map[s] for s, lvl in self.levels.items() if lvl == FINE
         } - {self.surface_map[s] for s, lvl in self.levels.items() if lvl != FINE}
         return self.categories - fine_only
-
-
-class _GramIndex:
-    """Inverted 2-gram index of an ontology's surfaces.
-
-    ``postings[g]`` lists the index of each surface once per occurrence of
-    the 2-gram ``g`` in it, and ``by_length[n]`` the indices of the surfaces
-    of length ``n``.
-    """
-
-    def __init__(self, surface_map: dict[str, str]) -> None:
-        self.surfaces = list(surface_map)
-        self.postings: dict[str, list[int]] = {}
-        self.by_length: dict[int, list[int]] = {}
-        for i, surface in enumerate(self.surfaces):
-            self.by_length.setdefault(len(surface), []).append(i)
-            for j in range(len(surface) - 1):
-                self.postings.setdefault(surface[j:j + 2], []).append(i)
 
 
 def load_ontology(path: str | Path | object | None = None) -> Ontology:
@@ -150,10 +142,10 @@ def categorize(name: str, ont: Ontology) -> str:
     nearest surface by normalized edit distance wins when its ratio is at
     most ``FUZZY_RATIO``, ties going to the surface that sorts first. Two
     exact filters skip the surfaces that cannot pass before any distance is
-    computed: the length difference is a lower bound on the distance, and by
-    the q-gram lemma (Ukkonen, Theor. Comput. Sci. 92(1), 1992) strings
-    within ``d`` edits share at least ``longest - 1 - 2d`` 2-grams, counted
-    from the ontology's 2-gram index.
+    computed: the length difference is a lower bound on the distance, and
+    strings within ``d`` edits share all but ``2d`` of the distinct 2-grams
+    of either one. An edit destroys at most two 2-gram occurrences, and a
+    distinct 2-gram is lost only when every occurrence of it is.
     """
     surface = normalize_surface(name)
     if not surface:
@@ -161,29 +153,20 @@ def categorize(name: str, ont: Ontology) -> str:
     hit = ont.surface_map.get(surface)
     if hit is not None:
         return hit
-    index = ont._gram_index()
-    # per surface, at least the number of 2-grams it shares with the name:
-    # each 2-gram of the name counts as often as the surface holds it
-    shared: dict[int, int] = {}
-    for gram in {surface[j:j + 2] for j in range(len(surface) - 1)}:
-        for i in index.postings.get(gram, ()):
-            shared[i] = shared.get(i, 0) + 1
+    table = ont._fuzzy_table()
+    mine = _grams(surface)
     best: tuple[float, str] | None = None
     shortest = max(1, len(surface) - max_edits(len(surface), FUZZY_RATIO))
-    for n in range(shortest, max(index.by_length, default=0) + 1):
+    for n in range(shortest, max(table, default=0) + 1):
         longest = max(n, len(surface))
         edits = max_edits(longest, FUZZY_RATIO)
         # n - len(surface) - edits never falls as n grows (the budget grows
         # by at most 1 per character), so no longer surface can pass either
         if n - len(surface) > edits:
             break
-        # q-gram lemma: within `edits` edits, the two share at least this
-        # many 2-grams
-        floor = longest - 1 - 2 * edits
-        for i in index.by_length.get(n, ()):
-            if shared.get(i, 0) < floor:
+        for candidate, theirs in table.get(n, ()):
+            if len(mine & theirs) < max(len(mine), len(theirs)) - 2 * edits:
                 continue
-            candidate = index.surfaces[i]
             ratio = edit_ratio(surface, candidate)
             if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
                 best = (ratio, candidate)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from bisect import bisect_left
 from itertools import islice
 from pathlib import Path
@@ -178,6 +179,19 @@ def reference_span_counts(text, gold_spans, pred_spans) -> Counts:
     return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
 
 
+def reference_prefix_distances(needle: str, haystack: str) -> list[int]:
+    """Oracle for ``textdist.prefix_distances``: the O(len(needle) *
+    len(haystack)) Wagner-Fischer table, last row."""
+    prev = list(range(len(haystack) + 1))
+    for i, ca in enumerate(needle, 1):
+        row = [i]
+        for j, cb in enumerate(haystack, 1):
+            cost = 0 if ca == cb else 1
+            row.append(min(row[-1] + 1, prev[j] + 1, prev[j - 1] + cost))
+        prev = row
+    return prev
+
+
 def reference_fuzzy_line_match(
     text: str, starts: list[int], header: str, cursor: int, max_edit_ratio: float
 ) -> tuple[int, int] | None:
@@ -238,6 +252,18 @@ class StaticClient:
                 ]
             },
         )
+
+
+def record_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """Record every thread started from now on, for work-count guards."""
+    started: list[threading.Thread] = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 @pytest.fixture(scope="session")

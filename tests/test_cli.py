@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, StaticClient, make_synthetic_corpus, perturb_header
+from conftest import (
+    FIXTURES,
+    StaticClient,
+    make_synthetic_corpus,
+    perturb_header,
+    record_thread_starts,
+)
 from sectionid import baselines, metrics, ontology
 from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
@@ -538,6 +544,57 @@ def test_segment_replay_record_not_utf8_fails_only_its_document(tmp_path, capsys
         f"{where['path']} line {where['line']}: not UTF-8: byte 0xf6 "
         f"at offset {where['offset']}"
     ) in caplog.text
+
+
+_DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["corpus", "config", "ruleset", "predictions", "pairs", "replay"])
+def test_deeply_nested_json_is_malformed(tmp_path, gold_path, capsys, caplog, kind):
+    # the decoder gives up with a RecursionError, which is one more way for
+    # a file or line not to be JSON
+    if kind == "replay":
+        _segment_with_one_broken_record(
+            tmp_path, capsys, lambda record: record.write_text(_DEEP_JSON, encoding="utf-8"),
+        )
+        assert "malformed JSON" in caplog.text
+        return
+    path = tmp_path / "deep"
+    first, argv = {
+        "corpus": (Path(gold_path).read_text(encoding="utf-8").splitlines()[0],
+                   ["stats", "--corpus", str(path)]),
+        "config": (None, ["segment", "--corpus", gold_path, "--config", str(path)]),
+        "ruleset": (None, ["segment", "--corpus", gold_path, "--ruleset", str(path)]),
+        "predictions": (json.dumps({"id": "fx1", "headers": ["Allergies"]}),
+                        ["evaluate", "--corpus", gold_path, "--predictions", str(path)]),
+        "pairs": (json.dumps({"id": "p1", "a": ["Plan"], "b": ["Plan"]}), ["iaa", "--pairs", str(path)]),
+    }[kind]
+    path.write_text(("" if first is None else first + "\n") + _DEEP_JSON + "\n", encoding="utf-8")
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    where = f"{path}:" if first is None else f"{path} line 2:"
+    assert err.startswith(f"error: {where} malformed JSON") and "Traceback" not in err
+    if kind == "corpus":
+        assert main([*argv, "--no-strict", "--out", str(tmp_path / "lenient")]) == OK
+        assert f"{path} line 2: skipping malformed JSON line" in caplog.text
+        stats = json.loads((tmp_path / "lenient" / "corpus_stats.json").read_text(encoding="utf-8"))
+        assert stats["document_count"] == 1
+
+
+def test_replay_segment_starts_no_thread(tmp_path, gold_path, replay_store, monkeypatch):
+    # a replay store answers from local files, so more workers only contend
+    # for the interpreter lock; the configured value is still the one shown
+    started = record_thread_starts(monkeypatch)
+    out = tmp_path / "run"
+    code = main([
+        "segment", "--corpus", gold_path, "--segmenter", "llm", "--replay", str(replay_store),
+        "--workers", "3", "--out", str(out),
+    ])
+    assert code == OK
+    assert started == []
+    snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert snapshot["llm"]["max_in_flight"] == 3
 
 
 def test_workers_flag_sets_llm_max_in_flight(tmp_path, gold_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import StaticClient
+from conftest import StaticClient, record_thread_starts
 from sectionid.align import align_headers
 from sectionid.corpus import Document
 from sectionid.errors import ParseError
@@ -162,35 +163,65 @@ def test_headers_near_a_seam_come_back_once():
 
 
 class SlowCountingClient:
-    """Tracks the maximum number of concurrent sends."""
+    """Tracks the maximum number of concurrent sends.
 
-    def __init__(self, content: str):
+    A note ``Sec<i>: ...`` waits ``delay(i)`` seconds, and the notes named in
+    ``failing`` get an answer that does not parse.
+    """
+
+    def __init__(self, content: str, delay, failing):
         self.content = content
+        self.delay = delay
+        self.failing = set(failing)
         self.lock = threading.Lock()
         self.active = 0
         self.peak = 0
 
     def send(self, payload):
+        i = int(re.search(r"Sec(\d+):", payload["messages"][-1]["content"]).group(1))
         with self.lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
-        time.sleep(0.02)
+        time.sleep(self.delay(i))
         with self.lock:
             self.active -= 1
+        content = "unparsable prose" if i in self.failing else self.content
         return ChatResult(
             200,
-            {"choices": [{"message": {"content": self.content}, "finish_reason": "stop"}]},
+            {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]},
         )
 
 
-def test_batch_respects_max_in_flight_and_order():
+def test_batch_respects_max_in_flight_and_order(caplog):
+    # early notes wait longest, so the pool finishes them last; the results,
+    # the failures and their log lines still come back in document order
     docs = [Document(f"d{i}", f"Sec{i}: body\n") for i in range(12)]
-    client = SlowCountingClient('[{"section_title": "Sec"}]')
+    client = SlowCountingClient(
+        '[{"section_title": "Sec"}]', delay=lambda i: 0.003 * (12 - i), failing=(4, 9),
+    )
     config = LLMConfig(backoff_base=0.0, max_in_flight=3)
     predictions, failures = extract_corpus(docs, ZS, config, client)
-    assert failures == []
     assert list(predictions) == [d.id for d in docs]
+    assert [predictions[d.id].headers for d in docs] == [
+        [] if i in (4, 9) else ["Sec"] for i in range(12)
+    ]
+    assert [f.doc_id for f in failures] == ["d4", "d9"]
+    logged = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert [line.split(":")[0] for line in logged] == ["document d4 failed", "document d9 failed"]
     assert client.peak <= 3
+
+
+def test_batch_runs_a_single_document_on_the_calling_thread(monkeypatch):
+    # a pool only pays while several requests wait on a network at once
+    started = record_thread_starts(monkeypatch)
+    config = LLMConfig(backoff_base=0.0, max_in_flight=4)
+    client = StaticClient('[{"section_title": "Plan"}]')
+    predictions, failures = extract_corpus([Document("d0", "Plan: rest\n")], ZS, config, client)
+    assert predictions["d0"].headers == ["Plan"] and failures == []
+    assert started == []
+    # the counter sees the pool that two documents start
+    extract_corpus([Document(f"d{i}", "Plan: rest\n") for i in range(2)], ZS, config, client)
+    assert started
 
 
 def test_batch_records_failures_and_continues():

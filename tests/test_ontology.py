@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import FIXTURES, make_synthetic_corpus, reference_categorize
+from conftest import (
+    FIXTURES,
+    make_synthetic_corpus,
+    reference_categorize,
+    reference_prefix_distances,
+)
 from sectionid import ontology
 from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation
 from sectionid.errors import DanglingCategory, EmptyCorpus, FormatError
@@ -125,6 +130,24 @@ def _taxonomy_and_names(draw):
     return ont, names
 
 
+@st.composite
+def _text_and_edited(draw):
+    """Any text, or text full of repeats, and the same text edited, or any text."""
+    text = draw(st.one_of(st.text(max_size=40), st.text("aab", max_size=40)))
+    return text, (_edited(draw, text) if draw(st.booleans()) else draw(st.text(max_size=40)))
+
+
+@given(_text_and_edited())
+def test_strings_within_d_edits_share_all_but_2d_distinct_grams(pair):
+    # the bound categorize filters on: an edit destroys at most two 2-gram
+    # occurrences, and a distinct 2-gram is lost only with all of them
+    a, b = pair
+    mine, theirs = ontology._grams(a), ontology._grams(b)
+    assert mine == {a[i:i + 2] for i in range(len(a) - 1)}
+    edits = reference_prefix_distances(a, b)[-1]
+    assert len(mine & theirs) >= max(len(mine), len(theirs)) - 2 * edits
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     _taxonomy_and_names(),
@@ -161,11 +184,11 @@ def test_filtered_categorize_skips_most_edit_ratios(ont):
 
 def test_ontology_keeps_no_shared_state():
     # same surfaces, different categories: each object answers from its own
-    # map, and its index changes neither ==, repr nor the dataclass fields
+    # map, and its fuzzy table changes neither ==, repr nor the dataclass fields
     categories = {UNKNOWN, "A", "B"}
     first = Ontology(categories, {"allergies": "A", "medications": "B"})
     second = Ontology(categories, {"allergies": "B", "medications": "A"})
-    assert load_ontology()._grams is None
+    assert load_ontology()._fuzzy is None
     before = repr(first)
     for _ in range(2):
         assert categorize("Allergles", first) == "A"
@@ -173,6 +196,8 @@ def test_ontology_keeps_no_shared_state():
         assert categorize("Medicatons", first) == "B"
         assert categorize("Medicatons", second) == "A"
     assert repr(first) == before
+    assert {s for group in first._fuzzy.values() for s, _ in group} == set(first.surface_map)
+    assert first._fuzzy is not second._fuzzy
     assert first == Ontology(categories, {"allergies": "A", "medications": "B"})
     assert [f.name for f in dataclasses.fields(Ontology)] == ["categories", "surface_map", "levels"]
 

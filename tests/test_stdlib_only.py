@@ -3,8 +3,10 @@
 Every absolute import under ``src/sectionid`` must name a stdlib module or
 the package itself, ``pyproject.toml`` must declare no runtime dependency,
 and importing the CLI must not load the HTTP stack, which only a live
-endpoint call needs. Every name in a package's ``__all__`` must resolve, so
-a deleted function leaves no stale export behind.
+endpoint call needs. A replay run must not load the thread pool either,
+which only a live endpoint with several documents uses. Every name in a
+package's ``__all__`` must resolve, so a deleted function leaves no stale
+export behind.
 """
 
 from __future__ import annotations
@@ -63,6 +65,26 @@ def test_cli_import_loads_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_replay_segment_loads_no_thread_pool(tmp_path, replay_store):
+    # a replay store answers from local files, so segment runs it on the
+    # calling thread whatever --workers says
+    code = (
+        "import sys; from sectionid.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'concurrent.futures' in sys.modules)"
+    )
+    argv = [
+        "segment", "--corpus", str(SRC.parent / "tests" / "fixtures" / "gold_small.jsonl"),
+        "--segmenter", "llm", "--replay", str(replay_store), "--workers", "3",
+        "--out", str(tmp_path / "run"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 False\n"
 
 
 @pytest.mark.parametrize("package", ["sectionid", "sectionid.llm"])

@@ -8,22 +8,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_synthetic_doc
+from conftest import make_synthetic_doc, reference_prefix_distances
 from sectionid.align import align_headers
 from sectionid.prediction import Prediction
 from sectionid.textdist import edit_ratio, levenshtein, max_edits, prefix_distances
-
-
-def oracle_prefix_distances(needle: str, haystack: str) -> list[int]:
-    """The O(len(needle) * len(haystack)) Wagner-Fischer table, last row."""
-    prev = list(range(len(haystack) + 1))
-    for i, ca in enumerate(needle, 1):
-        row = [i]
-        for j, cb in enumerate(haystack, 1):
-            cost = 0 if ca == cb else 1
-            row.append(min(row[-1] + 1, prev[j] + 1, prev[j - 1] + cost))
-        prev = row
-    return prev
 
 
 # a small alphabet makes matches, and so every delta pattern, frequent
@@ -33,24 +21,24 @@ long_text = st.text(alphabet="abcdxy", min_size=65, max_size=150)
 
 @given(st.text(), st.text())
 def test_prefix_distances_equal_dp_on_arbitrary_text(needle, haystack):
-    assert prefix_distances(needle, haystack) == oracle_prefix_distances(needle, haystack)
+    assert prefix_distances(needle, haystack) == reference_prefix_distances(needle, haystack)
 
 
 @given(small_text, small_text)
 def test_prefix_distances_equal_dp_on_small_alphabet(needle, haystack):
-    assert prefix_distances(needle, haystack) == oracle_prefix_distances(needle, haystack)
+    assert prefix_distances(needle, haystack) == reference_prefix_distances(needle, haystack)
 
 
 @settings(max_examples=50)
 @given(long_text, st.one_of(small_text, long_text))
 def test_prefix_distances_equal_dp_past_64_characters(needle, haystack):
-    assert prefix_distances(needle, haystack) == oracle_prefix_distances(needle, haystack)
-    assert prefix_distances(haystack, needle) == oracle_prefix_distances(haystack, needle)
+    assert prefix_distances(needle, haystack) == reference_prefix_distances(needle, haystack)
+    assert prefix_distances(haystack, needle) == reference_prefix_distances(haystack, needle)
 
 
 @given(st.one_of(small_text, st.text()), st.one_of(small_text, st.text()))
 def test_levenshtein_equals_dp_and_is_symmetric(a, b):
-    expected = oracle_prefix_distances(a, b)[-1]
+    expected = reference_prefix_distances(a, b)[-1]
     assert levenshtein(a, b) == expected == levenshtein(b, a)
     longest = max(len(a), len(b))
     assert edit_ratio(a, b) == (expected / longest if longest else 0.0)
@@ -134,5 +122,5 @@ def test_alignment_unchanged_against_dp_oracle(seed, max_edit_ratio):
         )
 
     fast = outcome()
-    with mock.patch("sectionid.align.prefix_distances", oracle_prefix_distances):
+    with mock.patch("sectionid.align.prefix_distances", reference_prefix_distances):
         assert outcome() == fast
