@@ -162,6 +162,10 @@ def _regex_rule(name: str, pattern: str) -> Rule:
 DEFAULT_RULES = (_match_titlecase_colon, _match_allcaps_line)
 
 
+def _default_rules_only(rules: Sequence[Rule]) -> bool:
+    return all(r is _match_titlecase_colon or r is _match_allcaps_line for r in rules)
+
+
 def load_ruleset(path: str | Path) -> list[Rule]:
     """Read a JSON list of {"name": str, "pattern": str} rules.
 
@@ -216,7 +220,7 @@ def _lines_to_check(
     words = _line_words(text) if lexicon is not None else repeat("")
     starts = map(add, accumulate(map(len, lines), initial=0), count())
     rows = zip(starts, lines, words)
-    if any(r is not _match_titlecase_colon and r is not _match_allcaps_line for r in rules):
+    if not _default_rules_only(rules):
         return rows
     hits = []
     if lexicon is not None:
@@ -232,11 +236,18 @@ def _lines_to_check(
 
 def _segment(doc: Document, lexicon: HeaderLexicon | None, rules: Sequence[Rule]) -> Prediction:
     """Each line's lexicon match, then its first rule match unless that
-    overlaps the lexicon match, on the lines ``_lines_to_check`` keeps."""
+    overlaps the lexicon match, on the lines ``_lines_to_check`` keeps.
+
+    Both default rules match from the line's first non-space character,
+    where a lexicon match starts too, so with only those rules no rule is
+    tried on a line the lexicon matched.
+    """
     by_word = lexicon.by_word if lexicon is not None else {}
     unkeyed = by_word.get("", ())
+    rules_after_hit = () if _default_rules_only(rules) else rules
     spans: list[tuple[int, int]] = []
     for line_start, line, word in _lines_to_check(doc.text, lexicon, rules):
+        line_rules = rules
         # A lexicon match starts at the line's first non-space character and
         # a rule match ends on a non-space one, so the two overlap unless the
         # rule match starts at or after the lexicon match's end.
@@ -255,8 +266,9 @@ def _segment(doc: Document, lexicon: HeaderLexicon | None, rules: Sequence[Rule]
                 start = line_start + len(line) - len(content)
                 rule_from = start + size
                 spans.append((start, rule_from))
+                line_rules = rules_after_hit
                 break
-        for rule in rules:
+        for rule in line_rules:
             rel = rule(line)
             if rel is None:
                 continue

@@ -8,9 +8,10 @@ built, so the distribution can be reproduced without the source documents.
 
 A name with no exact surface is compared by edit distance only with the
 surfaces that pass two exact filters, a length window and a count of shared
-distinct 2-grams. Both read a per-``Ontology`` table of each surface and its
-2-gram set, grouped by length and built at the first such lookup, so the
-answer is the one a comparison with every surface gives.
+distinct 2-grams, so the answer is the one a comparison with every surface
+gives. Both read a per-``Ontology`` table of each surface and its 2-gram set,
+grouped by length: the surfaces are grouped at the first such lookup, and the
+2-gram sets of one length are built when a lookup's window first reaches it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .corpus import AnnotatedDocument, comment_lines, open_text
 from .errors import DanglingCategory, EmptyCorpus, FormatError
@@ -71,23 +73,53 @@ class Ontology:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
-        # built at the first fuzzy lookup; a plain attribute, not a field, so
-        # ==, repr and dataclasses.fields see only the taxonomy
-        self._fuzzy: dict[int, list[tuple[str, frozenset[str]]]] | None = None
+        # filled by fuzzy lookups: the surfaces per length and the longest
+        # length, at the first one, and per length a lookup has reached, each
+        # surface of it with its 2-gram set and that set's size. Plain
+        # attributes, not fields, so ==, repr and dataclasses.fields see only
+        # the taxonomy.
+        self._by_length: dict[int, list[str]] | None = None
+        self._longest = 0
+        self._fuzzy: dict[int, list[tuple[str, frozenset[str], int]]] = {}
 
-    def _fuzzy_table(self) -> dict[int, list[tuple[str, frozenset[str]]]]:
-        """Per surface length, each surface of that length and its 2-gram set."""
-        if self._fuzzy is None:
-            self._fuzzy = {}
+    def _longest_surface(self) -> int:
+        """The length of the longest surface; groups the surfaces by length first."""
+        if self._by_length is None:
+            self._by_length = {}
             for surface in self.surface_map:
-                self._fuzzy.setdefault(len(surface), []).append((surface, _grams(surface)))
-        return self._fuzzy
+                self._by_length.setdefault(len(surface), []).append(surface)
+            self._longest = max(self._by_length, default=0)
+        return self._longest
+
+    def _fuzzy_bucket(self, n: int) -> list[tuple[str, frozenset[str], int]]:
+        """Each surface of length ``n``, its 2-gram set and that set's size."""
+        bucket = self._fuzzy.get(n)
+        if bucket is None:
+            bucket = self._fuzzy[n] = []
+            for surface in self._by_length.get(n, ()):
+                grams = _grams(surface)
+                bucket.append((surface, grams, len(grams)))
+        return bucket
 
     def coarse_categories(self) -> set[str]:
         fine_only = {
             self.surface_map[s] for s, lvl in self.levels.items() if lvl == FINE
         } - {self.surface_map[s] for s, lvl in self.levels.items() if lvl != FINE}
         return self.categories - fine_only
+
+
+def _csv_rows(src: object, fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """The number and fields of each row of a CSV file, the header being row 1.
+
+    A row the ``csv`` module refuses, such as one holding a field longer than
+    ``csv.field_size_limit()``, raises FormatError naming the file and row.
+    """
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(fh), 1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise FormatError(f"{src} row {row_no + 1}: {exc}") from exc
 
 
 def load_ontology(path: str | Path | object | None = None) -> Ontology:
@@ -103,31 +135,29 @@ def load_ontology(path: str | Path | object | None = None) -> Ontology:
     surface_map: dict[str, str] = {}
     levels: dict[str, str] = {}
     with open_text(src) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(src, fh)
+        _, header = next(rows, (1, None))
         if header is None or [h.strip().lower() for h in header[:2]] != ["surface_form", "category"]:
             raise FormatError(
                 f"{src}: taxonomy file must start with a surface_form,category,level header"
             )
-        for row_no, row in enumerate(reader, 2):
-            if not row or all(not cell.strip() for cell in row):
+        for row_no, row in rows:
+            if not any(map(str.strip, row)):
                 continue
-            if len(row) < 2 or not row[1].strip():
+            if len(row) < 2 or not (category := row[1].strip()):
                 raise FormatError(f"{src} row {row_no}: missing category")
-            category = row[1].strip()
-            level = row[2].strip().lower() if len(row) > 2 and row[2].strip() else COARSE
-            if level not in (COARSE, FINE):
+            level = (row[2].strip().lower() or COARSE) if len(row) > 2 else COARSE
+            if level != COARSE and level != FINE:
                 raise FormatError(f"{src} row {row_no}: level must be coarse or fine")
             categories.add(category)
             surface = normalize_surface(row[0])
             if not surface:
                 continue  # bare category declaration
-            previous = surface_map.get(surface)
-            if previous is not None and previous != category:
+            previous = surface_map.setdefault(surface, category)
+            if previous != category:
                 raise FormatError(
                     f"{src} row {row_no}: surface {surface!r} already maps to {previous!r}"
                 )
-            surface_map[surface] = category
             levels[surface] = level
     if not categories:
         raise FormatError(f"{src}: taxonomy declares no categories, not even {UNKNOWN!r}")
@@ -153,19 +183,20 @@ def categorize(name: str, ont: Ontology) -> str:
     hit = ont.surface_map.get(surface)
     if hit is not None:
         return hit
-    table = ont._fuzzy_table()
+    size = len(surface)
     mine = _grams(surface)
+    my_grams = len(mine)
     best: tuple[float, str] | None = None
-    shortest = max(1, len(surface) - max_edits(len(surface), FUZZY_RATIO))
-    for n in range(shortest, max(table, default=0) + 1):
-        longest = max(n, len(surface))
-        edits = max_edits(longest, FUZZY_RATIO)
-        # n - len(surface) - edits never falls as n grows (the budget grows
-        # by at most 1 per character), so no longer surface can pass either
-        if n - len(surface) > edits:
+    # the budget of every length up to the name's own, where the name is the longer
+    budget = max_edits(size, FUZZY_RATIO)
+    for n in range(max(1, size - budget), ont._longest_surface() + 1):
+        edits = budget if n <= size else max_edits(n, FUZZY_RATIO)
+        # n - size - edits never falls as n grows (the budget grows by at
+        # most 1 per character), so no longer surface can pass either
+        if n - size > edits:
             break
-        for candidate, theirs in table.get(n, ()):
-            if len(mine & theirs) < max(len(mine), len(theirs)) - 2 * edits:
+        for candidate, theirs, their_grams in ont._fuzzy_bucket(n):
+            if len(mine & theirs) < max(my_grams, their_grams) - 2 * edits:
                 continue
             ratio = edit_ratio(surface, candidate)
             if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):
@@ -221,16 +252,16 @@ def load_reference_counts(path: str | Path | object | None = None) -> CategorySt
     src = data_path("category_counts.csv") if path is None else path
     raw: dict[str, tuple[int, int]] = {}
     with open_text(src) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(src, fh)
+        _, header = next(rows, (1, None))
         if header is None or [h.strip().lower() for h in header] != [
             "category", "section_count", "frequency",
         ]:
             raise FormatError(
                 f"{src}: reference counts need a category,section_count,frequency header"
             )
-        for row_no, row in enumerate(reader, 2):
-            if not row or all(not cell.strip() for cell in row):
+        for row_no, row in rows:
+            if not any(map(str.strip, row)):
                 continue
             try:
                 raw[row[0].strip()] = (int(row[1]), int(row[2]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 import threading
@@ -15,7 +16,14 @@ import pytest
 from sectionid import ontology
 from sectionid.align import _LINE_PREFIX_LIMIT, _fold, line_starts
 from sectionid.baselines import DEFAULT_RULES, HeaderLexicon, Rule
-from sectionid.corpus import AnnotatedDocument, Document, SectionAnnotation, load_gold_corpus
+from sectionid.corpus import (
+    AnnotatedDocument,
+    Document,
+    SectionAnnotation,
+    load_gold_corpus,
+    open_text,
+)
+from sectionid.errors import FormatError
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
 from sectionid.metrics import Counts, token_counts
@@ -233,6 +241,45 @@ def reference_categorize(name: str, ont: ontology.Ontology) -> str:
     scored = [(edit_ratio(surface, c), c) for c in ont.surface_map]
     best = min((key for key in scored if key[0] <= ontology.FUZZY_RATIO), default=None)
     return ontology.UNKNOWN if best is None else ont.surface_map[best[1]]
+
+
+def reference_load_ontology(src: Path) -> ontology.Ontology:
+    """Oracle for ``ontology.load_ontology``: the row loop as first written,
+    one plain check per refusal."""
+    categories: set[str] = set()
+    surface_map: dict[str, str] = {}
+    levels: dict[str, str] = {}
+    with open_text(src) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["surface_form", "category"]:
+            raise FormatError(
+                f"{src}: taxonomy file must start with a surface_form,category,level header"
+            )
+        for row_no, row in enumerate(reader, 2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2 or not row[1].strip():
+                raise FormatError(f"{src} row {row_no}: missing category")
+            category = row[1].strip()
+            level = row[2].strip().lower() if len(row) > 2 and row[2].strip() else ontology.COARSE
+            if level not in (ontology.COARSE, ontology.FINE):
+                raise FormatError(f"{src} row {row_no}: level must be coarse or fine")
+            categories.add(category)
+            surface = ontology.normalize_surface(row[0])
+            if not surface:
+                continue
+            previous = surface_map.get(surface)
+            if previous is not None and previous != category:
+                raise FormatError(
+                    f"{src} row {row_no}: surface {surface!r} already maps to {previous!r}"
+                )
+            surface_map[surface] = category
+            levels[surface] = level
+    if not categories:
+        raise FormatError(f"{src}: taxonomy declares no categories, not even {ontology.UNKNOWN!r}")
+    categories.add(ontology.UNKNOWN)
+    return ontology.Ontology(categories=categories, surface_map=surface_map, levels=levels)
 
 
 class StaticClient:

@@ -178,6 +178,39 @@ def test_segmenters_check_only_the_lines_that_could_match(monkeypatch):
     )
 
 
+def test_default_rules_skip_the_lines_the_lexicon_matched(monkeypatch):
+    # Both default rules match where a lexicon match starts, so after one
+    # they cannot add a span; a custom rule may match further on, so it
+    # runs on every line.
+    lines = [line for line, _ in _WORK_NOTE]
+    doc = Document("d", "\n".join(lines))
+    tried: dict[str, list[str]] = {}
+
+    def spying(name, rule):
+        def spy(line):
+            tried.setdefault(name, []).append(line)
+            return rule(line)
+        return spy
+
+    titlecase, allcaps = (spying(rule.__name__, rule) for rule in DEFAULT_RULES)
+    monkeypatch.setattr(baselines, "_match_titlecase_colon", titlecase)
+    monkeypatch.setattr(baselines, "_match_allcaps_line", allcaps)
+    assert rule_segment(doc, LEX, (titlecase, allcaps)) == reference_rule_segment(doc, LEX)
+    # lines 0, 4 and 5 hold the lexicon's matches, so only the other checked
+    # lines are tried
+    assert keyword_segment(doc, LEX).headers == ["Allergies", "plan", "family history"]
+    unmatched = ["PHYSICAL EXAM", "he said: come back", "", "1. 2."]
+    assert tried == {"_match_titlecase_colon": unmatched, "_match_allcaps_line": unmatched}
+
+    tried.clear()
+    numbered = _regex_rule("numbered", r"\d+\. (\w+)")
+    custom = spying("numbered", numbered)
+    assert rule_segment(doc, LEX, [custom, titlecase, allcaps]) == reference_rule_segment(
+        doc, LEX, [numbered, *DEFAULT_RULES]
+    )
+    assert tried["numbered"] == lines
+
+
 _EVERY_CHARACTER = list(map(chr, range(sys.maxunicode + 1)))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -773,7 +774,9 @@ def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
     ("surface_form,category,level\nplan,A,coarse\nrest,A,medium\n",
      " row 3: level must be coarse or fine"),
     ("plan,A,coarse\n", ": taxonomy file must start with a surface_form,category,level header"),
-], ids=["missing_category", "bad_level", "bad_header"])
+    (f"surface_form,category,level\nplan,A,coarse\n{'x' * (csv.field_size_limit() + 1)},A\n",
+     f" row 3: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["missing_category", "bad_level", "bad_header", "oversized_field"])
 def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, gold_path, rows, message):
     taxonomy = tmp_path / "tax.csv"
     taxonomy.write_text(rows, encoding="utf-8")
@@ -782,6 +785,7 @@ def test_bad_taxonomy_error_names_the_file(tmp_path, capsys, gold_path, rows, me
     # open-mode evaluate does not use the taxonomy but still checks a user's file
     for argv in (
         ["normalize", "--names", str(FIXTURES / "order_variants.txt")],
+        ["segment", "--corpus", gold_path, "--segmenter", "keyword", "--out", str(tmp_path)],
         ["evaluate", "--corpus", gold_path, "--predictions", str(preds), "--out", str(tmp_path)],
     ):
         code = main([*argv, "--ontology", str(taxonomy)])

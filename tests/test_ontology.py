@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import random
 from unittest import mock
@@ -188,7 +189,8 @@ def test_ontology_keeps_no_shared_state():
     categories = {UNKNOWN, "A", "B"}
     first = Ontology(categories, {"allergies": "A", "medications": "B"})
     second = Ontology(categories, {"allergies": "B", "medications": "A"})
-    assert load_ontology()._fuzzy is None
+    fresh = load_ontology()
+    assert (fresh._by_length, fresh._fuzzy) == (None, {})
     before = repr(first)
     for _ in range(2):
         assert categorize("Allergles", first) == "A"
@@ -196,10 +198,94 @@ def test_ontology_keeps_no_shared_state():
         assert categorize("Medicatons", first) == "B"
         assert categorize("Medicatons", second) == "A"
     assert repr(first) == before
-    assert {s for group in first._fuzzy.values() for s, _ in group} == set(first.surface_map)
+    assert {s for group in first._by_length.values() for s in group} == set(first.surface_map)
+    assert {s for group in first._fuzzy.values() for s, _, _ in group} == set(first.surface_map)
+    assert first._by_length is not second._by_length
     assert first._fuzzy is not second._fuzzy
     assert first == Ontology(categories, {"allergies": "A", "medications": "B"})
     assert [f.name for f in dataclasses.fields(Ontology)] == ["categories", "surface_map", "levels"]
+
+
+def test_fuzzy_table_is_built_per_length_at_first_use():
+    # the work-count guard of the lazy table: an exact hit builds no 2-gram
+    # set, and a fuzzy lookup builds those of its length window only, once
+    ont = load_ontology()
+    social, chief = ont.surface_map["social history"], ont.surface_map["chief complaint"]
+    with mock.patch.object(ontology, "_grams", wraps=ontology._grams) as grams:
+        assert categorize("SOCIAL HISTORY:", ont) == social
+        assert (grams.call_count, ont._by_length, ont._fuzzy) == (0, None, {})
+
+        # 14 characters, 2 edits: only surfaces of 12 to 16 characters can pass
+        assert categorize("Social Histroy", ont) == social
+        window = {s for s in ont.surface_map if 12 <= len(s) <= 16}
+        assert set(ont._fuzzy) == set(range(12, 17))
+        assert {s for group in ont._fuzzy.values() for s, _, _ in group} == window
+        assert grams.call_count == 1 + len(window)
+        assert len(window) < len(ont.surface_map) // 2
+        for group in ont._fuzzy.values():
+            for surface, theirs, size in group:
+                assert (theirs, size) == (ontology._grams(surface), len(theirs))
+
+        grams.reset_mock()
+        assert categorize("Social Histroy", ont) == social
+        # 17 characters, 2 edits, 3 at 20 characters: lengths 15 to 20, of
+        # which 17 to 20 are new
+        assert categorize("Chief Complaintss", ont) == chief
+        new = {s for s in ont.surface_map if 17 <= len(s) <= 20}
+        assert set(ont._fuzzy) == set(range(12, 21))
+        assert grams.call_count == 2 + len(new)
+
+
+# The refusals are weighted down, so that most files get past a few rows.
+_TAXONOMY_HEADERS = st.sampled_from([
+    *[["surface_form", "category", "level"]] * 4, [" Surface_Form ", "CATEGORY"],
+    ["surface_form"], ["plan", "A", "coarse"],
+])
+# Blank and whitespace-only rows, and rows of up to four cells: surfaces
+# repeated or conflicting once normalized, bare categories, mixed-case,
+# empty and unknown levels, and cells holding commas or quotes.
+_TAXONOMY_ROWS = st.one_of(
+    st.sampled_from([[], [""], ["  "], ["", " ", ""]]),
+    st.builds(
+        lambda cells, n: list(cells[:n]),
+        st.tuples(
+            st.sampled_from(["plan", "Plan:", " PLAN ", "a, b", "A, b", "allergies", 'x "y"', "", "-"]),
+            st.sampled_from(["A", "B", " A ", "C, D", "A", "B", "a", ""]),
+            st.sampled_from(["coarse", "Coarse", "FINE", " fine ", "", "  ", "coarse", "medium"]),
+            st.sampled_from(["", "note"]),
+        ),
+        st.sampled_from([3, 3, 3, 2, 3, 4, 1, 3]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TAXONOMY_HEADERS, st.lists(_TAXONOMY_ROWS, max_size=8))
+def test_load_ontology_equals_the_first_row_loop(tmp_path_factory, header, rows):
+    path = tmp_path_factory.getbasetemp() / "taxonomy.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    try:
+        expected = conftest.reference_load_ontology(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as refused:
+            load_ontology(path)
+        assert str(refused.value) == str(exc)
+        return
+    got = load_ontology(path)
+    assert got == expected
+    assert list(got.surface_map.items()) == list(expected.surface_map.items())
+    assert list(got.levels.items()) == list(expected.levels.items())
+
+
+def test_oversized_csv_field_is_a_format_error(tmp_path):
+    # a field over csv.field_size_limit() fails with the file and row
+    limit = csv.field_size_limit()
+    path = tmp_path / "counts.csv"
+    path.write_text(f"category,section_count,frequency\nA,1,2\nB,1,{'9' * (limit + 1)}\n")
+    with pytest.raises(FormatError) as refused:
+        load_reference_counts(path)
+    assert str(refused.value) == f"{path} row 3: field larger than field limit ({limit})"
 
 
 def test_levels_filtering():
