@@ -6,9 +6,9 @@ output files are deterministic byte-for-byte given the same inputs. The API
 bearer token is only ever read from the environment variable named in the
 config, never from the config file itself.
 
-Each command builds only its own arguments: ``build_parser`` adds every
-subcommand only when the first argument names none of them, as for
-``--help`` or a usage error.
+Each command builds only its own parser: ``main`` parses a command's
+arguments with that command's parser alone, and builds the full parser,
+with every subcommand, only for ``--help`` and usage errors.
 
 Exit codes: 0 clean, 2 partial (some documents failed or were missing, or
 some predictions named no corpus document), 1 fatal.
@@ -412,40 +412,46 @@ _COMMANDS: dict[
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the subcommand ``argv[0]`` names, if it names one.
-
-    Anything else (no argument, ``--help``, an unknown command, a leading
-    flag) gets every subcommand. Either way each help and usage-error text is
-    the same, because the top-level usage line still lists every command.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: ``sectionid`` with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="sectionid",
         description="Identify, normalize, and score section headers in clinical notes.",
     )
-    if argv and argv[0] in _COMMANDS:
-        names = [argv[0]]
-        # the choice list argparse writes itself when every subcommand is
-        # built; set only here, because a metavar also renames "argument
-        # command" in the invalid-choice and missing-command errors
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
-        )
-    else:
-        names = list(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments, func = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=func)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    command ``argv[0]`` names when that parser takes every argument.
+
+    It is the parser ``add_parser`` builds, with the same ``prog``, so its
+    help and errors are the same. The full parser is built for anything
+    else: no command, ``--help``, an unknown command or an argument left over,
+    which only the top-level parser reports.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_arguments, func = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"sectionid {name}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            args.func = func
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

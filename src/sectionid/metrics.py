@@ -16,7 +16,7 @@ Conventions, chosen so every number is recomputable from the reported counts:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .align import DEFAULT_MAX_EDIT_RATIO, align_headers
@@ -347,9 +347,14 @@ def render_report(run: RunReport, fmt: str = "table_text") -> str:
             "method": run.method,
             "corpus": run.corpus,
             "scores": {name: getattr(r, name) for name in ("accuracy_all_tokens", *_RATES)},
-            "counts": asdict(r.counts),
+            "counts": vars(r.counts),
             "per_doc": [
-                {**asdict(d), **{name: getattr(d, name) for name in _RATES}}
+                {
+                    "doc_id": d.doc_id,
+                    "counts": vars(d.counts),
+                    "unmatched_headers": d.unmatched_headers,
+                    **{name: getattr(d, name) for name in _RATES},
+                }
                 for d in run.per_doc
             ],
         }

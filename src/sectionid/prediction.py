@@ -135,7 +135,7 @@ def load_predictions(path: str | Path, docs: Sequence[AnnotatedDocument]) -> dic
     predictions: dict[str, Prediction] = {}
     first_line: dict[str, int] = {}
     for lineno, where, obj in _jsonl_objects(path):
-        doc_id, headers = obj.get("id"), obj.get("headers", [])
+        doc_id, headers = obj.get("id"), obj.get("headers")
         if not isinstance(doc_id, str):
             raise FormatError(f"{where}: 'id' must be a string")
         if doc_id in first_line:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURES,
@@ -22,7 +26,7 @@ from conftest import (
     record_thread_starts,
 )
 from sectionid import baselines, metrics, ontology
-from sectionid.cli import _CHECKS, FATAL, OK, PARTIAL, main
+from sectionid.cli import _CHECKS, _COMMANDS, FATAL, OK, PARTIAL, build_parser, main, parse_args
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
 
@@ -419,6 +423,7 @@ def _regrounded(first=None, second=None, **fields):
     (_regrounded(id=2), "'id' must be a string"),
     (_regrounded(headers=["HPI", 1, "Plan"]), "'headers' must be a list of strings"),
     (_regrounded(headers="HPI"), "'headers' must be a list of strings"),
+    ({"id": "fx2", "sections": []}, "'headers' must be a list of strings"),
     (_regrounded(spans={"HPI": [0, 3]}), "'spans' must be a list or null"),
 ], ids=[
     "index-not-int", "index-bool", "index-out-of-range", "index-repeats", "span-not-pair",
@@ -426,7 +431,7 @@ def _regrounded(first=None, second=None, **fields):
     "empty-span", "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
     "unmatched-not-ints", "unmatched-without-grounding", "grounding-not-objects",
     "spans-and-grounding", "id-not-string", "headers-not-strings", "headers-not-list",
-    "spans-not-list",
+    "headers-missing", "spans-not-list",
 ])
 def test_evaluate_bad_grounding_is_fatal(tmp_path, gold_path, capsys, line, message):
     err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
@@ -1220,16 +1225,68 @@ def _count_calls(monkeypatch, owner, name):
 def test_a_command_builds_only_its_own_arguments(tmp_path, capsys, monkeypatch):
     names = tmp_path / "names.txt"
     names.write_text("Plan\n", encoding="utf-8")
-    parsers = _count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
+    parsers = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    subcommands = _count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
     arguments = _count_calls(monkeypatch, argparse._ActionsContainer, "add_argument")
     assert main(["normalize", "--names", str(names), "--out", str(tmp_path / "n.tsv")]) == OK
-    assert len(parsers) == 1
-    # --names, --ontology and --out, and the -h of sectionid and of normalize
-    assert len(arguments) == 3 + 2
-    parsers.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert [args[1] for args in parsers] == ["segment", "evaluate", "stats", "normalize", "iaa"]
+    assert [args[0].prog for args in parsers] == ["sectionid normalize"]
+    assert subcommands == []
+    # --names, --ontology and --out, and the -h of normalize
+    assert len(arguments) == 3 + 1
+    # the full parser, with every subcommand, for help and usage errors
+    for argv in (["--help"], ["bogus"], ["normalize", "--names", str(names), "extra"]):
+        subcommands.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert [args[1] for args in subcommands] == list(_COMMANDS)
+
+
+def _argv(command):
+    """A strategy for ``command``'s argv: its required flags or not, then
+    token groups: a flag with a valid or invalid value, a switch, an
+    abbreviated flag, ``-h``, ``--`` or a token the command does not take."""
+    parser = argparse.ArgumentParser()
+    _COMMANDS[command][1](parser)
+    required = [[a.option_strings[0], "x.jsonl"] for a in parser._actions if a.required]
+    groups = [st.sampled_from([["-h"], ["--"], ["extra"], ["--bogus"], ["-x"], ["--bogus=1"]])]
+    for action in parser._actions:
+        flag = action.option_strings[-1]
+        names = st.sampled_from(action.option_strings)
+        if flag.startswith("--"):
+            # every prefix of a long flag that argparse might take as it
+            names = names | st.integers(3, len(flag)).map(lambda n, flag=flag: flag[:n])
+        if action.nargs == 0:
+            groups.append(names.map(lambda name: [name]))
+            continue
+        values = st.sampled_from([*(action.choices or ()), "nope", "3", "0.5", "-1", "x.jsonl", "", "--"])
+        groups.append(st.tuples(names, values).map(list))
+        groups.append(st.tuples(names, values).map(lambda pair: ["=".join(pair)]))
+    return st.tuples(st.sampled_from([[], *required]), st.lists(st.one_of(groups), max_size=5)).map(
+        lambda drawn: sum(drawn[1], [command, *drawn[0]])
+    )
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse(argv)`` gives, or the exit code, stdout and
+    stderr it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_parses_as_the_full_parser_does(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    @settings(max_examples=50, deadline=None)
+    @given(_argv(command))
+    def check(argv):
+        assert _parsed(parse_args, argv) == _parsed(lambda a: build_parser().parse_args(a), argv)
+
+    check()
 
 
 def test_segment_loads_the_taxonomy_once(tmp_path, gold_path, monkeypatch):
