@@ -10,6 +10,10 @@ Each command builds only its own parser: ``main`` parses a command's
 arguments with that command's parser alone, and builds the full parser,
 with every subcommand, only for ``--help`` and usage errors.
 
+Stderr holds ``error: <message>`` lines for what stops a command and
+``warning: <message>`` lines for what a lenient run drops or retries; each
+call writes them to the ``sys.stderr`` current at the time.
+
 Exit codes: 0 clean, 2 partial (some documents failed or were missing, or
 some predictions named no corpus document), 1 fatal.
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import Callable
@@ -452,11 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return int(args.func(args))
     except (SectionIdError, OSError) as exc:

@@ -15,19 +15,16 @@ cross-check; when present it must equal the text slice at ``header_span``.
 from __future__ import annotations
 
 import json
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .errors import EmptyCorpus, FormatError, SpanError
+from .errors import EmptyCorpus, FormatError, SpanError, warn
 from .tokenizer import tokens_before
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
-
-log = logging.getLogger(__name__)
 
 SOURCE_KINDS = ("ehr_clean", "ocr_noisy")
 
@@ -187,7 +184,7 @@ def _jsonl_objects(
     """(line number, "<path> line <n>", object) per non-blank line of a JSONL file.
 
     A non-object line fails. A line that is not JSON, or is nested too deeply
-    to decode, fails too, unless ``skip_malformed``, which logs and skips it.
+    to decode, fails too, unless ``skip_malformed``, which warns and skips it.
     A file that is not UTF-8 fails whatever ``skip_malformed`` says.
     """
     with open_text(path) as fh:
@@ -199,7 +196,7 @@ def _jsonl_objects(
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
                 if skip_malformed:
-                    log.warning("%s: skipping malformed JSON line", where)
+                    warn(f"{where}: skipping malformed JSON line")
                     continue
                 raise FormatError(f"{where}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
@@ -243,7 +240,7 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
     violation raises (FormatError for malformed lines and fields, SpanError
     for span problems, naming the document). In lenient mode a line that is
     not JSON is skipped, and exactly the documents, sections and bodies that
-    ``validate_corpus`` flags are dropped with a logged warning: a document
+    ``validate_corpus`` flags are dropped with a warning on stderr: a document
     whose id repeats an earlier one is still read and checked, then dropped,
     so the first document with each id is the one kept.
     """
@@ -262,8 +259,7 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
                 raise FormatError(
                     f"{where}: unknown source_kind {source_kind!r} for document {doc_id!r}"
                 )
-            log.warning("%s: document %s: unknown source_kind %r, using ehr_clean",
-                        where, doc_id, source_kind)
+            warn(f"{where}: document {doc_id}: unknown source_kind {source_kind!r}, using ehr_clean")
             source_kind = "ehr_clean"
         repeated = doc_id in seen_ids
         if repeated and strict:
@@ -303,15 +299,15 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
             if strict:
                 raise SpanError(f"{where}: document {doc_id!r}: {message}")
             if kind == BODY_SPAN_INVALID:
-                log.warning("%s: document %s: dropping body_span: %s", where, doc_id, message)
+                warn(f"{where}: document {doc_id}: dropping body_span: {message}")
                 sections[i].body_span = None
             else:
-                log.warning("%s: document %s: dropping section: %s", where, doc_id, message)
+                warn(f"{where}: document {doc_id}: dropping section: {message}")
                 dropped.add(i)
         if dropped:
             doc.sections = [sec for i, sec in enumerate(sections) if i not in dropped]
         if repeated:
-            log.warning("%s: dropping document %r: its id repeats an earlier line", where, doc_id)
+            warn(f"{where}: dropping document {doc_id!r}: its id repeats an earlier line")
             continue
         docs.append(doc)
     return docs

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one warning path."""
+
+import sys
+
+
+def warn(message: str) -> None:
+    """Write ``warning: <message>`` as one line to the current ``sys.stderr``.
+
+    The stream is looked up on each call, so a redirected stderr receives the
+    warnings of its own call; a single write keeps lines from threads whole.
+    """
+    sys.stderr.write(f"warning: {message}\n")
 
 
 class SectionIdError(Exception):
@@ -59,7 +70,3 @@ class DanglingCategory(SectionIdError):
 
 class EmptyInput(SectionIdError):
     """An aggregate operation received an empty input list."""
-
-
-class TruncationWarning(UserWarning):
-    """The model response was cut off at the max-token limit."""

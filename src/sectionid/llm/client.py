@@ -13,19 +13,15 @@ whole pipelines re-run byte-identically with no endpoint.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 from ..corpus import read_json
-from ..errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
-
-log = logging.getLogger(__name__)
+from ..errors import AuthError, FormatError, ReplayMiss, TransportError, warn
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -246,7 +242,7 @@ def complete(config: LLMConfig, user: str, client: ChatClient, *, system: str = 
 
     Retries transport errors, 429, and 5xx up to ``max_retries`` extra
     attempts; 401/403 raise AuthError immediately. A response that stopped
-    at the token limit triggers a TruncationWarning but is still returned.
+    at the token limit is warned of on stderr but still returned.
     """
     payload = build_payload(config, user, system=system)
     last_error: str = "no attempt made"
@@ -259,13 +255,13 @@ def complete(config: LLMConfig, user: str, client: ChatClient, *, system: str = 
             result = client.send(payload)
         except TransportError as exc:
             last_error = str(exc)
-            log.warning("attempt %d transport failure: %s", attempt + 1, exc)
+            warn(f"attempt {attempt + 1} transport failure: {exc}")
             continue
         if result.status in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {result.status})")
         if result.status in RETRYABLE_STATUS:
             last_error = f"HTTP {result.status}"
-            log.warning("attempt %d got retryable HTTP %d", attempt + 1, result.status)
+            warn(f"attempt {attempt + 1} got retryable HTTP {result.status}")
             continue
         if result.status != 200:
             raise TransportError(f"HTTP {result.status}: {str(result.body)[:200]}")
@@ -273,8 +269,6 @@ def complete(config: LLMConfig, user: str, client: ChatClient, *, system: str = 
         if content is None:
             raise TransportError("response body has no choices[0].message.content")
         if finish_reason == "length":
-            warnings.warn(
-                TruncationWarning(f"response hit the {config.max_tokens}-token limit")
-            )
+            warn(f"response hit the {config.max_tokens}-token limit")
         return content
     raise TransportError(f"gave up after {config.max_retries + 1} attempts: {last_error}")

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..align import line_starts
 from ..corpus import Document
-from ..errors import SectionIdError
+from ..errors import SectionIdError, warn
 from ..prediction import Prediction
 from .client import ChatClient, LLMConfig, complete
 from .parsing import parse_llm_response
 from .prompts import PromptStrategy, build_prompt
-
-log = logging.getLogger(__name__)
 
 
 def chunk_text(text: str, budget: int) -> list[str]:
@@ -90,11 +87,11 @@ def extract_corpus(
 
     Results come back keyed by document id, in document order; a document
     whose extraction fails contributes an empty prediction and a failure
-    record instead of aborting the batch, and its failure is logged as it
-    finishes. Threads pay only while a request waits on a network, so a pool
-    of ``min(max_in_flight, len(docs))`` threads is started only when that
-    is more than one; otherwise each document runs in turn on the calling
-    thread.
+    record instead of aborting the batch, and a ``warning:`` line on stderr
+    names its failure as it finishes. Threads pay only while a request waits
+    on a network, so a pool of ``min(max_in_flight, len(docs))`` threads is
+    started only when that is more than one; otherwise each document runs in
+    turn on the calling thread.
     """
     predictions: dict[str, Prediction] = {}
     failures: list[ExtractionFailure] = []
@@ -106,7 +103,7 @@ def extract_corpus(
             return doc.id, Prediction(headers=[]), f"{type(exc).__name__}: {exc}"
 
     def results() -> Iterator[tuple[str, Prediction, str | None]]:
-        # lazy, so that each failure is logged as its document finishes
+        # lazy, so that each failure is reported as its document finishes
         workers = min(config.max_in_flight, len(docs))
         if workers <= 1:
             yield from map(run, docs)
@@ -121,5 +118,5 @@ def extract_corpus(
         predictions[doc_id] = prediction
         if error is not None:
             failures.append(ExtractionFailure(doc_id, error))
-            log.warning("document %s failed: %s", doc_id, error)
+            warn(f"document {doc_id} failed: {error}")
     return predictions, failures

@@ -486,7 +486,7 @@ def test_iaa_bad_pair_line_is_fatal(tmp_path, capsys, line, message):
 
 def _segment_with_one_broken_record(tmp_path, capsys, break_record):
     """Record a zero-shot answer for two notes, break one record, and check
-    that segment fails only that note."""
+    that segment fails only that note; return its stderr and the record."""
     from conftest import StaticClient
     from sectionid.corpus import Document
     from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
@@ -504,9 +504,8 @@ def _segment_with_one_broken_record(tmp_path, capsys, break_record):
         extract_headers(Document(doc_id, text), PromptStrategy.zero_shot(), config, client)
     records = sorted(store.glob("*.json"))
     assert len(records) == 2
-    for record in records:
-        if "History" in record.read_text(encoding="utf-8"):
-            break_record(record)
+    broken = next(r for r in records if "History" in r.read_text(encoding="utf-8"))
+    break_record(broken)
 
     code = main([
         "segment", "--corpus", str(corpus_path), "--segmenter", "llm",
@@ -518,6 +517,7 @@ def _segment_with_one_broken_record(tmp_path, capsys, break_record):
     assert "1 document(s) failed: corrupt" in err
     out = read_jsonl(tmp_path / "o" / "predictions.jsonl")
     assert [(r["id"], r["headers"]) for r in out] == [("good", ["Plan"]), ("corrupt", [])]
+    return err, broken
 
 
 def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys):
@@ -527,16 +527,18 @@ def test_segment_corrupt_replay_record_fails_only_its_document(tmp_path, capsys)
     _segment_with_one_broken_record(tmp_path, capsys, truncate)
 
 
-def test_segment_unreadable_replay_record_fails_only_its_document(tmp_path, capsys, caplog):
+def test_segment_unreadable_replay_record_fails_only_its_document(tmp_path, capsys):
     def replace_with_directory(record):
         record.unlink()
         record.mkdir()
 
-    _segment_with_one_broken_record(tmp_path, capsys, replace_with_directory)
-    assert "unreadable replay record" in caplog.text
+    err, record = _segment_with_one_broken_record(tmp_path, capsys, replace_with_directory)
+    assert (
+        f"warning: document corrupt failed: FormatError: {record}: unreadable replay record: "
+    ) in err
 
 
-def test_segment_replay_record_not_utf8_fails_only_its_document(tmp_path, capsys, caplog):
+def test_segment_replay_record_not_utf8_fails_only_its_document(tmp_path, capsys):
     where = {}
 
     def latin1(record):
@@ -545,25 +547,25 @@ def test_segment_replay_record_not_utf8_fails_only_its_document(tmp_path, capsys
         offset = data.index(b"\xf6")
         where.update(path=record, line=data[:offset].count(b"\n") + 1, offset=offset)
 
-    _segment_with_one_broken_record(tmp_path, capsys, latin1)
+    err, _ = _segment_with_one_broken_record(tmp_path, capsys, latin1)
     assert (
-        f"{where['path']} line {where['line']}: not UTF-8: byte 0xf6 "
-        f"at offset {where['offset']}"
-    ) in caplog.text
+        f"warning: document corrupt failed: FormatError: {where['path']} line {where['line']}: "
+        f"not UTF-8: byte 0xf6 at offset {where['offset']}\n"
+    ) in err
 
 
 _DEEP_JSON = "[" * 100_000
 
 
 @pytest.mark.parametrize("kind", ["corpus", "config", "ruleset", "predictions", "pairs", "replay"])
-def test_deeply_nested_json_is_malformed(tmp_path, gold_path, capsys, caplog, kind):
+def test_deeply_nested_json_is_malformed(tmp_path, gold_path, capsys, kind):
     # the decoder gives up with a RecursionError, which is one more way for
     # a file or line not to be JSON
     if kind == "replay":
-        _segment_with_one_broken_record(
+        err, record = _segment_with_one_broken_record(
             tmp_path, capsys, lambda record: record.write_text(_DEEP_JSON, encoding="utf-8"),
         )
-        assert "malformed JSON" in caplog.text
+        assert f"warning: document corrupt failed: FormatError: {record}: malformed JSON" in err
         return
     path = tmp_path / "deep"
     first, argv = {
@@ -583,7 +585,8 @@ def test_deeply_nested_json_is_malformed(tmp_path, gold_path, capsys, caplog, ki
     assert err.startswith(f"error: {where} malformed JSON") and "Traceback" not in err
     if kind == "corpus":
         assert main([*argv, "--no-strict", "--out", str(tmp_path / "lenient")]) == OK
-        assert f"{path} line 2: skipping malformed JSON line" in caplog.text
+        err = capsys.readouterr().err
+        assert f"warning: {path} line 2: skipping malformed JSON line\n" in err
         stats = json.loads((tmp_path / "lenient" / "corpus_stats.json").read_text(encoding="utf-8"))
         assert stats["document_count"] == 1
 
@@ -656,7 +659,7 @@ def test_config_accepts_every_declared_key(tmp_path, gold_path):
     assert snapshot == settings
 
 
-def test_lenient_run_drops_overlapping_section_with_bad_body(tmp_path, caplog):
+def test_lenient_run_drops_overlapping_section_with_bad_body(tmp_path, capsys):
     # Beta overlaps Alpha and also has a bad body: a lenient load used to
     # keep Beta without its body, and evaluate then refused the gold spans
     corpus = tmp_path / "overlap.jsonl"
@@ -672,11 +675,14 @@ def test_lenient_run_drops_overlapping_section_with_bad_body(tmp_path, caplog):
         "evaluate", *common, "--predictions", str(tmp_path / "s" / "predictions.jsonl"),
         "--out", str(tmp_path / "e"),
     ]) == OK
-    assert f"{corpus} line 1: document d1: dropping section: section 1 at (5, 15)" in caplog.text
-    assert "body_span" not in caplog.text
+    err = capsys.readouterr().err
+    assert (
+        f"warning: {corpus} line 1: document d1: dropping section: section 1 at (5, 15)" in err
+    )
+    assert "body_span" not in err
 
 
-def test_lenient_run_drops_a_repeated_document_id(tmp_path, caplog):
+def test_lenient_run_drops_a_repeated_document_id(tmp_path, capsys):
     # the second note's Plan span, written for both notes, was "ergi" in the first
     corpus = tmp_path / "dup.jsonl"
     corpus.write_text("".join(json.dumps({"id": "d1", "text": text}) + "\n" for text in (
@@ -694,7 +700,28 @@ def test_lenient_run_drops_a_repeated_document_id(tmp_path, caplog):
     ]) == OK
     report = json.loads((tmp_path / "e" / "report.json").read_text(encoding="utf-8"))
     assert [doc["doc_id"] for doc in report["per_doc"]] == ["d1"]
-    assert f"{corpus} line 2: dropping document 'd1': its id repeats an earlier line" in caplog.text
+    assert capsys.readouterr().err.count(
+        f"warning: {corpus} line 2: dropping document 'd1': its id repeats an earlier line\n"
+    ) == 2
+
+
+def test_each_call_writes_its_warnings_to_its_own_stderr(tmp_path):
+    # each call warns on the stderr it runs under, not on one an earlier call
+    # was given and has since closed
+    corpus = tmp_path / "dup.jsonl"
+    corpus.write_text("".join(json.dumps({"id": "a", "text": t}) + "\n" for t in "xy"),
+                      encoding="utf-8")
+    warning = f"warning: {corpus} line 2: dropping document 'a': its id repeats an earlier line\n"
+    for call in ("first", "second"):
+        err_path = tmp_path / f"{call}.stderr"
+        with open(err_path, "w", encoding="utf-8") as err, contextlib.redirect_stderr(err):
+            code = main([
+                "segment", "--corpus", str(corpus), "--no-strict", "--segmenter", "regex",
+                "--out", str(tmp_path / call),
+            ])
+        assert code == OK
+        text = err_path.read_text(encoding="utf-8")
+        assert warning in text and "Logging error" not in text
 
 
 @pytest.mark.parametrize("command", [["stats"], ["segment", "--segmenter", "regex"]])

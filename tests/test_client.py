@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from sectionid.errors import AuthError, FormatError, ReplayMiss, TransportError, TruncationWarning
+from sectionid.errors import AuthError, FormatError, ReplayMiss, TransportError
 from sectionid.llm import (
     HTTPChatClient,
     LLMConfig,
@@ -58,7 +58,7 @@ def test_payload_matches_wire_format():
     assert build_payload(CONFIG, "p")["messages"] == [{"role": "user", "content": "p"}]
 
 
-def test_complete_retries_on_429_then_succeeds():
+def test_complete_retries_on_429_then_succeeds(capsys):
     client = ScriptedClient([
         ChatResult(429, {}),
         ChatResult(429, {}),
@@ -66,15 +66,19 @@ def test_complete_retries_on_429_then_succeeds():
     ])
     assert complete(CONFIG, "p", client) == "done"
     assert client.calls == 3
+    assert capsys.readouterr().err == (
+        "warning: attempt 1 got retryable HTTP 429\nwarning: attempt 2 got retryable HTTP 429\n"
+    )
 
 
-def test_complete_retries_transport_errors():
+def test_complete_retries_transport_errors(capsys):
     client = ScriptedClient([
         TransportError("boom"),
         ChatResult(200, ok_body("ok")),
     ])
     assert complete(CONFIG, "p", client) == "ok"
     assert client.calls == 2
+    assert capsys.readouterr().err == "warning: attempt 1 transport failure: boom\n"
 
 
 def test_complete_gives_up_after_max_retries():
@@ -98,10 +102,12 @@ def test_complete_does_not_retry_client_errors():
     assert client.calls == 1
 
 
-def test_complete_warns_on_truncation():
-    client = ScriptedClient([ChatResult(200, ok_body("cut off", finish_reason="length"))])
-    with pytest.warns(TruncationWarning):
-        assert complete(CONFIG, "p", client) == "cut off"
+def test_complete_warns_on_truncation(capsys):
+    # each cut reply gets its own line, however many come in one process
+    replies = [ChatResult(200, ok_body(f"cut {i}", finish_reason="length")) for i in range(3)]
+    client = ScriptedClient(replies)
+    assert [complete(CONFIG, "p", client) for _ in range(3)] == ["cut 0", "cut 1", "cut 2"]
+    assert capsys.readouterr().err == "warning: response hit the 1000-token limit\n" * 3
 
 
 def test_backoff_is_exponential(monkeypatch):

@@ -112,13 +112,15 @@ def test_strict_mode_refuses_a_duplicate_document_id(tmp_path):
         load_gold_corpus(path, strict=True)
 
 
-def test_lenient_mode_drops_a_repeated_document_id(tmp_path, caplog):
+def test_lenient_mode_drops_a_repeated_document_id(tmp_path, capsys):
     path = tmp_path / "dup.jsonl"
     records = [{"id": "d1", "text": "a"}, {"id": "d2", "text": "b"}, {"id": "d1", "text": "c"}]
     write_jsonl(path, records)
     docs = load_gold_corpus(path, strict=False)
     assert [(d.id, d.text) for d in docs] == [("d1", "a"), ("d2", "b")]
-    assert f"{path} line 3: dropping document 'd1': its id repeats an earlier line" in caplog.text
+    assert capsys.readouterr().err == (
+        f"warning: {path} line 3: dropping document 'd1': its id repeats an earlier line\n"
+    )
     assert validate_corpus(docs) == []
     # the repeat is still checked before it is dropped
     records[2]["sections"] = [{"label": "X"}]
@@ -127,14 +129,14 @@ def test_lenient_mode_drops_a_repeated_document_id(tmp_path, caplog):
         load_gold_corpus(path, strict=False)
 
 
-def test_lenient_mode_skips_a_malformed_json_line(tmp_path, caplog):
+def test_lenient_mode_skips_a_malformed_json_line(tmp_path, capsys):
     path = tmp_path / "broken.jsonl"
     path.write_text(
         '{"id": "d1", "text": "a"}\n{oops\n{"id": "d2", "text": "b"}\n', encoding="utf-8"
     )
     docs = load_gold_corpus(path, strict=False)
     assert [d.id for d in docs] == ["d1", "d2"]
-    assert "line 2: skipping malformed JSON line" in caplog.text
+    assert capsys.readouterr().err == f"warning: {path} line 2: skipping malformed JSON line\n"
 
 
 def test_load_rejects_malformed_json_with_line_number(tmp_path):

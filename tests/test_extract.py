@@ -192,9 +192,9 @@ class SlowCountingClient:
         )
 
 
-def test_batch_respects_max_in_flight_and_order(caplog):
+def test_batch_respects_max_in_flight_and_order(capsys):
     # early notes wait longest, so the pool finishes them last; the results,
-    # the failures and their log lines still come back in document order
+    # the failures and their warning lines still come back in document order
     docs = [Document(f"d{i}", f"Sec{i}: body\n") for i in range(12)]
     client = SlowCountingClient(
         '[{"section_title": "Sec"}]', delay=lambda i: 0.003 * (12 - i), failing=(4, 9),
@@ -206,8 +206,10 @@ def test_batch_respects_max_in_flight_and_order(caplog):
         [] if i in (4, 9) else ["Sec"] for i in range(12)
     ]
     assert [f.doc_id for f in failures] == ["d4", "d9"]
-    logged = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-    assert [line.split(":")[0] for line in logged] == ["document d4 failed", "document d9 failed"]
+    warned = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert [line.split(" failed: ")[0] for line in warned] == [
+        "warning: document d4", "warning: document d9",
+    ]
     assert client.peak <= 3
 
 

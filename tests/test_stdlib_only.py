@@ -57,7 +57,7 @@ def test_cli_import_loads_no_http_stack():
     code = (
         "import sys, sectionid.cli; "
         "print(sorted({'urllib.request', 'http.client', 'requests', 'hashlib', "
-        "'concurrent.futures', 'statistics'} & set(sys.modules)))"
+        "'concurrent.futures', 'statistics', 'logging'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
