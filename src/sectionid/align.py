@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
-from .corpus import Document, SectionAnnotation
+from .corpus import Document, SectionAnnotation, line_starts
 from .prediction import CASE_INSENSITIVE, EXACT, FUZZY, AlignmentResult, HeaderMatch, Prediction
 from .textdist import max_edits, prefix_distances
 
@@ -33,16 +33,6 @@ DEFAULT_MAX_EDIT_RATIO = 0.2
 # Fuzzy candidates are line prefixes; headers longer than this are compared
 # against at most the first 80 characters of a line.
 _LINE_PREFIX_LIMIT = 80
-
-
-def line_starts(text: str) -> list[int]:
-    """Offset of every line: 0, then one past each '\n' (len(text) included)."""
-    starts = [0]
-    pos = text.find("\n")
-    while pos != -1:
-        starts.append(pos + 1)
-        pos = text.find("\n", pos + 1)
-    return starts
 
 
 def _fold(s: str) -> str:
@@ -60,19 +50,17 @@ class _NoteLines:
     ``folded[i]`` is line ``i``'s first ``_LINE_PREFIX_LIMIT`` characters folded
     on their own, exactly what the DP reads (a final sigma at the cut stays as
     it was), and as long and as blank as the raw prefix.
-    ``joined`` is the folded prefixes joined by '\n'; line ``i`` begins at
-    ``offsets[i]`` in it.
+    ``starts[i]`` is where line ``i`` begins in the note. ``joined`` is the
+    folded prefixes joined by '\n', and line ``i`` begins at ``offsets[i]`` in
+    it: no folded prefix holds a '\n', so ``line_starts`` serves both.
     """
 
     def __init__(self, text: str) -> None:
-        self.starts = line_starts(text)
-        self.folded = [_fold(line[:_LINE_PREFIX_LIMIT]) for line in text.split("\n")]
+        lines = text.split("\n")
+        self.starts = line_starts(lines)
+        self.folded = [_fold(line[:_LINE_PREFIX_LIMIT]) for line in lines]
         self.joined = "\n".join(self.folded)
-        self.offsets: list[int] = []
-        offset = 0
-        for prefix in self.folded:
-            self.offsets.append(offset)
-            offset += len(prefix) + 1
+        self.offsets = line_starts(self.folded)
 
     def lines_holding_a_piece(
         self, needle: str, edits: int, first: int, width: int

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, repeat
-from operator import add, contains, eq
+from itertools import compress, repeat
+from operator import contains, eq
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .corpus import Document, comment_lines, read_json
+from .corpus import Document, comment_lines, line_starts, read_json
 from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
 
@@ -214,12 +214,12 @@ def _lines_to_check(
     every line is also kept when the note holds an 'İ', the one character
     that lowercases to two: the first-word argument does not need this,
     but it keeps a note whose lowercase form is longer out of the filter.
-    Each test is one C-level pass over the note.
+    Each test is one C-level pass over the note, and so is ``line_starts``
+    over the one split of it that every row reads.
     """
     lines = text.split("\n")
     words = _line_words(text) if lexicon is not None else repeat("")
-    starts = map(add, accumulate(map(len, lines), initial=0), count())
-    rows = zip(starts, lines, words)
+    rows = zip(line_starts(lines), lines, words)
     if not _default_rules_only(rules):
         return rows
     hits = []

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
@@ -41,6 +43,13 @@ class Document:
     id: str
     text: str
     source_kind: str = "ehr_clean"
+
+
+def line_starts(lines: list[str]) -> list[int]:
+    r"""Where each line of a note starts, given its lines ``text.split("\n")``:
+    after the lines before it and their newlines, so a note ending in '\n'
+    has a last, empty line at ``len(text)``."""
+    return list(map(add, accumulate(map(len, lines), initial=0), range(len(lines))))
 
 
 @dataclass

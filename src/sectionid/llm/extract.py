@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..align import line_starts
 from ..corpus import Document
 from ..errors import SectionIdError, warn
 from ..prediction import Prediction
@@ -26,15 +24,14 @@ def chunk_text(text: str, budget: int) -> list[str]:
         raise ValueError("budget must be >= 1")
     if len(text) <= budget:
         return [text]
-    # a start at len(text) is never inside a window that ends before len(text)
-    starts = line_starts(text)
     chunks: list[str] = []
     begin = 0
     while begin < len(text):
         end = min(begin + budget, len(text))
         if end < len(text):
-            # retreat to the last line boundary inside the window
-            last = starts[bisect_right(starts, end) - 1]
+            # retreat to the last line start in (begin, end]: one past the
+            # window's last '\n' before end, or 0 when it holds none
+            last = text.rfind("\n", begin, end) + 1
             if last > begin:
                 end = last
         chunks.append(text[begin:end])

@@ -263,9 +263,11 @@ def load_reference_counts(path: str | Path | object | None = None) -> CategorySt
         for row_no, row in rows:
             if not any(map(str.strip, row)):
                 continue
+            if len(row) < 3:
+                raise FormatError(f"{src} row {row_no}: needs category,section_count,frequency")
             try:
                 raw[row[0].strip()] = (int(row[1]), int(row[2]))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise FormatError(f"{src} row {row_no}: {exc}") from exc
     total = sum(freq for _, freq in raw.values())
     if total == 0:

@@ -125,7 +125,7 @@ def reference_keyword_segment(doc: Document, lexicon: HeaderLexicon) -> Predicti
     ordered = sorted(lexicon.entries, key=lambda e: (-len(e), e))
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
-    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+    for line_start, line in zip(line_starts(doc.text.split("\n")), doc.text.split("\n")):
         content = line.lstrip()
         indent = len(line) - len(content)
         for entry in ordered:
@@ -150,7 +150,7 @@ def reference_regex_segment(doc: Document, rules: Sequence[Rule] = DEFAULT_RULES
     to nothing still ends the line's rule search."""
     headers: list[str] = []
     spans: list[tuple[int, int]] = []
-    for line_start, line in zip(line_starts(doc.text), doc.text.split("\n")):
+    for line_start, line in zip(line_starts(doc.text.split("\n")), doc.text.split("\n")):
         for rule in rules:
             rel = rule(line)
             if rel is None:

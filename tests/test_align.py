@@ -46,7 +46,7 @@ def test_levenshtein_basics():
 
 @given(st.text(alphabet="a\n\r ", max_size=50))
 def test_line_starts_follow_every_newline(text):
-    assert line_starts(text) == [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    assert line_starts(text.split("\n")) == [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
 
 
 def test_exact_alignment_in_order():
@@ -157,7 +157,7 @@ def test_filtered_line_search_equals_the_full_scan(case, ratio, data):
     # budget; one _NoteLines serves every header, as in align_headers
     text, headers = case
     lines = _NoteLines(text)
-    starts = line_starts(text)
+    starts = line_starts(text.split("\n"))
     for header in headers:
         cursor = data.draw(st.integers(0, len(text) + 1))
         assert _fuzzy_line_match(lines, header, cursor, ratio) == (
@@ -182,7 +182,7 @@ def test_filtered_line_search_skips_most_dps():
         "Code Status Discussion",
     ]
     lines = _NoteLines(text)
-    starts = line_starts(text)
+    starts = line_starts(text.split("\n"))
     with mock.patch.object(align, "prefix_distances", wraps=align.prefix_distances) as filtered, \
             mock.patch.object(conftest, "prefix_distances", wraps=conftest.prefix_distances) as full:
         for header in headers:

@@ -159,7 +159,7 @@ def test_segmenters_check_only_the_lines_that_could_match(monkeypatch):
     assert _checked_lines(monkeypatch, regex_segment, doc, ()) == []
     assert _checked_lines(monkeypatch, rule_segment, doc, LEX) == marked("KTC")
     rows = list(baselines._lines_to_check(doc.text, LEX, DEFAULT_RULES))
-    starts = line_starts(doc.text)
+    starts = line_starts(doc.text.split("\n"))
     words = _line_words(doc.text)
     assert rows == [(starts[i], lines[i], words[i]) for i, (_, m) in enumerate(_WORK_NOTE) if m]
 
@@ -265,6 +265,11 @@ def test_regex_titlecase_colon():
 def test_regex_allcaps_line():
     pred = regex_segment(Document("d", "PHYSICAL EXAM\n"))
     assert pred.headers == ["PHYSICAL EXAM"]
+    # a header is at most 8 words long
+    eight = "HISTORY OF THE PRESENT ILLNESS AND REVIEW OF"
+    nine = "HISTORY OF THE PRESENT ILLNESS AND REVIEW OF SYSTEMS"
+    pred = regex_segment(Document("d", f"{eight}\n{nine}\n"))
+    assert pred.headers == [eight]
 
 
 def test_regex_rejects_prose_colon():

@@ -85,6 +85,31 @@ def test_segment_llm_replay_deterministic(tmp_path, gold_path, replay_store):
     assert fx5["grounding"][1]["kind"] == "fuzzy"
 
 
+def test_segment_records_the_store_it_replays(tmp_path, gold_path, replay_store):
+    # with "record" set, each reply is written back as the record it came
+    # from, so the new store serves the same predictions
+    record = tmp_path / "record"
+    config = _write_config(tmp_path, {"record": str(record)})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([
+        "segment", "--config", config, "--corpus", gold_path, "--segmenter", "llm",
+        "--replay", str(replay_store), "--out", str(first),
+    ]) == OK
+
+    def files(store):
+        return {path.name: path.read_bytes() for path in store.iterdir()}
+
+    assert files(record) == files(replay_store)
+    assert len(files(record)) == 5
+    assert main([
+        "segment", "--corpus", gold_path, "--segmenter", "llm",
+        "--replay", str(record), "--out", str(second),
+    ]) == OK
+    assert (second / "predictions.jsonl").read_bytes() == (
+        (first / "predictions.jsonl").read_bytes()
+    )
+
+
 # sha256 of segment's predictions.jsonl on gold_small, first 16 hex digits;
 # pins every byte of both the grounded (rules) and the aligned (llm) format.
 # run_config.json is left out: it holds absolute paths.
@@ -173,11 +198,21 @@ def test_stats_command(tmp_path, capsys):
 
 
 def test_normalize_medication_variants(tmp_path, capsys):
-    code = main(["normalize", "--names", str(FIXTURES / "medication_variants.txt")])
+    names = FIXTURES / "medication_variants.txt"
+    code = main(["normalize", "--names", str(names)])
     assert code == OK
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert len(lines) == 22
     assert all(line.split("\t")[1] == "Medications Section" for line in lines)
+    # blank lines and '#' comment lines are skipped
+    commented = tmp_path / "commented.txt"
+    commented.write_text(
+        "# variants\n\n   \n" + names.read_text(encoding="utf-8") + "  # Allergies\n",
+        encoding="utf-8",
+    )
+    assert main(["normalize", "--names", str(commented)]) == OK
+    assert capsys.readouterr().out == out
 
 
 def test_iaa_identical_pair(tmp_path, capsys):
@@ -1148,7 +1183,8 @@ def test_partial_example_with_strategy_flag_is_fatal(tmp_path, gold_path, capsys
     ({"example_doc": "Zebra Notes: striped\n", "example_headers": ["Zebra Notes"]},
      PromptStrategy.one_shot("Zebra Notes: striped\n", ["Zebra Notes"])),
     ({"label_set": ["Zebra Notes"]}, PromptStrategy.close_ended(["Zebra Notes"])),
-], ids=["one_shot", "close_ended"])
+    ({}, PromptStrategy.close_ended(ontology.top_section_names())),
+], ids=["one_shot", "close_ended", "close_ended_bundled"])
 def test_segment_uses_configured_llm_settings(tmp_path, gold_path, gold_small, llm, strategy):
     # the store holds only the prompts built from the configured values, so
     # a hash match proves the CLI used them and not the bundled ones

@@ -63,6 +63,25 @@ def test_load_refuses_a_label_that_is_not_a_string(tmp_path, strict, label):
         load_gold_corpus(path, strict=strict)
 
 
+_ID_MUST_BE = "'id' must be a non-empty string"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("fields, message", [
+    ({"text": "Plan: rest"}, _ID_MUST_BE),
+    ({"id": "", "text": "Plan: rest"}, _ID_MUST_BE),
+    ({"id": 7, "text": "Plan: rest"}, _ID_MUST_BE),
+    ({"id": "d1"}, "'text' must be a string"),
+    ({"id": "d1", "text": ["Plan: rest"]}, "'text' must be a string"),
+    ({"id": "d1", "text": "Plan: rest", "sections": {"label": "Plan"}}, "'sections' must be a list"),
+], ids=["no_id", "empty_id", "int_id", "no_text", "list_text", "dict_sections"])
+def test_load_refuses_a_document_field_of_the_wrong_type(tmp_path, strict, fields, message):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [fields])
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path} line 1: {message}')}$"):
+        load_gold_corpus(path, strict=strict)
+
+
 @pytest.mark.parametrize("span", [[0], [0, 4, 5], [0, 4.0], [0, True], "0-4", None])
 def test_load_refuses_a_header_span_that_is_not_a_pair_of_ints(tmp_path, span):
     path = tmp_path / "corpus.jsonl"
@@ -130,13 +149,14 @@ def test_lenient_mode_drops_a_repeated_document_id(tmp_path, capsys):
 
 
 def test_lenient_mode_skips_a_malformed_json_line(tmp_path, capsys):
+    # a blank or all-space line is skipped without a warning, and still counted
     path = tmp_path / "broken.jsonl"
     path.write_text(
-        '{"id": "d1", "text": "a"}\n{oops\n{"id": "d2", "text": "b"}\n', encoding="utf-8"
+        '{"id": "d1", "text": "a"}\n\n{oops\n \t\n{"id": "d2", "text": "b"}\n', encoding="utf-8"
     )
     docs = load_gold_corpus(path, strict=False)
     assert [d.id for d in docs] == ["d1", "d2"]
-    assert capsys.readouterr().err == f"warning: {path} line 2: skipping malformed JSON line\n"
+    assert capsys.readouterr().err == f"warning: {path} line 3: skipping malformed JSON line\n"
 
 
 def test_load_rejects_malformed_json_with_line_number(tmp_path):

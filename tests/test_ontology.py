@@ -236,6 +236,16 @@ def test_fuzzy_table_is_built_per_length_at_first_use():
         assert grams.call_count == 2 + len(new)
 
 
+def test_length_window_stops_at_the_longest_surface():
+    # the loop's own break, n - size > edits, comes only near
+    # n = size / (1 - ratio): at a ratio near 1, which the property test
+    # above draws, only the longest surface keeps the window short
+    ont = Ontology({UNKNOWN, "A"}, {"abc": "A"})
+    with mock.patch.object(ontology, "FUZZY_RATIO", 0.999):
+        assert categorize("zz", ont) == UNKNOWN
+    assert set(ont._fuzzy) == {1, 2, 3}
+
+
 # The refusals are weighted down, so that most files get past a few rows.
 _TAXONOMY_HEADERS = st.sampled_from([
     *[["surface_form", "category", "level"]] * 4, [" Surface_Form ", "CATEGORY"],
@@ -286,6 +296,26 @@ def test_oversized_csv_field_is_a_format_error(tmp_path):
     with pytest.raises(FormatError) as refused:
         load_reference_counts(path)
     assert str(refused.value) == f"{path} row 3: field larger than field limit ({limit})"
+
+
+_COUNTS_HEADER = "category,section_count,frequency\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("category,count,frequency\nA,1,2\n",
+     ": reference counts need a category,section_count,frequency header"),
+    ("", ": reference counts need a category,section_count,frequency header"),
+    (_COUNTS_HEADER + "A,1,2\nB,one,2\n", " row 3: invalid literal for int() with base 10: 'one'"),
+    (_COUNTS_HEADER + "A,1,2.5\n", " row 2: invalid literal for int() with base 10: '2.5'"),
+    (_COUNTS_HEADER + "A,1\n", " row 2: needs category,section_count,frequency"),
+    (_COUNTS_HEADER + "A,0,0\n\nB,0,0\n", ": reference counts sum to zero"),
+], ids=["header", "empty", "not_int", "float", "short_row", "zero_sum"])
+def test_bad_reference_counts_are_format_errors(tmp_path, content, message):
+    path = tmp_path / "counts.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(FormatError) as refused:
+        load_reference_counts(path)
+    assert str(refused.value) == f"{path}{message}"
 
 
 def test_levels_filtering():
@@ -376,8 +406,11 @@ def test_category_stats_pct_sums_to_100(ont):
 
 
 def test_category_stats_empty():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(EmptyCorpus, match="^category_stats needs at least one document$"):
         category_stats([], load_ontology())
+    unsectioned = [AnnotatedDocument(Document(f"d{i}", "no headers here")) for i in range(2)]
+    with pytest.raises(EmptyCorpus, match="^category_stats needs at least one section$"):
+        category_stats(unsectioned, load_ontology())
 
 
 def test_reference_counts_shape():

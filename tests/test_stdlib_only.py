@@ -1,9 +1,10 @@
 """The package runs on the standard library alone, and exports what it names.
 
 Every absolute import under ``src/sectionid`` must name a stdlib module or
-the package itself, ``pyproject.toml`` must declare no runtime dependency,
-and importing the CLI must not load the HTTP stack, which only a live
-endpoint call needs. A replay run must not load the thread pool either,
+the package itself, no module of ``sectionid.llm`` may import the grounding
+module ``sectionid.align``, ``pyproject.toml`` must declare no runtime
+dependency, and importing the CLI must not load the HTTP stack, which only
+a live endpoint call needs. A replay run must not load the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
 export behind.
@@ -23,13 +24,20 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _absolute_imports(path: Path) -> list[tuple[int, str]]:
+def _imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every import in ``path``, a relative one resolved
+    against the file's package. ``from m import n`` also yields ``m.n``,
+    since ``n`` may be a module."""
+    package = path.relative_to(SRC).parent.parts
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append((node.lineno, node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            module = ".".join([*base, *filter(None, [node.module])])
+            found.append((node.lineno, module))
+            found += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
     return found
 
 
@@ -39,10 +47,23 @@ def test_package_imports_only_stdlib_and_itself():
     foreign = [
         f"{path.relative_to(SRC)}:{lineno}: {name}"
         for path in modules
-        for lineno, name in _absolute_imports(path)
+        for lineno, name in _imports(path)
         if name.partition(".")[0] not in sys.stdlib_module_names | {"sectionid"}
     ]
     assert foreign == []
+
+
+def test_llm_layer_does_not_import_grounding():
+    # chunking finds its own seams; grounding is the layer after extraction
+    modules = sorted((SRC / "sectionid" / "llm").rglob("*.py"))
+    assert modules
+    grounding = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in modules
+        for lineno, name in _imports(path)
+        if name == "sectionid.align" or name.startswith("sectionid.align.")
+    ]
+    assert grounding == []
 
 
 def test_pyproject_declares_no_runtime_dependency():
