@@ -10,6 +10,9 @@ Each command builds only its own parser: ``main`` parses a command's
 arguments with that command's parser alone, and builds the full parser,
 with every subcommand, only for ``--help`` and usage errors.
 
+A re-run overwrites its output files in place (``corpus.write_output``),
+keeping symlinks, hard links and mode; outputs are not written atomically.
+
 Stderr holds ``error: <message>`` lines for what stops a command and
 ``warning: <message>`` lines for what a lenient run drops or retries; each
 call writes them to the ``sys.stderr`` current at the time.
@@ -34,6 +37,7 @@ from .corpus import (
     load_gold_corpus,
     open_text,
     read_json,
+    write_output,
 )
 from .errors import FormatError, SectionIdError
 from .llm import (
@@ -176,9 +180,8 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _write_snapshot(config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    text = json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False)
+    write_output(out_dir / "run_config.json", text + "\n")
 
 
 def _build_strategy(config: dict) -> PromptStrategy:
@@ -246,12 +249,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
     else:
         predictions = {d.id: baselines.rule_segment(d.document, lexicon, rules) for d in docs}
     max_ratio = config["alignment"]["max_edit_ratio"]
-    with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for doc in docs:
-            pred = predictions.get(doc.id, Prediction(headers=[]))
-            alignment = None if pred.grounded else align.align_headers(doc.document, pred, max_ratio)
-            categories = [ontology.categorize(h, ont) for h in pred.headers]
-            fh.write(prediction_line(doc.id, pred, categories, alignment))
+    lines = []
+    for doc in docs:
+        pred = predictions.get(doc.id, Prediction(headers=[]))
+        alignment = None if pred.grounded else align.align_headers(doc.document, pred, max_ratio)
+        categories = [ontology.categorize(h, ont) for h in pred.headers]
+        lines.append(prediction_line(doc.id, pred, categories, alignment))
+    write_output(out_dir / "predictions.jsonl", "".join(lines))
     if failed:
         print(f"{len(failed)} document(s) failed: {', '.join(sorted(failed))}", file=sys.stderr)
         return PARTIAL
@@ -281,8 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_snapshot(config, out_dir)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table_text", "report.txt")):
         rendered = metrics.render_report(run, fmt)
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        write_output(out_dir / name, rendered)
     print(rendered, end="")  # the table, written last
     missing = [doc.id for doc in docs if doc.id not in predictions]
     unknown = predictions.keys() - {doc.id for doc in docs}
@@ -301,7 +304,7 @@ def _emit_json(payload: dict, out: str | None, name: str) -> None:
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text + "\n", encoding="utf-8")
+        write_output(out_dir / name, text + "\n")
     print(text)
 
 
@@ -322,7 +325,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
             lines.append(f"{name}\t{ontology.categorize(name, ont)}")
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        write_output(args.out, output)
     print(output, end="")
     return OK
 

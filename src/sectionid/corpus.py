@@ -1,4 +1,5 @@
-"""Gold corpus loading, validation, serialization, and summary statistics.
+"""Gold corpus loading, validation, serialization, and summary statistics,
+with the reader of every user file and the writer of every output file.
 
 The interchange format is UTF-8 JSONL, one document object per line:
 
@@ -15,6 +16,8 @@ cross-check; when present it must equal the text slice at ``header_span``.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -167,6 +170,44 @@ def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise FormatError(_not_utf8(src)) from exc
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting the file in place.
+
+    Every output file but a replay record is written here (``RecordingClient``
+    moves each record into place). The text is encoded before the file
+    is opened, so text that UTF-8 cannot hold (a lone surrogate from a JSON
+    escape or an undecodable path) raises FormatError naming the file and
+    line, and leaves the file as it was. The file is opened without
+    truncation and cut to the new length after the write: on ext4,
+    truncating a non-empty file to zero makes its close flush the new
+    blocks, which costs several times the write. The inode stays, so a
+    symlink is followed and hard links, owner and mode are kept; a device
+    such as /dev/null is written and not cut. Outputs are not atomic:
+    between the write and the cut the file holds the new bytes followed by
+    the old tail.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # an undecodable path byte is a surrogate too; name it escaped
+        where = str(path).encode("utf-8", "backslashreplace").decode("utf-8")
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise FormatError(
+            f"{where} line {lineno}: cannot be written as UTF-8: "
+            f"{text[exc.start]!r} ({exc.reason})"
+        ) from exc
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_json(src: str | Path | Traversable) -> object:
@@ -323,26 +364,27 @@ def load_gold_corpus(path: str | Path, strict: bool = True) -> list[AnnotatedDoc
 
 
 def save_gold_corpus(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
-    """Write documents back to the JSONL interchange format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            sections = []
-            for sec in doc.sections:
-                entry: dict[str, object] = {
-                    "label": sec.label,
-                    "header_span": list(sec.header_span),
-                    "raw_header": sec.raw_header,
-                }
-                if sec.body_span is not None:
-                    entry["body_span"] = list(sec.body_span)
-                sections.append(entry)
-            record = {
-                "id": doc.document.id,
-                "text": doc.document.text,
-                "source_kind": doc.document.source_kind,
-                "sections": sections,
+    """Write documents back to the JSONL interchange format, through ``write_output``."""
+    lines = []
+    for doc in docs:
+        sections = []
+        for sec in doc.sections:
+            entry: dict[str, object] = {
+                "label": sec.label,
+                "header_span": list(sec.header_span),
+                "raw_header": sec.raw_header,
             }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            if sec.body_span is not None:
+                entry["body_span"] = list(sec.body_span)
+            sections.append(entry)
+        record = {
+            "id": doc.document.id,
+            "text": doc.document.text,
+            "source_kind": doc.document.source_kind,
+            "sections": sections,
+        }
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    write_output(path, "".join(lines))
 
 
 def validate_corpus(docs: list[AnnotatedDocument]) -> list[ValidationIssue]:

@@ -199,7 +199,11 @@ class RecordingClient:
 
     Each record is written to a temporary file and moved into place, so no
     reader ever sees a half-written record, whether other threads are
-    recording at the same time or a write is interrupted.
+    recording at the same time or a write is interrupted. This is the one
+    writer that does not go through ``corpus.write_output``, on purpose: a
+    record is read back as input by later runs, so it must be atomic, where
+    an in-place overwrite would leave a torn record between write and cut,
+    and threads recording the same prompt would write one file at once.
     """
 
     def __init__(self, inner: ChatClient, store_dir: str | Path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import csv
 import hashlib
@@ -29,6 +30,7 @@ from sectionid import baselines, metrics, ontology
 from sectionid.cli import _CHECKS, _COMMANDS, FATAL, OK, PARTIAL, build_parser, main, parse_args
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
+from test_metrics import GOLDEN_REPORTS
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,6 +130,57 @@ def test_predictions_bytes_are_golden(tmp_path, gold_path, replay_store, segment
     ]) == OK
     digest = hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest()[:16]
     assert digest == GOLDEN_PREDICTIONS[segmenter]
+
+
+def _refuse_truncation(monkeypatch):
+    """Make every write mode of ``open`` and every ``O_TRUNC`` of ``os.open`` fail."""
+    real_open, real_os_open = builtins.open, os.open
+
+    def read_only(file, mode="r", *args, **kwargs):
+        assert not set(mode) & set("wax+"), f"open({file!r}, {mode!r}) writes"
+        return real_open(file, mode, *args, **kwargs)
+
+    def no_truncate(path, flags, *args, **kwargs):
+        assert not flags & os.O_TRUNC, f"os.open({path!r}) truncates"
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", read_only)
+    monkeypatch.setattr(io, "open", read_only)  # pathlib opens through io.open
+    monkeypatch.setattr(os, "open", no_truncate)
+
+
+def test_a_rerun_overwrites_its_outputs_without_truncating(
+    tmp_path, gold_path, replay_store, monkeypatch, capsys
+):
+    """Every command writes its outputs in place; a second run into the same
+    ``--out`` leaves the golden bytes."""
+    monkeypatch.chdir(tmp_path)
+    # the report names its corpus as given, and the golden reports name it so
+    shutil.copy(gold_path, "gold_small")
+    commands = [
+        ["segment", "--segmenter", "rules", "--out", "rules"],
+        ["segment", "--segmenter", "llm", "--replay", str(replay_store), "--out", "llm"],
+        ["evaluate", "--segmenter", "llm", "--predictions", "llm/predictions.jsonl",
+         "--out", "eval"],
+    ]
+    names = ["normalize", "--names", str(FIXTURES / "order_variants.txt"), "--out", "names.tsv"]
+    _refuse_truncation(monkeypatch)
+    runs = []
+    for _ in range(2):
+        for argv in commands:
+            assert main([*argv, "--corpus", "gold_small"]) == OK
+        capsys.readouterr()
+        assert main(names) == OK
+        assert Path("names.tsv").read_text(encoding="utf-8") == capsys.readouterr().out
+        runs.append({path.as_posix(): path.read_bytes()
+                     for path in sorted(Path().rglob("*")) if path.is_file()})
+    assert runs[1] == runs[0]
+    files = runs[1]
+    for segmenter, digest in GOLDEN_PREDICTIONS.items():
+        predictions = files[f"{segmenter}/predictions.jsonl"]
+        assert hashlib.sha256(predictions).hexdigest()[:16] == digest
+    reports = b"".join(files[f"eval/report.{ext}"] for ext in ("json", "csv", "txt"))
+    assert hashlib.sha256(reports).hexdigest()[:16] == GOLDEN_REPORTS["llm", False]
 
 
 def test_evaluate_gold_echo_scores_100(tmp_path, gold_path, gold_small, capsys):
@@ -834,6 +887,34 @@ def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
     err = capsys.readouterr().err
     assert code == FATAL
     assert err == f"error: {path} line 2: not UTF-8: byte 0xff at offset 5\n"
+
+
+def test_segment_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
+    """A JSON escape can put a lone surrogate in an id; it fails the write
+    cleanly and leaves the old predictions as they were."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a\\ud800", "text": "Plan: rest"}\n', encoding="utf-8")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "predictions.jsonl").write_bytes(b"old\n")
+    code = main(["segment", "--corpus", str(corpus), "--out", str(out)])
+    assert code == FATAL
+    assert capsys.readouterr().err == (
+        f"error: {out / 'predictions.jsonl'} line 1: cannot be written as UTF-8: "
+        "'\\ud800' (surrogates not allowed)\n"
+    )
+    assert (out / "predictions.jsonl").read_bytes() == b"old\n"
+
+
+def test_out_path_not_utf8_is_fatal(tmp_path, gold_path, capsys):
+    # a byte of argv that is not UTF-8 arrives as a lone surrogate
+    out = tmp_path / "o2\udcff"
+    code = main(["segment", "--corpus", gold_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith(f"error: {tmp_path}/o2\\udcff/run_config.json line ")
+    assert err.endswith(": cannot be written as UTF-8: '\\udcff' (surrogates not allowed)\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import re
+import stat
 import statistics
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sectionid
-from conftest import make_synthetic_corpus, make_synthetic_doc
+from conftest import FIXTURES, make_synthetic_corpus, make_synthetic_doc
+from sectionid.cli import FATAL, OK, main
 from sectionid.corpus import (
     BODY_SPAN_INVALID,
     DUPLICATE_ID,
@@ -26,6 +29,7 @@ from sectionid.corpus import (
     load_gold_corpus,
     save_gold_corpus,
     validate_corpus,
+    write_output,
 )
 from sectionid.errors import EmptyCorpus, FormatError, SpanError
 
@@ -416,3 +420,66 @@ def test_only_corpus_decodes_user_files():
                for path in package.rglob("*.py")}
     for token in ("UnicodeDecodeError", "json.load("):
         assert [name for name, code in sources.items() if token in code] == ["corpus.py"]
+
+
+NEW_TEXT = "Allergies: n\u00f6ne\nPlan: rest\n"
+
+
+@pytest.mark.parametrize("old", [None, b"x" * 100, b"x"], ids=["new", "longer", "shorter"])
+def test_write_output_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_bytes(old)
+    write_output(path, NEW_TEXT)
+    assert path.read_bytes() == NEW_TEXT.encode("utf-8")
+
+
+def test_write_output_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"an old output, longer than the new one\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_output(link, NEW_TEXT)
+    assert link.is_symlink()
+    assert target.read_bytes() == NEW_TEXT.encode("utf-8")
+
+
+def test_write_output_keeps_hard_links(tmp_path):
+    first = tmp_path / "first.txt"
+    first.write_bytes(b"an old output, longer than the new one\n")
+    second = tmp_path / "second.txt"
+    os.link(first, second)
+    write_output(second, NEW_TEXT)
+    assert first.read_bytes() == second.read_bytes() == NEW_TEXT.encode("utf-8")
+    assert first.stat().st_ino == second.stat().st_ino
+
+
+def test_write_output_keeps_the_mode(tmp_path):
+    path = tmp_path / "private.txt"
+    path.write_bytes(b"old\n")
+    path.chmod(0o600)
+    write_output(path, NEW_TEXT)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_output_refuses_text_utf8_cannot_hold(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old\n")
+    message = f"{path} line 2: cannot be written as UTF-8: '\\ud800' (surrogates not allowed)"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        write_output(path, '{"id": "a"}\n{"id": "b\ud800"}\n')
+    assert path.read_bytes() == b"old\n"
+
+
+def test_normalize_writes_to_a_device(capsys):
+    assert main(["normalize", "--names", str(FIXTURES / "order_variants.txt"),
+                 "--out", os.devnull]) == OK
+    assert capsys.readouterr().out
+
+
+def test_normalize_out_naming_a_directory_is_fatal(tmp_path, capsys):
+    code = main(["normalize", "--names", str(FIXTURES / "order_variants.txt"),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith("error: ") and err.count("\n") == 1
