@@ -1,14 +1,17 @@
 """Command-line entry point: segment, evaluate, stats, normalize, iaa.
 
 Runs are reproducible: configuration comes from an optional JSON file with
-flag overrides, a resolved snapshot is written next to the outputs, and all
-output files are deterministic byte-for-byte given the same inputs. The API
-bearer token is only ever read from the environment variable named in the
-config, never from the config file itself.
+flag overrides, a resolved snapshot is written next to the outputs, after
+them, and all output files are deterministic byte-for-byte given the same
+inputs. The API bearer token is only ever read from the environment
+variable named in the config, never from the config file itself.
 
 Each command builds only its own parser: ``main`` parses a command's
 arguments with that command's parser alone, and builds the full parser,
-with every subcommand, only for ``--help`` and usage errors.
+with every subcommand, only for ``--help`` and usage errors. Each command
+imports only the layers it runs: ``normalize`` and ``stats`` load no LLM,
+alignment, metrics or baselines code, and ``iaa`` adds only ``metrics``
+(with the alignment default it imports).
 
 A re-run overwrites its output files in place (``corpus.write_output``),
 keeping symlinks, hard links and mode; outputs are not written atomically.
@@ -25,55 +28,29 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 from typing import Callable
 
-from . import align, baselines, metrics, ontology
+from . import ontology
 from .corpus import (
     _jsonl_objects,
     corpus_stats,
+    encode_output,
     load_gold_corpus,
     open_text,
     read_json,
     write_output,
 )
 from .errors import FormatError, SectionIdError
-from .llm import (
-    CLOSE_ENDED,
-    ONE_SHOT,
-    STRATEGY_KINDS,
-    HTTPChatClient,
-    LLMConfig,
-    PromptStrategy,
-    RecordingClient,
-    ReplayClient,
-    extract_corpus,
-)
-from .prediction import Prediction, load_predictions, prediction_line
 
 OK = 0
 FATAL = 1
 PARTIAL = 2
 
 SEGMENTERS = ("keyword", "regex", "rules", "llm")
-
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "corpus": None,
-    "segmenter": "rules",
-    "strategy": "zero_shot",
-    "ontology": None,
-    "lexicon": None,
-    "ruleset": None,
-    "out": "runs",
-    "replay": None,
-    "record": None,
-    "strict": True,
-    "close_ended_eval": False,
-    "alignment": {"max_edit_ratio": align.DEFAULT_MAX_EDIT_RATIO},
-    "llm": {},
-}
 
 # A check takes a value and the source to name in its error: a config key
 # ("<file>: config key 'llm.timeout'") or a flag ("--workers").
@@ -88,6 +65,8 @@ def _accepts(described: str, test: Callable[[object], bool]) -> Check:
 
 
 def _llm_field(name: str) -> Check:
+    from .llm import LLMConfig
+
     def check(value: object, source: str) -> None:
         try:
             LLMConfig(**{name: value})
@@ -118,34 +97,59 @@ def _filled(check: Check) -> Check:
     return filled
 
 
-# Every settable key, dotted inside the object-valued entries, with its check.
-_CHECKS: dict[str, Check] = {
-    **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
-    "out": _STRING,
-    "segmenter": _accepts(f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
-    "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
-    "strict": _SWITCH,
-    "close_ended_eval": _SWITCH,
-    **{f"llm.{name}": _llm_field(name) for name in LLMConfig.__dataclass_fields__},
-    "llm.example_doc": _filled(_STRING),
-    "llm.example_headers": _filled(_STRINGS),
-    "llm.label_set": _filled(_STRINGS),
-    "alignment.max_edit_ratio": _edit_ratio,
-}
+@functools.cache
+def _checks() -> dict[str, Check]:
+    """Every settable key, dotted inside the object-valued entries, with its
+    check. Built on first use, as it reads the LLM layer, which only
+    ``segment`` and ``evaluate`` load."""
+    from .llm import STRATEGY_KINDS, LLMConfig
+
+    return {
+        **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
+        "out": _STRING,
+        "segmenter": _accepts(f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
+        "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
+        "strict": _SWITCH,
+        "close_ended_eval": _SWITCH,
+        **{f"llm.{name}": _llm_field(name) for name in LLMConfig.__dataclass_fields__},
+        "llm.example_doc": _filled(_STRING),
+        "llm.example_headers": _filled(_STRINGS),
+        "llm.label_set": _filled(_STRINGS),
+        "alignment.max_edit_ratio": _edit_ratio,
+    }
+
+
 # Flags are named after the last part of their key, except these.
 _FLAG_NAMES = {"llm.max_in_flight": "--workers", "close_ended_eval": "--close-ended"}
 
 
 def _set(config: dict, key: str, value: object, source: str) -> None:
     """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
-    _CHECKS[key](value, source)
+    _checks()[key](value, source)
     section, _, name = key.rpartition(".")
     (config[section] if section else config)[name] = value
 
 
 def _load_config(args: argparse.Namespace) -> dict:
     """The defaults, then the ``--config`` file, then every flag given, each value checked."""
-    config = json.loads(json.dumps(_CONFIG_DEFAULTS))
+    from .align import DEFAULT_MAX_EDIT_RATIO
+    from .llm import ONE_SHOT
+
+    config = {
+        "corpus": None,
+        "segmenter": "rules",
+        "strategy": "zero_shot",
+        "ontology": None,
+        "lexicon": None,
+        "ruleset": None,
+        "out": "runs",
+        "replay": None,
+        "record": None,
+        "strict": True,
+        "close_ended_eval": False,
+        "alignment": {"max_edit_ratio": DEFAULT_MAX_EDIT_RATIO},
+        "llm": {},
+    }
     path = args.config
     if path:
         user = read_json(path)
@@ -159,11 +163,11 @@ def _load_config(args: argparse.Namespace) -> dict:
                 items = [(f"{key}.{sub}", sub_value) for sub, sub_value in value.items()]
             for name, item in items:
                 # a dotted key is set only inside its object, never at the top
-                if name not in _CHECKS or name.partition(".")[0] != key:
+                if name not in _checks() or name.partition(".")[0] != key:
                     raise FormatError(f"{path}: unknown config key {name!r}")
                 _set(config, name, item, f"{path}: config key {name!r}")
     # a flag that sets a config key has that key as its argparse dest
-    for key in _CHECKS:
+    for key in _checks():
         value = getattr(args, key, None)
         if value is not None:
             flag = _FLAG_NAMES.get(key, "--" + key.rpartition(".")[2].replace("_", "-"))
@@ -178,13 +182,23 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _write_snapshot(config: dict, out_dir: Path) -> None:
+def _snapshot(config: dict, out_dir: Path) -> tuple[Path, str]:
+    """Make ``out_dir`` and render ``config`` as its ``run_config.json``.
+
+    The text is checked here, before the command writes any output, and
+    written after every other output: a run that fails part-way leaves the
+    previous run's snapshot beside the previous run's outputs.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False)
-    write_output(out_dir / "run_config.json", text + "\n")
+    path = out_dir / "run_config.json"
+    text = json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    encode_output(path, text)
+    return path, text
 
 
 def _build_strategy(config: dict) -> PromptStrategy:
+    from .llm import CLOSE_ENDED, ONE_SHOT, PromptStrategy
+
     kind = config["strategy"]
     llm_cfg = config["llm"]
     # _load_config has refused empty values and a one-shot example set in part
@@ -201,6 +215,9 @@ def _build_strategy(config: dict) -> PromptStrategy:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    from .align import align_headers
+    from .prediction import Prediction, prediction_line
+
     config = _load_config(args)
     if not config["corpus"]:
         raise SectionIdError("segment needs --corpus")
@@ -212,6 +229,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if segmenter == "llm":
         if not config["replay"] and not config["llm"].get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
+        from .llm import HTTPChatClient, LLMConfig, RecordingClient, ReplayClient, extract_corpus
+
         strategy = _build_strategy(config)
         fields = LLMConfig.__dataclass_fields__
         llm = LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
@@ -226,6 +245,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if config["record"]:
             client = RecordingClient(client, config["record"])
     else:
+        from . import baselines
+
         if config["lexicon"]:
             lexicon = baselines.load_lexicon(config["lexicon"])
         else:
@@ -237,7 +258,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if config["ruleset"]:
             rules = baselines.load_ruleset(config["ruleset"])
     out_dir = Path(config["out"])
-    _write_snapshot(config, out_dir)
+    snapshot = _snapshot(config, out_dir)
     failed: list[str] = []
     if segmenter == "llm":
         predictions, failures = extract_corpus([d.document for d in docs], strategy, llm, client)
@@ -252,10 +273,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
     lines = []
     for doc in docs:
         pred = predictions.get(doc.id, Prediction(headers=[]))
-        alignment = None if pred.grounded else align.align_headers(doc.document, pred, max_ratio)
+        alignment = None if pred.grounded else align_headers(doc.document, pred, max_ratio)
         categories = [ontology.categorize(h, ont) for h in pred.headers]
         lines.append(prediction_line(doc.id, pred, categories, alignment))
     write_output(out_dir / "predictions.jsonl", "".join(lines))
+    write_output(*snapshot)
     if failed:
         print(f"{len(failed)} document(s) failed: {', '.join(sorted(failed))}", file=sys.stderr)
         return PARTIAL
@@ -263,6 +285,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import metrics
+    from .prediction import load_predictions
+
     config = _load_config(args)
     if not config["corpus"]:
         raise SectionIdError("evaluate needs --corpus")
@@ -282,10 +307,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         close_ended=config["close_ended_eval"],
     )
     out_dir = Path(config["out"])
-    _write_snapshot(config, out_dir)
+    snapshot = _snapshot(config, out_dir)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table_text", "report.txt")):
         rendered = metrics.render_report(run, fmt)
         write_output(out_dir / name, rendered)
+    write_output(*snapshot)
     print(rendered, end="")  # the table, written last
     missing = [doc.id for doc in docs if doc.id not in predictions]
     unknown = predictions.keys() - {doc.id for doc in docs}
@@ -331,6 +357,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_iaa(args: argparse.Namespace) -> int:
+    from .metrics import iaa_report
+
     pairs: list[tuple[list[str], list[str]]] = []
     ids: list[str] = []
     for lineno, where, obj in _jsonl_objects(args.pairs):
@@ -340,7 +368,7 @@ def cmd_iaa(args: argparse.Namespace) -> int:
                 raise FormatError(f"{where}: {side!r} must be a list of strings")
         pairs.append((obj["a"], obj["b"]))
         ids.append(str(obj.get("id", lineno)))
-    report = metrics.iaa_report(pairs, ids)
+    report = iaa_report(pairs, ids)
     payload = {
         "mean_jaccard": report.mean_jaccard,
         "per_pair": [{"id": pid, "jaccard": value} for pid, value in report.per_pair],
@@ -365,6 +393,8 @@ def _common_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _segment_arguments(p: argparse.ArgumentParser) -> None:
+    from .llm import STRATEGY_KINDS
+
     _common_arguments(p)
     p.add_argument("--segmenter", choices=SEGMENTERS)
     p.add_argument("--strategy", choices=STRATEGY_KINDS)

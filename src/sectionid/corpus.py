@@ -172,24 +172,14 @@ def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
             raise FormatError(_not_utf8(src)) from exc
 
 
-def write_output(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, overwriting the file in place.
+def encode_output(path: str | Path, text: str) -> bytes:
+    """``text`` as UTF-8, to be written to ``path``.
 
-    Every output file but a replay record is written here (``RecordingClient``
-    moves each record into place). The text is encoded before the file
-    is opened, so text that UTF-8 cannot hold (a lone surrogate from a JSON
-    escape or an undecodable path) raises FormatError naming the file and
-    line, and leaves the file as it was. The file is opened without
-    truncation and cut to the new length after the write: on ext4,
-    truncating a non-empty file to zero makes its close flush the new
-    blocks, which costs several times the write. The inode stays, so a
-    symlink is followed and hard links, owner and mode are kept; a device
-    such as /dev/null is written and not cut. Outputs are not atomic:
-    between the write and the cut the file holds the new bytes followed by
-    the old tail.
+    Text that UTF-8 cannot hold (a lone surrogate from a JSON escape or an
+    undecodable path) raises FormatError naming ``path`` and the line.
     """
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         # an undecodable path byte is a surrogate too; name it escaped
         where = str(path).encode("utf-8", "backslashreplace").decode("utf-8")
@@ -198,6 +188,24 @@ def write_output(path: str | Path, text: str) -> None:
             f"{where} line {lineno}: cannot be written as UTF-8: "
             f"{text[exc.start]!r} ({exc.reason})"
         ) from exc
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting the file in place.
+
+    Every output file but a replay record is written here (``RecordingClient``
+    moves each record into place). The text is encoded (``encode_output``)
+    before the file is opened, so text that UTF-8 cannot hold leaves the
+    file as it was. The file is opened without
+    truncation and cut to the new length after the write: on ext4,
+    truncating a non-empty file to zero makes its close flush the new
+    blocks, which costs several times the write. The inode stays, so a
+    symlink is followed and hard links, owner and mode are kept; a device
+    such as /dev/null is written and not cut. Outputs are not atomic:
+    between the write and the cut the file holds the new bytes followed by
+    the old tail.
+    """
+    data = encode_output(path, text)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)

@@ -27,7 +27,7 @@ from conftest import (
     record_thread_starts,
 )
 from sectionid import baselines, metrics, ontology
-from sectionid.cli import _CHECKS, _COMMANDS, FATAL, OK, PARTIAL, build_parser, main, parse_args
+from sectionid.cli import _COMMANDS, FATAL, OK, PARTIAL, _checks, build_parser, main, parse_args
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
 from test_metrics import GOLDEN_REPORTS
@@ -891,12 +891,14 @@ def test_text_input_not_utf8_is_fatal(tmp_path, gold_path, capsys, flag, args):
 
 def test_segment_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
     """A JSON escape can put a lone surrogate in an id; it fails the write
-    cleanly and leaves the old predictions as they were."""
+    cleanly and leaves the old predictions, and the snapshot of the run that
+    made them, as they were."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "a\\ud800", "text": "Plan: rest"}\n', encoding="utf-8")
     out = tmp_path / "run"
     out.mkdir()
     (out / "predictions.jsonl").write_bytes(b"old\n")
+    (out / "run_config.json").write_bytes(b"old snapshot\n")
     code = main(["segment", "--corpus", str(corpus), "--out", str(out)])
     assert code == FATAL
     assert capsys.readouterr().err == (
@@ -904,6 +906,29 @@ def test_segment_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
         "'\\ud800' (surrogates not allowed)\n"
     )
     assert (out / "predictions.jsonl").read_bytes() == b"old\n"
+    assert (out / "run_config.json").read_bytes() == b"old snapshot\n"
+
+
+def test_evaluate_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
+    """The per-document report names the id; the refused write leaves the
+    old reports and the old snapshot as they were."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a\\ud800", "text": "Plan: rest"}\n', encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text('{"id": "a\\ud800", "headers": ["Plan"]}\n', encoding="utf-8")
+    out = tmp_path / "eval"
+    out.mkdir()
+    (out / "report.json").write_bytes(b"old report\n")
+    (out / "run_config.json").write_bytes(b"old snapshot\n")
+    code = main([
+        "evaluate", "--corpus", str(corpus), "--predictions", str(predictions), "--out", str(out),
+    ])
+    assert code == FATAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'report.json'} line ")
+    assert err.endswith(": cannot be written as UTF-8: '\\ud800' (surrogates not allowed)\n")
+    assert (out / "report.json").read_bytes() == b"old report\n"
+    assert (out / "run_config.json").read_bytes() == b"old snapshot\n"
 
 
 def test_out_path_not_utf8_is_fatal(tmp_path, gold_path, capsys):
@@ -1214,7 +1239,7 @@ def test_readme_config_table_lists_every_settable_key():
         for key in re.findall(r"`([^`]+)`", row.split("|")[1])
         if not key.startswith("--")
     }
-    assert documented == set(_CHECKS)
+    assert documented == set(_checks())
 
 
 PARTIAL_EXAMPLE = "one_shot needs llm.example_doc and llm.example_headers together"

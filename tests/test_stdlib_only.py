@@ -4,7 +4,9 @@ Every absolute import under ``src/sectionid`` must name a stdlib module or
 the package itself, no module of ``sectionid.llm`` may import the grounding
 module ``sectionid.align``, ``pyproject.toml`` must declare no runtime
 dependency, and importing the CLI must not load the HTTP stack, which only
-a live endpoint call needs. A replay run must not load the thread pool either,
+a live endpoint call needs. Importing the CLI loads only the package layers
+every command shares, and ``normalize``, ``stats`` and ``iaa`` add only the
+layers they run. A replay run must not load the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
 export behind.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -86,6 +89,51 @@ def test_cli_import_loads_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# What ``import sectionid.cli`` loads: the package with the layers its
+# ``__init__`` exports, and the taxonomy with its edit distance.
+CLI_MODULES = [
+    "sectionid", "sectionid.cli", "sectionid.corpus", "sectionid.errors", "sectionid.ontology",
+    "sectionid.prediction", "sectionid.textdist", "sectionid.tokenizer",
+]
+
+
+def test_cli_loads_only_the_layers_a_command_runs(tmp_path):
+    # no LLM, alignment, metrics or baselines code until a command runs it;
+    # iaa scores with metrics, which imports the alignment default
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"id": "d1", "a": ["Plan"], "b": ["plan"]}\n', encoding="utf-8")
+    fixtures = SRC.parent / "tests" / "fixtures"
+    commands = [
+        ["normalize", "--names", str(fixtures / "order_variants.txt")],
+        ["stats", "--corpus", str(fixtures / "gold_small.jsonl")],
+        ["iaa", "--pairs", str(pairs)],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sectionid.cli import main\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('sectionid'))\n"
+        "sets = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    sets.append(loaded())\n"
+        "print(json.dumps(sets))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = [CLI_MODULES] * 3 + [[*CLI_MODULES, "sectionid.align", "sectionid.metrics"]]
+    # (loaded and not expected, expected and not loaded) after import and each command
+    differences = [
+        (sorted(set(loaded) - set(want)), sorted(set(want) - set(loaded)))
+        for loaded, want in zip(json.loads(done.stdout), expected)
+    ]
+    assert differences == [([], [])] * 4
 
 
 def test_replay_segment_loads_no_thread_pool(tmp_path, replay_store):
