@@ -25,10 +25,16 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
 from .corpus import Document, SectionAnnotation, line_starts
-from .prediction import CASE_INSENSITIVE, EXACT, FUZZY, AlignmentResult, HeaderMatch, Prediction
+from .prediction import (
+    CASE_INSENSITIVE,
+    DEFAULT_MAX_EDIT_RATIO,
+    EXACT,
+    FUZZY,
+    AlignmentResult,
+    HeaderMatch,
+    Prediction,
+)
 from .textdist import max_edits, prefix_distances
-
-DEFAULT_MAX_EDIT_RATIO = 0.2
 
 # Fuzzy candidates are line prefixes; headers longer than this are compared
 # against at most the first 80 characters of a line.

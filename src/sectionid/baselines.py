@@ -16,13 +16,12 @@ are checked: lines whose first word starts a lexicon entry, lines with a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains, eq
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .corpus import Document, comment_lines, line_starts, read_json
+from .corpus import Document, Record, comment_lines, line_starts, read_json
 from .errors import FormatError, InvalidPattern
 from .prediction import Prediction
 
@@ -51,8 +50,7 @@ def _line_words(text: str) -> list[str]:
     return _LINE_WORD_RE.findall("\n" + text.lower().replace("ς", "σ"))
 
 
-@dataclass
-class HeaderLexicon:
+class HeaderLexicon(Record):
     """Header surface forms, matched case-insensitively.
 
     ``by_word`` indexes the entries for the segmenters under their first
@@ -65,20 +63,19 @@ class HeaderLexicon:
     entries that share both only the first, in that order, is indexed.
     """
 
-    entries: set[str]
-    by_word: dict[str, list[tuple[str, str]]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: set[str]) -> None:
+        self.entries = entries
+        if not entries:
             raise ValueError("lexicon must contain at least one entry")
-        if any(not e.strip() for e in self.entries):
+        if any(not e.strip() for e in entries):
             raise ValueError("lexicon entries must not be whitespace-only")
         first: dict[tuple[int, str], str] = {}
-        for entry in sorted(self.entries, key=lambda e: (-len(e), e)):
+        for entry in sorted(entries, key=lambda e: (-len(e), e)):
             first.setdefault((len(entry), entry.lower()), entry)
-        self.by_word = {}
+        # not a field, so == and repr see only the entries
+        self.by_word: dict[str, list[tuple[str, str]]] = {}
         for (_, folded), entry in first.items():
             self.by_word.setdefault(_line_words(entry)[0], []).append((entry, folded))
         unkeyed = self.by_word.get("", [])

@@ -10,8 +10,12 @@ Each command builds only its own parser: ``main`` parses a command's
 arguments with that command's parser alone, and builds the full parser,
 with every subcommand, only for ``--help`` and usage errors. Each command
 imports only the layers it runs: ``normalize`` and ``stats`` load no LLM,
-alignment, metrics or baselines code, and ``iaa`` adds only ``metrics``
-(with the alignment default it imports).
+alignment, metrics or baselines code, and ``iaa`` adds only ``metrics``.
+``segment`` and ``evaluate`` read the LLM layer's ``client`` and ``prompts``
+for their settings, and add ``baselines`` or ``metrics``. Only an LLM
+``segment`` loads the rest of ``sectionid.llm``, and ``align`` loads only
+where a header needs grounding: in that run, or in an ``evaluate`` of
+predictions written without spans.
 
 A re-run overwrites its output files in place (``corpus.write_output``),
 keeping symlinks, hard links and mode; outputs are not written atomically.
@@ -27,7 +31,6 @@ some predictions named no corpus document), 1 fatal.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -65,7 +68,7 @@ def _accepts(described: str, test: Callable[[object], bool]) -> Check:
 
 
 def _llm_field(name: str) -> Check:
-    from .llm import LLMConfig
+    from .llm.client import LLMConfig
 
     def check(value: object, source: str) -> None:
         try:
@@ -100,9 +103,10 @@ def _filled(check: Check) -> Check:
 @functools.cache
 def _checks() -> dict[str, Check]:
     """Every settable key, dotted inside the object-valued entries, with its
-    check. Built on first use, as it reads the LLM layer, which only
-    ``segment`` and ``evaluate`` load."""
-    from .llm import STRATEGY_KINDS, LLMConfig
+    check. Built on first use, as it reads the LLM layer's client and
+    prompts, which only ``segment`` and ``evaluate`` load."""
+    from .llm.client import LLMConfig
+    from .llm.prompts import STRATEGY_KINDS
 
     return {
         **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
@@ -111,7 +115,7 @@ def _checks() -> dict[str, Check]:
         "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
         "strict": _SWITCH,
         "close_ended_eval": _SWITCH,
-        **{f"llm.{name}": _llm_field(name) for name in LLMConfig.__dataclass_fields__},
+        **{f"llm.{name}": _llm_field(name) for name in LLMConfig._fields},
         "llm.example_doc": _filled(_STRING),
         "llm.example_headers": _filled(_STRINGS),
         "llm.label_set": _filled(_STRINGS),
@@ -132,8 +136,8 @@ def _set(config: dict, key: str, value: object, source: str) -> None:
 
 def _load_config(args: argparse.Namespace) -> dict:
     """The defaults, then the ``--config`` file, then every flag given, each value checked."""
-    from .align import DEFAULT_MAX_EDIT_RATIO
-    from .llm import ONE_SHOT
+    from .llm.prompts import ONE_SHOT
+    from .prediction import DEFAULT_MAX_EDIT_RATIO
 
     config = {
         "corpus": None,
@@ -197,7 +201,7 @@ def _snapshot(config: dict, out_dir: Path) -> tuple[Path, str]:
 
 
 def _build_strategy(config: dict) -> PromptStrategy:
-    from .llm import CLOSE_ENDED, ONE_SHOT, PromptStrategy
+    from .llm.prompts import CLOSE_ENDED, ONE_SHOT, PromptStrategy
 
     kind = config["strategy"]
     llm_cfg = config["llm"]
@@ -215,7 +219,6 @@ def _build_strategy(config: dict) -> PromptStrategy:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    from .align import align_headers
     from .prediction import Prediction, prediction_line
 
     config = _load_config(args)
@@ -229,19 +232,20 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if segmenter == "llm":
         if not config["replay"] and not config["llm"].get("endpoint_url"):
             raise SectionIdError("llm segmenter needs llm.endpoint_url or --replay")
-        from .llm import HTTPChatClient, LLMConfig, RecordingClient, ReplayClient, extract_corpus
+        # only an LLM prediction is ungrounded, so only this path grounds
+        from .align import align_headers
+        from .llm.client import HTTPChatClient, LLMConfig, RecordingClient, ReplayClient
+        from .llm.extract import extract_corpus
 
         strategy = _build_strategy(config)
-        fields = LLMConfig.__dataclass_fields__
-        llm = LLMConfig(**{k: v for k, v in config["llm"].items() if k in fields})
+        settings = {k: v for k, v in config["llm"].items() if k in LLMConfig._fields}
         if config["replay"]:
-            client = ReplayClient(config["replay"])
             # a store answers from local files, so the work is CPU-bound under
             # the interpreter lock and threads would only contend for it;
             # run_config.json still shows the configured value
-            llm = dataclasses.replace(llm, max_in_flight=1)
-        else:
-            client = HTTPChatClient(llm)
+            settings["max_in_flight"] = 1
+        llm = LLMConfig(**settings)
+        client = ReplayClient(config["replay"]) if config["replay"] else HTTPChatClient(llm)
         if config["record"]:
             client = RecordingClient(client, config["record"])
     else:
@@ -336,7 +340,8 @@ def _emit_json(payload: dict, out: str | None, name: str) -> None:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     stats = corpus_stats(load_gold_corpus(args.corpus, strict=args.strict))
-    _emit_json(dataclasses.asdict(stats), args.out, "corpus_stats.json")
+    payload = {name: getattr(stats, name) for name in stats._fields}
+    _emit_json(payload, args.out, "corpus_stats.json")
     return OK
 
 
@@ -393,7 +398,7 @@ def _common_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _segment_arguments(p: argparse.ArgumentParser) -> None:
-    from .llm import STRATEGY_KINDS
+    from .llm.prompts import STRATEGY_KINDS
 
     _common_arguments(p)
     p.add_argument("--segmenter", choices=SEGMENTERS)

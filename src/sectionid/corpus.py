@@ -19,7 +19,6 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add
 from pathlib import Path
@@ -41,11 +40,39 @@ UNSORTED_SECTIONS = "unsorted_sections"
 BODY_SPAN_INVALID = "body_span_invalid"
 
 
-@dataclass
-class Document:
-    id: str
-    text: str
-    source_kind: str = "ehr_clean"
+class Record:
+    """Base of the package's records. A record lists its fields, in
+    constructor order, in ``_fields``, and a slotted one as its ``__slots__``
+    too. As with ``@dataclass``, two records are ``==`` when they are of one
+    type with equal fields, the ``repr`` is ``Name(field=value, ...)``, and a
+    record has no hash. ``dataclasses`` is not used: importing it, and making
+    each class with it, slowed the start of every command by a third.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [
+            getattr(other, name) for name in self._fields
+        ]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Document(Record):
+    __slots__ = _fields = ("id", "text", "source_kind")
+
+    def __init__(self, id: str, text: str, source_kind: str = "ehr_clean") -> None:
+        self.id = id
+        self.text = text
+        self.source_kind = source_kind
 
 
 def line_starts(lines: list[str]) -> list[int]:
@@ -55,18 +82,30 @@ def line_starts(lines: list[str]) -> list[int]:
     return list(map(add, accumulate(map(len, lines), initial=0), range(len(lines))))
 
 
-@dataclass
-class SectionAnnotation:
-    label: str
-    header_span: tuple[int, int]
-    raw_header: str
-    body_span: tuple[int, int] | None = None
+class SectionAnnotation(Record):
+    __slots__ = _fields = ("label", "header_span", "raw_header", "body_span")
+
+    def __init__(
+        self,
+        label: str,
+        header_span: tuple[int, int],
+        raw_header: str,
+        body_span: tuple[int, int] | None = None,
+    ) -> None:
+        self.label = label
+        self.header_span = header_span
+        self.raw_header = raw_header
+        self.body_span = body_span
 
 
-@dataclass
-class AnnotatedDocument:
-    document: Document
-    sections: list[SectionAnnotation] = field(default_factory=list)
+class AnnotatedDocument(Record):
+    __slots__ = _fields = ("document", "sections")
+
+    def __init__(
+        self, document: Document, sections: list[SectionAnnotation] | None = None
+    ) -> None:
+        self.document = document
+        self.sections = [] if sections is None else sections
 
     @property
     def id(self) -> str:
@@ -83,21 +122,37 @@ class AnnotatedDocument:
         return [s.raw_header for s in self.sections]
 
 
-@dataclass
-class CorpusStats:
-    document_count: int
-    mean_token_length: float
-    stddev_token_length: float
-    mean_sections_per_doc: float
-    stddev_sections_per_doc: float
+class CorpusStats(Record):
+    __slots__ = _fields = (
+        "document_count", "mean_token_length", "stddev_token_length",
+        "mean_sections_per_doc", "stddev_sections_per_doc",
+    )
+
+    def __init__(
+        self,
+        document_count: int,
+        mean_token_length: float,
+        stddev_token_length: float,
+        mean_sections_per_doc: float,
+        stddev_sections_per_doc: float,
+    ) -> None:
+        self.document_count = document_count
+        self.mean_token_length = mean_token_length
+        self.stddev_token_length = stddev_token_length
+        self.mean_sections_per_doc = mean_sections_per_doc
+        self.stddev_sections_per_doc = stddev_sections_per_doc
 
 
-@dataclass
-class ValidationIssue:
-    kind: str
-    doc_id: str | None
-    message: str
-    section: int | None = None
+class ValidationIssue(Record):
+    __slots__ = _fields = ("kind", "doc_id", "message", "section")
+
+    def __init__(
+        self, kind: str, doc_id: str | None, message: str, section: int | None = None
+    ) -> None:
+        self.kind = kind
+        self.doc_id = doc_id
+        self.message = message
+        self.section = section
 
 
 def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:

@@ -16,22 +16,32 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from ..corpus import read_json
+from ..corpus import Record, read_json
 from ..errors import AuthError, FormatError, ReplayMiss, TransportError, warn
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
-# What each LLMConfig annotation accepts. A bool is never a number here,
-# though Python counts it as an int.
+# What each LLMConfig field accepts, in field order. A bool is never a number
+# here, though Python counts it as an int.
+_STRING = ((str,), "a string")
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
 _FIELD_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
-    "str": ((str,), "a string"),
-    "float": ((int, float), "a number"),
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
+    "endpoint_url": _STRING,
+    "model_name": _STRING,
+    "temperature": _NUMBER,
+    "frequency_penalty": _NUMBER,
+    "presence_penalty": _NUMBER,
+    "max_tokens": _INTEGER,
+    "timeout": _NUMBER,
+    "max_retries": _INTEGER,
+    "max_in_flight": _INTEGER,
+    "backoff_base": _NUMBER,
+    "api_key_env": _STRING,
+    "max_context_chars": ((int, type(None)), "an integer or null"),
 }
 # The least value of each bounded field; timeout must also be above 0. The
 # penalties are unbounded.
@@ -41,26 +51,40 @@ _MINIMUMS = (
 )
 
 
-@dataclass
-class LLMConfig:
-    endpoint_url: str = ""
-    model_name: str = "gpt-4"
-    temperature: float = 0.0
-    frequency_penalty: float = 0.0
-    presence_penalty: float = 0.0
-    max_tokens: int = 1000
-    timeout: float = 60.0
-    max_retries: int = 3
-    max_in_flight: int = 4
-    backoff_base: float = 0.5
-    api_key_env: str = "SECTIONID_API_TOKEN"
-    max_context_chars: int | None = None
+class LLMConfig(Record):
+    """Raises TypeError for a value of the wrong type, ValueError for one out of range."""
 
-    def __post_init__(self) -> None:
-        """Raise TypeError for a value of the wrong type, ValueError for one out of range."""
-        for name, spec in self.__dataclass_fields__.items():
+    __slots__ = _fields = tuple(_FIELD_TYPES)
+
+    def __init__(
+        self,
+        endpoint_url: str = "",
+        model_name: str = "gpt-4",
+        temperature: float = 0.0,
+        frequency_penalty: float = 0.0,
+        presence_penalty: float = 0.0,
+        max_tokens: int = 1000,
+        timeout: float = 60.0,
+        max_retries: int = 3,
+        max_in_flight: int = 4,
+        backoff_base: float = 0.5,
+        api_key_env: str = "SECTIONID_API_TOKEN",
+        max_context_chars: int | None = None,
+    ) -> None:
+        self.endpoint_url = endpoint_url
+        self.model_name = model_name
+        self.temperature = temperature
+        self.frequency_penalty = frequency_penalty
+        self.presence_penalty = presence_penalty
+        self.max_tokens = max_tokens
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.max_in_flight = max_in_flight
+        self.backoff_base = backoff_base
+        self.api_key_env = api_key_env
+        self.max_context_chars = max_context_chars
+        for name, (types, described) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            types, described = _FIELD_TYPES[spec.type]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name} must be {described}, not {value!r}")
         for name, least in _MINIMUMS:
@@ -72,10 +96,12 @@ class LLMConfig:
             raise ValueError("timeout must be > 0")
 
 
-@dataclass
-class ChatResult:
-    status: int
-    body: dict
+class ChatResult(Record):
+    __slots__ = _fields = ("status", "body")
+
+    def __init__(self, status: int, body: dict) -> None:
+        self.status = status
+        self.body = body
 
 
 class ChatClient(Protocol):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from ..corpus import Document
+from ..corpus import Document, Record
 from ..errors import SectionIdError, warn
 from ..prediction import Prediction
 from .client import ChatClient, LLMConfig, complete
@@ -68,10 +67,12 @@ def extract_headers(
     return Prediction(headers=headers)
 
 
-@dataclass
-class ExtractionFailure:
-    doc_id: str
-    error: str
+class ExtractionFailure(Record):
+    __slots__ = _fields = ("doc_id", "error")
+
+    def __init__(self, doc_id: str, error: str) -> None:
+        self.doc_id = doc_id
+        self.error = error
 
 
 def extract_corpus(

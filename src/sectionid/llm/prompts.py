@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
-from ..corpus import Document
+from ..corpus import Document, Record
 from ..errors import MissingField
 
 ZERO_SHOT = "zero_shot"
@@ -74,12 +73,20 @@ _TEMPLATES = {
 }
 
 
-@dataclass
-class PromptStrategy:
-    kind: str
-    example_doc: str | None = None
-    example_headers: list[str] = field(default_factory=list)
-    label_set: list[str] = field(default_factory=list)
+class PromptStrategy(Record):
+    __slots__ = _fields = ("kind", "example_doc", "example_headers", "label_set")
+
+    def __init__(
+        self,
+        kind: str,
+        example_doc: str | None = None,
+        example_headers: list[str] | None = None,
+        label_set: list[str] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.example_doc = example_doc
+        self.example_headers = [] if example_headers is None else example_headers
+        self.label_set = [] if label_set is None else label_set
 
     def validate(self) -> None:
         if self.kind not in STRATEGY_KINDS:

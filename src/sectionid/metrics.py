@@ -16,41 +16,58 @@ Conventions, chosen so every number is recomputable from the reported counts:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .align import DEFAULT_MAX_EDIT_RATIO, align_headers
-from .corpus import AnnotatedDocument
+from .corpus import AnnotatedDocument, Record
 from .errors import EmptyInput, LengthMismatch, MalformedTags
 from .ontology import Ontology, categorize, normalize_surface
-from .prediction import Prediction
+from .prediction import DEFAULT_MAX_EDIT_RATIO, Prediction
 from .tokenizer import O, _check_spans, is_well_formed, splits_token, tokens_before
 
 
-@dataclass
-class Counts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    gold_tokens: int = 0
-    pred_tokens: int = 0
-    gold_headers: int = 0
-    matched_exact: int = 0
-    role_correct: int = 0
-    total_tokens: int = 0
-    equal_tokens: int = 0
+class Counts(Record):
+    __slots__ = _fields = (
+        "tp", "fp", "fn", "gold_tokens", "pred_tokens", "gold_headers",
+        "matched_exact", "role_correct", "total_tokens", "equal_tokens",
+    )
+
+    def __init__(
+        self,
+        tp: int = 0,
+        fp: int = 0,
+        fn: int = 0,
+        gold_tokens: int = 0,
+        pred_tokens: int = 0,
+        gold_headers: int = 0,
+        matched_exact: int = 0,
+        role_correct: int = 0,
+        total_tokens: int = 0,
+        equal_tokens: int = 0,
+    ) -> None:
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
+        self.gold_tokens = gold_tokens
+        self.pred_tokens = pred_tokens
+        self.gold_headers = gold_headers
+        self.matched_exact = matched_exact
+        self.role_correct = role_correct
+        self.total_tokens = total_tokens
+        self.equal_tokens = equal_tokens
 
     def add(self, other: "Counts") -> None:
-        for name in self.__dataclass_fields__:
+        for name in self._fields:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass
-class TokenMetrics:
+class TokenMetrics(Record):
     """Token counts; every rate is a property computed from them, by the
     conventions above, so no stored score can disagree with its counts."""
 
-    counts: Counts
+    __slots__ = _fields = ("counts",)
+
+    def __init__(self, counts: Counts) -> None:
+        self.counts = counts
 
     @property
     def precision(self) -> float:
@@ -78,7 +95,6 @@ class TokenMetrics:
         return c.equal_tokens / c.total_tokens if c.total_tokens else 1.0
 
 
-@dataclass
 class DocScore(TokenMetrics):
     """One document's counts and the predicted headers grounded nowhere.
 
@@ -86,8 +102,15 @@ class DocScore(TokenMetrics):
     both scoring modes.
     """
 
-    doc_id: str
-    unmatched_headers: list[str] = field(default_factory=list)
+    __slots__ = ("doc_id", "unmatched_headers")
+    _fields = ("counts", *__slots__)
+
+    def __init__(
+        self, counts: Counts, doc_id: str, unmatched_headers: list[str] | None = None
+    ) -> None:
+        self.counts = counts
+        self.doc_id = doc_id
+        self.unmatched_headers = [] if unmatched_headers is None else unmatched_headers
 
     @property
     def em(self) -> float:
@@ -95,20 +118,28 @@ class DocScore(TokenMetrics):
         return c.matched_exact / c.gold_headers if c.gold_headers else 1.0
 
 
-@dataclass
 class MetricsReport(TokenMetrics):
     """Corpus counts, summed over documents, and the corpus exact match: the
     mean of the per-document values, which the summed counts cannot give."""
 
-    em: float
+    __slots__ = ("em",)
+    _fields = ("counts", *__slots__)
+
+    def __init__(self, counts: Counts, em: float) -> None:
+        self.counts = counts
+        self.em = em
 
 
-@dataclass
-class RunReport:
-    method: str
-    corpus: str
-    report: MetricsReport
-    per_doc: list[DocScore]
+class RunReport(Record):
+    __slots__ = _fields = ("method", "corpus", "report", "per_doc")
+
+    def __init__(
+        self, method: str, corpus: str, report: MetricsReport, per_doc: list[DocScore]
+    ) -> None:
+        self.method = method
+        self.corpus = corpus
+        self.report = report
+        self.per_doc = per_doc
 
 
 def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
@@ -229,10 +260,12 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     return len(set_a & set_b) / len(union)
 
 
-@dataclass
-class IAAReport:
-    mean_jaccard: float
-    per_pair: list[tuple[str, float]]
+class IAAReport(Record):
+    __slots__ = _fields = ("mean_jaccard", "per_pair")
+
+    def __init__(self, mean_jaccard: float, per_pair: list[tuple[str, float]]) -> None:
+        self.mean_jaccard = mean_jaccard
+        self.per_pair = per_pair
 
 
 def iaa_report(
@@ -306,6 +339,9 @@ def evaluate_run(
                 spans = pred.placed_spans()
                 unmatched = [h for h, span in zip(pred.headers, pred.spans or ()) if span is None]
             else:
+                # imported here so that scoring grounded predictions loads no grounding
+                from .align import align_headers
+
                 alignment = align_headers(doc.document, pred, max_edit_ratio=max_edit_ratio)
                 spans = alignment.matched_spans()
                 unmatched = [pred.headers[i] for i in alignment.unmatched_predictions]
@@ -347,11 +383,11 @@ def render_report(run: RunReport, fmt: str = "table_text") -> str:
             "method": run.method,
             "corpus": run.corpus,
             "scores": {name: getattr(r, name) for name in ("accuracy_all_tokens", *_RATES)},
-            "counts": vars(r.counts),
+            "counts": {name: getattr(r.counts, name) for name in Counts._fields},
             "per_doc": [
                 {
                     "doc_id": d.doc_id,
-                    "counts": vars(d.counts),
+                    "counts": {name: getattr(d.counts, name) for name in Counts._fields},
                     "unmatched_headers": d.unmatched_headers,
                     **{name: getattr(d, name) for name in _RATES},
                 }

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .corpus import AnnotatedDocument, comment_lines, open_text
+from .corpus import AnnotatedDocument, Record, comment_lines, open_text
 from .errors import DanglingCategory, EmptyCorpus, FormatError
 from .textdist import edit_ratio, max_edits
 
@@ -59,25 +58,29 @@ def _grams(s: str) -> frozenset[str]:
     return frozenset(map(operator.add, s, s[1:]))
 
 
-@dataclass
-class Ontology:
-    categories: set[str]
-    surface_map: dict[str, str]
-    levels: dict[str, str] = field(default_factory=dict)
+class Ontology(Record):
+    _fields = ("categories", "surface_map", "levels")
 
-    def __post_init__(self) -> None:
-        if UNKNOWN not in self.categories:
+    def __init__(
+        self,
+        categories: set[str],
+        surface_map: dict[str, str],
+        levels: dict[str, str] | None = None,
+    ) -> None:
+        self.categories = categories
+        self.surface_map = surface_map
+        self.levels = {} if levels is None else levels
+        if UNKNOWN not in categories:
             raise DanglingCategory(f"ontology must declare {UNKNOWN!r}")
-        for surface, category in self.surface_map.items():
-            if category not in self.categories:
+        for surface, category in surface_map.items():
+            if category not in categories:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
         # filled by fuzzy lookups: the surfaces per length and the longest
         # length, at the first one, and per length a lookup has reached, each
-        # surface of it with its 2-gram set and that set's size. Plain
-        # attributes, not fields, so ==, repr and dataclasses.fields see only
-        # the taxonomy.
+        # surface of it with its 2-gram set and that set's size. Not fields,
+        # so == and repr see only the taxonomy.
         self._by_length: dict[int, list[str]] | None = None
         self._longest = 0
         self._fuzzy: dict[int, list[tuple[str, frozenset[str], int]]] = {}
@@ -204,17 +207,21 @@ def categorize(name: str, ont: Ontology) -> str:
     return UNKNOWN if best is None else ont.surface_map[best[1]]
 
 
-@dataclass
-class CategoryCount:
-    section_count: int
-    frequency: int
-    frequency_pct: float
+class CategoryCount(Record):
+    __slots__ = _fields = ("section_count", "frequency", "frequency_pct")
+
+    def __init__(self, section_count: int, frequency: int, frequency_pct: float) -> None:
+        self.section_count = section_count
+        self.frequency = frequency
+        self.frequency_pct = frequency_pct
 
 
-@dataclass
-class CategoryStats:
-    rows: dict[str, CategoryCount]
-    total_sections: int
+class CategoryStats(Record):
+    __slots__ = _fields = ("rows", "total_sections")
+
+    def __init__(self, rows: dict[str, CategoryCount], total_sections: int) -> None:
+        self.rows = rows
+        self.total_sections = total_sections
 
 
 def category_stats(docs: list[AnnotatedDocument], ont: Ontology) -> CategoryStats:

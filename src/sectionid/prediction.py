@@ -8,11 +8,10 @@ reads the file with ``load_predictions``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import AnnotatedDocument, _jsonl_objects, _parse_span
+from .corpus import AnnotatedDocument, Record, _jsonl_objects, _parse_span
 from .errors import FormatError, LengthMismatch, OverlapError, SpanError
 from .tokenizer import _check_spans
 
@@ -21,38 +20,52 @@ EXACT = "exact"
 CASE_INSENSITIVE = "case_insensitive"
 FUZZY = "fuzzy"
 MATCH_KINDS = (EXACT, CASE_INSENSITIVE, FUZZY)
+# The default bound on a fuzzy placement's edits per header character. It
+# lives here, and ``align`` re-exports it, so that reading it loads no
+# grounding code.
+DEFAULT_MAX_EDIT_RATIO = 0.2
 
 
-@dataclass
-class HeaderMatch:
-    prediction_index: int
-    span: tuple[int, int]
-    match_kind: str
+class HeaderMatch(Record):
+    __slots__ = _fields = ("prediction_index", "span", "match_kind")
+
+    def __init__(self, prediction_index: int, span: tuple[int, int], match_kind: str) -> None:
+        self.prediction_index = prediction_index
+        self.span = span
+        self.match_kind = match_kind
 
 
-@dataclass
-class AlignmentResult:
-    matches: list[HeaderMatch] = field(default_factory=list)
-    unmatched_predictions: list[int] = field(default_factory=list)
+class AlignmentResult(Record):
+    __slots__ = _fields = ("matches", "unmatched_predictions")
+
+    def __init__(
+        self,
+        matches: list[HeaderMatch] | None = None,
+        unmatched_predictions: list[int] | None = None,
+    ) -> None:
+        self.matches = [] if matches is None else matches
+        self.unmatched_predictions = [] if unmatched_predictions is None else unmatched_predictions
 
     def matched_spans(self) -> list[tuple[int, int]]:
         return [m.span for m in self.matches]
 
 
-@dataclass
-class Prediction:
+class Prediction(Record):
     """``spans``, when given, holds one entry per header: its span, or
     ``None`` for a header placed nowhere. The placed spans, in header order,
     must be sorted and non-overlapping."""
 
-    headers: list[str]
-    spans: list[tuple[int, int] | None] | None = None
+    __slots__ = _fields = ("headers", "spans")
 
-    def __post_init__(self) -> None:
-        if self.spans is None:
+    def __init__(
+        self, headers: list[str], spans: list[tuple[int, int] | None] | None = None
+    ) -> None:
+        self.headers = headers
+        self.spans = spans
+        if spans is None:
             return
-        if len(self.spans) != len(self.headers):
-            raise LengthMismatch(f"{len(self.spans)} spans for {len(self.headers)} headers")
+        if len(spans) != len(headers):
+            raise LengthMismatch(f"{len(spans)} spans for {len(headers)} headers")
         _check_spans(self.placed_spans())
 
     @property

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import json
 import os
 import random
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sectionid
 from conftest import FIXTURES, make_synthetic_corpus, make_synthetic_doc
+from sectionid.baselines import HeaderLexicon
 from sectionid.cli import FATAL, OK, main
 from sectionid.corpus import (
     BODY_SPAN_INVALID,
@@ -23,8 +24,10 @@ from sectionid.corpus import (
     SUBSTRING_MISMATCH,
     UNSORTED_SECTIONS,
     AnnotatedDocument,
+    CorpusStats,
     Document,
     SectionAnnotation,
+    ValidationIssue,
     corpus_stats,
     load_gold_corpus,
     save_gold_corpus,
@@ -32,6 +35,12 @@ from sectionid.corpus import (
     write_output,
 )
 from sectionid.errors import EmptyCorpus, FormatError, SpanError
+from sectionid.llm.client import ChatResult, LLMConfig
+from sectionid.llm.extract import ExtractionFailure
+from sectionid.llm.prompts import PromptStrategy
+from sectionid.metrics import Counts, DocScore, IAAReport, MetricsReport, RunReport, TokenMetrics
+from sectionid.ontology import CategoryCount, CategoryStats, Ontology
+from sectionid.prediction import AlignmentResult, HeaderMatch, Prediction
 
 
 def write_jsonl(path, records):
@@ -384,8 +393,9 @@ def test_load_agrees_with_validate_on_mutated_notes(tmp_path_factory, rng, n_mut
     flagged = {(issue.doc_id, issue.section, issue.kind == BODY_SPAN_INVALID) for issue in issues}
     expected = [
         AnnotatedDocument(doc.document, [
-            dataclasses.replace(
-                sec, body_span=None if (doc.id, i, True) in flagged else sec.body_span
+            SectionAnnotation(
+                sec.label, sec.header_span, sec.raw_header,
+                None if (doc.id, i, True) in flagged else sec.body_span,
             )
             for i, sec in enumerate(doc.sections)
             if (doc.id, i, False) not in flagged
@@ -483,3 +493,93 @@ def test_normalize_out_naming_a_directory_is_fatal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == FATAL
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Every record of the package, the arguments to build one, and its
+# constructor's parameters as they were when the records were dataclasses:
+# a default by its repr, and "<factory>" for a fresh object per instance.
+_RECORDS = [
+    (Document, ("d", "Plan: rest"), "id, text, source_kind='ehr_clean'"),
+    (SectionAnnotation, ("Plan", (0, 5), "Plan:"), "label, header_span, raw_header, body_span=None"),
+    (AnnotatedDocument, (Document("d", "x"),), "document, sections=<factory>"),
+    (
+        CorpusStats, (1, 2.0, 0.0, 1.0, 0.0),
+        "document_count, mean_token_length, stddev_token_length, mean_sections_per_doc, "
+        "stddev_sections_per_doc",
+    ),
+    (ValidationIssue, (DUPLICATE_ID, "d", "repeated"), "kind, doc_id, message, section=None"),
+    (HeaderMatch, (0, (0, 4), "exact"), "prediction_index, span, match_kind"),
+    (AlignmentResult, (), "matches=<factory>, unmatched_predictions=<factory>"),
+    (Prediction, (["Plan"],), "headers, spans=None"),
+    (Ontology, ({"UNKNOWN", "A"}, {"a": "A"}), "categories, surface_map, levels=<factory>"),
+    (CategoryCount, (1, 2, 50.0), "section_count, frequency, frequency_pct"),
+    (CategoryStats, ({}, 0), "rows, total_sections"),
+    (HeaderLexicon, ({"Plan"},), "entries"),
+    (
+        Counts, (),
+        "tp=0, fp=0, fn=0, gold_tokens=0, pred_tokens=0, gold_headers=0, matched_exact=0, "
+        "role_correct=0, total_tokens=0, equal_tokens=0",
+    ),
+    (TokenMetrics, (Counts(),), "counts"),
+    (DocScore, (Counts(), "d"), "counts, doc_id, unmatched_headers=<factory>"),
+    (MetricsReport, (Counts(), 1.0), "counts, em"),
+    (RunReport, ("rules", "corpus", MetricsReport(Counts(), 1.0), []), "method, corpus, report, per_doc"),
+    (IAAReport, (1.0, []), "mean_jaccard, per_pair"),
+    (
+        LLMConfig, (),
+        "endpoint_url='', model_name='gpt-4', temperature=0.0, frequency_penalty=0.0, "
+        "presence_penalty=0.0, max_tokens=1000, timeout=60.0, max_retries=3, max_in_flight=4, "
+        "backoff_base=0.5, api_key_env='SECTIONID_API_TOKEN', max_context_chars=None",
+    ),
+    (ChatResult, (200, {}), "status, body"),
+    (ExtractionFailure, ("d", "ReplayMiss: none"), "doc_id, error"),
+    (
+        PromptStrategy, ("zero_shot",),
+        "kind, example_doc=None, example_headers=<factory>, label_set=<factory>",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, parameters", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_record_keeps_its_dataclass_semantics(cls, args, parameters):
+    a, b = cls(*args), cls(*args)
+    rendered = []
+    for p in inspect.signature(cls).parameters.values():
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        if p.default is p.empty:
+            rendered.append(p.name)
+        elif p.default is None and getattr(a, p.name) is not None:
+            # an empty container of its own, as a default_factory gave
+            value = getattr(a, p.name)
+            assert value == type(value)() and value is not getattr(b, p.name)
+            rendered.append(f"{p.name}=<factory>")
+        else:
+            rendered.append(f"{p.name}={p.default!r}")
+    assert ", ".join(rendered) == parameters
+    assert cls._fields == tuple(inspect.signature(cls).parameters)
+
+    assert a == b and not a != b
+    for name in cls._fields:
+        changed = cls(*args)
+        setattr(changed, name, object())
+        assert changed != a and a != changed
+    other = type("Other", (cls,), {})(*args)
+    assert a != other and other != a
+    assert a.__eq__(object()) is NotImplemented
+
+    fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls._fields)
+    assert repr(a) == f"{cls.__name__}({fields})"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+    # slotted, unless it keeps attributes outside its fields
+    assert hasattr(a, "__dict__") == (cls in (Ontology, HeaderLexicon))
+
+
+def test_record_repr_is_the_dataclass_format():
+    assert repr(Document("d", "x")) == "Document(id='d', text='x', source_kind='ehr_clean')"
+    assert repr(DocScore(Counts(tp=1), "d")) == (
+        "DocScore(counts=Counts(tp=1, fp=0, fn=0, gold_tokens=0, pred_tokens=0, gold_headers=0, "
+        "matched_exact=0, role_correct=0, total_tokens=0, equal_tokens=0), doc_id='d', "
+        "unmatched_headers=[])"
+    )
+    assert repr(HeaderLexicon({"Plan"})) == "HeaderLexicon(entries={'Plan'})"

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import random
 from unittest import mock
 
@@ -203,7 +202,7 @@ def test_ontology_keeps_no_shared_state():
     assert first._by_length is not second._by_length
     assert first._fuzzy is not second._fuzzy
     assert first == Ontology(categories, {"allergies": "A", "medications": "B"})
-    assert [f.name for f in dataclasses.fields(Ontology)] == ["categories", "surface_map", "levels"]
+    assert Ontology._fields == ("categories", "surface_map", "levels")
 
 
 def test_fuzzy_table_is_built_per_length_at_first_use():

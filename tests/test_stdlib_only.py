@@ -5,8 +5,10 @@ the package itself, no module of ``sectionid.llm`` may import the grounding
 module ``sectionid.align``, ``pyproject.toml`` must declare no runtime
 dependency, and importing the CLI must not load the HTTP stack, which only
 a live endpoint call needs. Importing the CLI loads only the package layers
-every command shares, and ``normalize``, ``stats`` and ``iaa`` add only the
-layers they run. A replay run must not load the thread pool either,
+every command shares, and each command adds only the layers it runs. No
+module imports ``dataclasses``, whose import, with the ``inspect`` it loads,
+would cost every command a third of its start-up. A replay run must not load
+the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
 export behind.
@@ -69,6 +71,19 @@ def test_llm_layer_does_not_import_grounding():
     assert grounding == []
 
 
+def test_package_does_not_import_dataclasses():
+    # records are plain classes on ``corpus.Record``
+    modules = sorted((SRC / "sectionid").rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in modules
+        for lineno, name in _imports(path)
+        if name == "dataclasses" or name.startswith("dataclasses.")
+    ]
+    assert found == []
+
+
 def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
@@ -97,28 +112,44 @@ CLI_MODULES = [
     "sectionid", "sectionid.cli", "sectionid.corpus", "sectionid.errors", "sectionid.ontology",
     "sectionid.prediction", "sectionid.textdist", "sectionid.tokenizer",
 ]
+# What ``segment`` and ``evaluate`` read for their settings: the LLM
+# config's fields and the strategy names.
+SETTINGS_MODULES = ["sectionid.llm", "sectionid.llm.client", "sectionid.llm.prompts"]
 
 
-def test_cli_loads_only_the_layers_a_command_runs(tmp_path):
+def test_cli_loads_only_the_layers_a_command_runs(tmp_path, replay_store):
     # no LLM, alignment, metrics or baselines code until a command runs it;
-    # iaa scores with metrics, which imports the alignment default
+    # only an LLM run grounds headers, so nothing else loads ``align``; the
+    # commands run in one interpreter, so each set holds the ones before it
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text('{"id": "d1", "a": ["Plan"], "b": ["plan"]}\n', encoding="utf-8")
     fixtures = SRC.parent / "tests" / "fixtures"
+    corpus = str(fixtures / "gold_small.jsonl")
+    rules = tmp_path / "rules"
     commands = [
         ["normalize", "--names", str(fixtures / "order_variants.txt")],
-        ["stats", "--corpus", str(fixtures / "gold_small.jsonl")],
+        ["stats", "--corpus", corpus],
         ["iaa", "--pairs", str(pairs)],
+        ["segment", "--corpus", corpus, "--segmenter", "rules", "--out", str(rules)],
+        [
+            "evaluate", "--corpus", corpus, "--predictions", str(rules / "predictions.jsonl"),
+            "--out", str(tmp_path / "eval"),
+        ],
+        [
+            "segment", "--corpus", corpus, "--segmenter", "llm", "--replay", str(replay_store),
+            "--out", str(tmp_path / "llm"),
+        ],
     ]
     code = (
         "import contextlib, io, json, sys\n"
         "from sectionid.cli import main\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('sectionid'))\n"
-        "sets = [loaded()]\n"
+        "def unwanted(): return sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "sets = [(loaded(), unwanted())]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "    sets.append(loaded())\n"
+        "    sets.append((loaded(), unwanted()))\n"
         "print(json.dumps(sets))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -127,13 +158,19 @@ def test_cli_loads_only_the_layers_a_command_runs(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    expected = [CLI_MODULES] * 3 + [[*CLI_MODULES, "sectionid.align", "sectionid.metrics"]]
+    scoring = [*CLI_MODULES, "sectionid.metrics"]
+    segmenting = [*scoring, "sectionid.baselines", *SETTINGS_MODULES]
+    expected = [CLI_MODULES] * 3 + [scoring, segmenting, segmenting] + [[
+        *segmenting, "sectionid.align", "sectionid.llm.extract", "sectionid.llm.parsing",
+    ]]
+    sets = json.loads(done.stdout)
     # (loaded and not expected, expected and not loaded) after import and each command
     differences = [
         (sorted(set(loaded) - set(want)), sorted(set(want) - set(loaded)))
-        for loaded, want in zip(json.loads(done.stdout), expected)
+        for (loaded, _), want in zip(sets, expected)
     ]
-    assert differences == [([], [])] * 4
+    assert differences == [([], [])] * 7
+    assert [unwanted for _, unwanted in sets] == [[]] * 7
 
 
 def test_replay_segment_loads_no_thread_pool(tmp_path, replay_store):
