@@ -6,16 +6,20 @@ them, and all output files are deterministic byte-for-byte given the same
 inputs. The API bearer token is only ever read from the environment
 variable named in the config, never from the config file itself.
 
-Each command builds only its own parser: ``main`` parses a command's
-arguments with that command's parser alone, and builds the full parser,
-with every subcommand, only for ``--help`` and usage errors. Each command
-imports only the layers it runs: ``normalize`` and ``stats`` load no LLM,
-alignment, metrics or baselines code, and ``iaa`` adds only ``metrics``.
-``segment`` and ``evaluate`` read the LLM layer's ``client`` and ``prompts``
-for their settings, and add ``baselines`` or ``metrics``. Only an LLM
-``segment`` loads the rest of ``sectionid.llm``, and ``align`` loads only
-where a header needs grounding: in that run, or in an ``evaluate`` of
-predictions written without spans.
+Each command's flags are one table of ``add_argument`` keywords. Arguments
+in the canonical form (full flag names, each followed by a valid value, or
+a bare switch) are read from that table without building a parser.
+Anything else, ``--help`` and every usage error included, goes to the full
+parser with every subcommand, which gives the same namespace wherever both
+apply.
+
+Each command imports only the layers it runs: ``normalize`` and ``stats``
+load no LLM, alignment, metrics or baselines code, and ``iaa`` adds only
+``metrics``. ``segment`` and ``evaluate`` read the LLM layer's ``client``
+and ``prompts`` for their settings, and add ``baselines`` or ``metrics``.
+Only an LLM ``segment`` loads the rest of ``sectionid.llm``, and ``align``
+loads only where a header needs grounding: in that run, or in an
+``evaluate`` of predictions written without spans.
 
 A re-run overwrites its output files in place (``corpus.write_output``),
 keeping symlinks, hard links and mode; outputs are not written atomically.
@@ -355,6 +359,11 @@ def cmd_normalize(args: argparse.Namespace) -> int:
                 continue
             lines.append(f"{name}\t{ontology.categorize(name, ont)}")
     output = "\n".join(lines) + ("\n" if lines else "")
+    # refuse a stdout that cannot hold a name before --out is written; a
+    # stream without an encoding (StringIO) holds any text
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        encode_output("stdout", output, encoding, sys.stdout.errors)
     if args.out:
         write_output(args.out, output)
     print(output, end="")
@@ -382,74 +391,86 @@ def cmd_iaa(args: argparse.Namespace) -> int:
     return OK
 
 
-def _common_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--corpus", help="gold corpus JSONL")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
-    p.add_argument(
-        "--max-edit-ratio", type=float, dest="alignment.max_edit_ratio",
-        metavar="MAX_EDIT_RATIO",
-    )
-    p.add_argument(
-        "--strict", action=argparse.BooleanOptionalAction, default=None,
-        help="abort on corpus invariant violations (default: strict)",
-    )
+class _Flags(tuple):
+    """A command's flags as ``(name, add_argument keywords)`` pairs, in help
+    order. Calling it adds them to a parser."""
+
+    def resolved(self):
+        """The pairs, each ``choices`` given as a function replaced by its result."""
+        for name, keywords in self:
+            choices = keywords.get("choices")
+            yield name, {**keywords, "choices": choices()} if callable(choices) else keywords
+
+    def __call__(self, parser: argparse.ArgumentParser) -> None:
+        for name, keywords in self.resolved():
+            parser.add_argument(name, **keywords)
 
 
-def _segment_arguments(p: argparse.ArgumentParser) -> None:
+def _strategy_kinds() -> tuple[str, ...]:
     from .llm.prompts import STRATEGY_KINDS
 
-    _common_arguments(p)
-    p.add_argument("--segmenter", choices=SEGMENTERS)
-    p.add_argument("--strategy", choices=STRATEGY_KINDS)
-    p.add_argument("--lexicon", help="lexicon file for keyword/rules segmenters")
-    p.add_argument("--ruleset", help="JSON ruleset for regex/rules segmenters")
-    p.add_argument("--replay", help="replay store directory (offline llm runs)")
-    p.add_argument(
-        "--workers", type=int, dest="llm.max_in_flight", metavar="WORKERS",
-        help="max in-flight llm requests",
-    )
+    return STRATEGY_KINDS
 
 
-def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
-    _common_arguments(p)
-    p.add_argument("--predictions", required=True, help="predictions JSONL from segment")
-    p.add_argument("--segmenter", choices=SEGMENTERS, help="method name for the report")
-    p.add_argument(
-        "--close-ended", action="store_true", default=None, dest="close_ended_eval",
-        help="compare categorized label sets instead of spans",
-    )
+_COMMON_FLAGS = (
+    ("--config", {"help": "JSON config file; flags override it"}),
+    ("--corpus", {"help": "gold corpus JSONL"}),
+    ("--out", {"help": "output directory"}),
+    ("--ontology", {"help": "taxonomy CSV (default: bundled)"}),
+    ("--max-edit-ratio", {
+        "type": float, "dest": "alignment.max_edit_ratio", "metavar": "MAX_EDIT_RATIO",
+    }),
+    ("--strict", {
+        "action": argparse.BooleanOptionalAction, "default": None,
+        "help": "abort on corpus invariant violations (default: strict)",
+    }),
+)
+_SEGMENT_FLAGS = _Flags(_COMMON_FLAGS + (
+    ("--segmenter", {"choices": SEGMENTERS}),
+    ("--strategy", {"choices": _strategy_kinds}),
+    ("--lexicon", {"help": "lexicon file for keyword/rules segmenters"}),
+    ("--ruleset", {"help": "JSON ruleset for regex/rules segmenters"}),
+    ("--replay", {"help": "replay store directory (offline llm runs)"}),
+    ("--workers", {
+        "type": int, "dest": "llm.max_in_flight", "metavar": "WORKERS",
+        "help": "max in-flight llm requests",
+    }),
+))
+_EVALUATE_FLAGS = _Flags(_COMMON_FLAGS + (
+    ("--predictions", {"required": True, "help": "predictions JSONL from segment"}),
+    ("--segmenter", {"choices": SEGMENTERS, "help": "method name for the report"}),
+    ("--close-ended", {
+        "action": "store_true", "default": None, "dest": "close_ended_eval",
+        "help": "compare categorized label sets instead of spans",
+    }),
+))
+_STATS_FLAGS = _Flags((
+    ("--corpus", {"required": True}),
+    ("--out", {}),
+    ("--strict", {"action": argparse.BooleanOptionalAction, "default": True}),
+))
+_NORMALIZE_FLAGS = _Flags((
+    ("--names", {"required": True, "help": "one section name per line"}),
+    ("--ontology", {"help": "taxonomy CSV (default: bundled)"}),
+    ("--out", {"help": "output TSV path"}),
+))
+_IAA_FLAGS = _Flags((
+    ("--pairs", {"required": True, "help": 'JSONL: {"id", "a": [...], "b": [...]}'}),
+    ("--out", {}),
+))
 
 
-def _stats_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out")
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
-
-
-def _normalize_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--names", required=True, help="one section name per line")
-    p.add_argument("--ontology", help="taxonomy CSV (default: bundled)")
-    p.add_argument("--out", help="output TSV path")
-
-
-def _iaa_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pairs", required=True, help='JSONL: {"id", "a": [...], "b": [...]}')
-    p.add_argument("--out")
-
-
-# Each command's help line, the function adding its arguments and the function
-# running it, in the order ``sectionid --help`` lists them.
+# Each command's help line, its flags (which add its arguments to a parser)
+# and the function running it, in the order ``sectionid --help`` lists them.
 _COMMANDS: dict[
     str,
     tuple[str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]],
 ] = {
-    "segment": ("run a segmenter over a corpus", _segment_arguments, cmd_segment),
-    "evaluate": ("score predictions against gold", _evaluate_arguments, cmd_evaluate),
-    "stats": ("corpus summary statistics", _stats_arguments, cmd_stats),
-    "normalize": ("categorize section names from a file", _normalize_arguments, cmd_normalize),
-    "iaa": ("inter-annotator agreement over annotation pairs", _iaa_arguments, cmd_iaa),
+    "segment": ("run a segmenter over a corpus", _SEGMENT_FLAGS, cmd_segment),
+    "evaluate": ("score predictions against gold", _EVALUATE_FLAGS, cmd_evaluate),
+    "stats": ("corpus summary statistics", _STATS_FLAGS, cmd_stats),
+    "normalize": ("categorize section names from a file", _NORMALIZE_FLAGS, cmd_normalize),
+    "iaa": ("inter-annotator agreement over annotation pairs", _IAA_FLAGS, cmd_iaa),
 }
 
 
@@ -467,24 +488,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the parser of the
-    command ``argv[0]`` names when that parser takes every argument.
+@functools.cache
+def _options(command: str) -> tuple[dict[str, tuple], dict[str, object], set[str]]:
+    """For ``command``: each full flag name with its dest, the value it
+    stores if it is a switch, and the keywords that check its value if it
+    takes one (else None); every dest with its default; the required dests."""
+    options: dict[str, tuple] = {}
+    defaults: dict[str, object] = {}
+    required = set()
+    for name, keywords in _COMMANDS[command][1].resolved():
+        dest = keywords.get("dest", name[2:].replace("-", "_"))
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+        action = keywords.get("action")
+        options[name] = (dest, True, None) if action else (dest, None, keywords)
+        if action is argparse.BooleanOptionalAction:
+            options["--no-" + name[2:]] = (dest, False, None)
+    return options, defaults, required
 
-    It is the parser ``add_parser`` builds, with the same ``prog``, so its
-    help and errors are the same. The full parser is built for anything
-    else: no command, ``--help``, an unknown command or an argument left over,
-    which only the top-level parser reports.
+
+def _match(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """What the full parser makes of ``[command, *tokens]`` when every token
+    is a full flag name followed, unless it is a switch, by a value that does
+    not start with ``-`` and passes the flag's type and choices, and every
+    required flag is given; None for any other ``tokens``."""
+    options, defaults, required = _options(command)
+    values = dict(defaults)
+    given = set()
+    i = 0
+    while i < len(tokens):
+        option = options.get(tokens[i])
+        if option is None:
+            return None
+        dest, value, keywords = option
+        i += 1
+        if keywords is not None:
+            if i == len(tokens) or tokens[i].startswith("-"):
+                return None
+            value = tokens[i]
+            i += 1
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            choices = keywords.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values, command=command, func=_COMMANDS[command][2])
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building no parser for the
+    canonical form of a command's arguments (see ``_match``).
+
+    Anything else builds the full parser, which alone gives help and usage
+    errors: no command or an unknown one, ``-h``, an abbreviated flag, a
+    ``--flag=value`` token, ``--``, a value starting with ``-`` or refused
+    by its flag, a missing required flag or an argument left over.
     """
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        _, add_arguments, func = _COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"sectionid {name}")
-        add_arguments(parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = name
-            args.func = func
+        args = _match(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -227,20 +227,23 @@ def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
             raise FormatError(_not_utf8(src)) from exc
 
 
-def encode_output(path: str | Path, text: str) -> bytes:
-    """``text`` as UTF-8, to be written to ``path``.
+def encode_output(
+    path: str | Path, text: str, encoding: str = "UTF-8", errors: str = "strict"
+) -> bytes:
+    """``text`` as ``encoding``, to be written to ``path``.
 
-    Text that UTF-8 cannot hold (a lone surrogate from a JSON escape or an
-    undecodable path) raises FormatError naming ``path`` and the line.
+    Text that the encoding cannot hold (for UTF-8, a lone surrogate from a
+    JSON escape or an undecodable path) raises FormatError naming ``path``,
+    the line and the character.
     """
     try:
-        return text.encode("utf-8")
+        return text.encode(encoding, errors)
     except UnicodeEncodeError as exc:
         # an undecodable path byte is a surrogate too; name it escaped
         where = str(path).encode("utf-8", "backslashreplace").decode("utf-8")
         lineno = text.count("\n", 0, exc.start) + 1
         raise FormatError(
-            f"{where} line {lineno}: cannot be written as UTF-8: "
+            f"{where} line {lineno}: cannot be written as {encoding}: "
             f"{text[exc.start]!r} ({exc.reason})"
         ) from exc
 

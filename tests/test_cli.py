@@ -268,6 +268,27 @@ def test_normalize_medication_variants(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_normalize_refuses_a_stdout_that_cannot_hold_a_name(tmp_path, capsys, monkeypatch):
+    names = tmp_path / "names.txt"
+    names.write_text("Plan\nAntécédents\n", encoding="utf-8")
+    out = tmp_path / "names.tsv"
+    argv = ["normalize", "--names", str(names), "--out", str(out)]
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert main(argv) == FATAL
+    sys.stdout.flush()
+    assert raw.getvalue() == b""
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: stdout line 2: cannot be written as ascii: 'é' (ordinal not in range(128))\n"
+    )
+    # a stream without an encoding holds any name
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == OK
+    expected = "Plan\tAssessment & Plan\nAntécédents\tUNKNOWN\n"
+    assert sys.stdout.getvalue() == out.read_text(encoding="utf-8") == expected
+
+
 def test_iaa_identical_pair(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(
@@ -1391,22 +1412,27 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_a_command_builds_only_its_own_arguments(tmp_path, capsys, monkeypatch):
+def test_a_canonical_command_builds_no_parser(tmp_path, capsys, monkeypatch):
     names = tmp_path / "names.txt"
     names.write_text("Plan\n", encoding="utf-8")
     parsers = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
     subcommands = _count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
     arguments = _count_calls(monkeypatch, argparse._ActionsContainer, "add_argument")
     assert main(["normalize", "--names", str(names), "--out", str(tmp_path / "n.tsv")]) == OK
-    assert [args[0].prog for args in parsers] == ["sectionid normalize"]
-    assert subcommands == []
-    # --names, --ontology and --out, and the -h of normalize
-    assert len(arguments) == 3 + 1
-    # the full parser, with every subcommand, for help and usage errors
-    for argv in (["--help"], ["bogus"], ["normalize", "--names", str(names), "extra"]):
+    assert (parsers, subcommands, arguments) == ([], [], [])
+    # the full parser, with every subcommand, for help, usage errors and any
+    # other form of the arguments: an abbreviated flag, --flag=value or a
+    # value starting with "-"
+    for argv in (
+        ["--help"], ["normalize", "-h"], ["bogus"], ["normalize", "--names", "n.txt", "extra"],
+        ["normalize", "--out", "n.tsv"], ["normalize", "--name", "n.txt", "--out=n.tsv"],
+        ["normalize", "--names", "--out"], ["normalize", "--names", "-1"],
+    ):
+        parsers.clear()
         subcommands.clear()
-        with pytest.raises(SystemExit):
-            main(argv)
+        with contextlib.suppress(SystemExit):
+            parse_args(argv)
+        assert [args[0].prog for args in parsers[:1]] == ["sectionid"]
         assert [args[1] for args in subcommands] == list(_COMMANDS)
 
 
@@ -1433,6 +1459,42 @@ def _argv(command):
     return st.tuples(st.sampled_from([[], *required]), st.lists(st.one_of(groups), max_size=5)).map(
         lambda drawn: sum(drawn[1], [command, *drawn[0]])
     )
+
+
+def _canonical_argv(command):
+    """A strategy for ``command``'s argv in the form ``parse_args`` takes
+    without a parser: its required flags and any others, repeats included,
+    in any order, each by its full name with a valid value, or a switch."""
+    parser = argparse.ArgumentParser()
+    _COMMANDS[command][1](parser)
+    plain = st.text(max_size=6).filter(lambda s: not s.startswith("-"))
+    values = {float: st.floats(0, 100).map(repr), int: st.integers(0, 99).map(str), None: plain}
+    required, groups = [], []
+    for action in parser._actions[1:]:  # after -h
+        if action.nargs == 0:
+            group = st.sampled_from(action.option_strings).map(lambda name: [name])
+        else:
+            value = st.sampled_from(action.choices) if action.choices else values[action.type]
+            group = st.tuples(st.just(action.option_strings[0]), value).map(list)
+        (required if action.required else groups).append(group)
+    return st.tuples(st.tuples(*required), st.lists(st.one_of(groups), max_size=8)).flatmap(
+        lambda drawn: st.permutations([*drawn[0], *drawn[1]])
+    ).map(lambda order: sum(order, [command]))
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_canonical_argv_parses_as_the_full_parser_does_without_one(monkeypatch, command):
+    parsers = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+
+    @settings(max_examples=50, deadline=None)
+    @given(_canonical_argv(command))
+    def check(argv):
+        expected = vars(build_parser().parse_args(argv))
+        parsers.clear()
+        assert vars(parse_args(argv)) == expected
+        assert parsers == []
+
+    check()
 
 
 def _parsed(parse, argv):
