@@ -21,6 +21,12 @@ Only an LLM ``segment`` loads the rest of ``sectionid.llm``, and ``align``
 loads only where a header needs grounding: in that run, or in an
 ``evaluate`` of predictions written without spans.
 
+The bundled taxonomy and the default keyword lexicon are built once per
+process and reused by every later command, so the bundled taxonomy keeps
+its fuzzy-lookup tables from one ``main`` call to the next. A user's
+``--ontology``, ``--lexicon`` or ``--ruleset`` file is read by every
+command that names it, as it may change between calls.
+
 A re-run overwrites its output files in place (``corpus.write_output``),
 keeping symlinks, hard links and mode; outputs are not written atomically.
 
@@ -204,6 +210,25 @@ def _snapshot(config: dict, out_dir: Path) -> tuple[Path, str]:
     return path, text
 
 
+@functools.cache
+def _bundled_ontology() -> ontology.Ontology:
+    """The bundled taxonomy, loaded once per process."""
+    return ontology.load_ontology()
+
+
+def _ontology(path: str | None) -> ontology.Ontology:
+    """The taxonomy at ``path``, read on every call; the bundled one for None."""
+    return _bundled_ontology() if path is None else ontology.load_ontology(path)
+
+
+@functools.cache
+def _default_lexicon() -> baselines.HeaderLexicon:
+    """The default keyword lexicon, built once per process from the bundled taxonomy."""
+    from . import baselines
+
+    return baselines.HeaderLexicon(entries=ontology.default_lexicon_entries(_bundled_ontology()))
+
+
 def _build_strategy(config: dict) -> PromptStrategy:
     from .llm.prompts import CLOSE_ENDED, ONE_SHOT, PromptStrategy
 
@@ -229,7 +254,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if not config["corpus"]:
         raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
-    ont = ontology.load_ontology(config["ontology"])
+    ont = _ontology(config["ontology"])
     # set up the segmenter, reading every file and store it needs, so that a
     # refused setting fails before any output is written
     segmenter = config["segmenter"]
@@ -258,10 +283,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if config["lexicon"]:
             lexicon = baselines.load_lexicon(config["lexicon"])
         else:
-            # the default lexicon is built from the bundled taxonomy, whichever
-            # one the run categorizes with
-            bundled = ont if config["ontology"] is None else None
-            lexicon = baselines.HeaderLexicon(entries=ontology.default_lexicon_entries(bundled))
+            # built from the bundled taxonomy, whichever one the run categorizes with
+            lexicon = _default_lexicon()
         rules = baselines.DEFAULT_RULES
         if config["ruleset"]:
             rules = baselines.load_ruleset(config["ruleset"])
@@ -304,7 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # only close-ended scoring reads the taxonomy; a user's file is still checked
     ont = None
     if config["close_ended_eval"] or config["ontology"] is not None:
-        ont = ontology.load_ontology(config["ontology"])
+        ont = _ontology(config["ontology"])
     run = metrics.evaluate_run(
         docs,
         predictions,
@@ -350,7 +373,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    ont = ontology.load_ontology(args.ontology)
+    ont = _ontology(args.ontology)
     lines: list[str] = []
     with open_text(args.names) as fh:
         for line in fh:

@@ -12,6 +12,8 @@ distinct 2-grams, so the answer is the one a comparison with every surface
 gives. Both read a per-``Ontology`` table of each surface and its 2-gram set,
 grouped by length: the surfaces are grouped at the first such lookup, and the
 2-gram sets of one length are built when a lookup's window first reaches it.
+Each table is stored only once it is complete, so threads may share one
+``Ontology``.
 """
 
 from __future__ import annotations
@@ -88,20 +90,24 @@ class Ontology(Record):
     def _longest_surface(self) -> int:
         """The length of the longest surface; groups the surfaces by length first."""
         if self._by_length is None:
-            self._by_length = {}
+            by_length: dict[int, list[str]] = {}
             for surface in self.surface_map:
-                self._by_length.setdefault(len(surface), []).append(surface)
-            self._longest = max(self._by_length, default=0)
+                by_length.setdefault(len(surface), []).append(surface)
+            # published whole, after the length, so a thread sharing this
+            # object never reads a part-built table
+            self._longest = max(by_length, default=0)
+            self._by_length = by_length
         return self._longest
 
     def _fuzzy_bucket(self, n: int) -> list[tuple[str, frozenset[str], int]]:
         """Each surface of length ``n``, its 2-gram set and that set's size."""
         bucket = self._fuzzy.get(n)
         if bucket is None:
-            bucket = self._fuzzy[n] = []
+            bucket = []
             for surface in self._by_length.get(n, ()):
                 grams = _grams(surface)
                 bucket.append((surface, grams, len(grams)))
+            self._fuzzy[n] = bucket
         return bucket
 
     def coarse_categories(self) -> set[str]:

@@ -27,7 +27,18 @@ from conftest import (
     record_thread_starts,
 )
 from sectionid import baselines, metrics, ontology
-from sectionid.cli import _COMMANDS, FATAL, OK, PARTIAL, _checks, build_parser, main, parse_args
+from sectionid.cli import (
+    _COMMANDS,
+    FATAL,
+    OK,
+    PARTIAL,
+    _bundled_ontology,
+    _checks,
+    _default_lexicon,
+    build_parser,
+    main,
+    parse_args,
+)
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.prediction import Prediction
 from test_metrics import GOLDEN_REPORTS
@@ -1520,22 +1531,81 @@ def test_a_command_parses_as_the_full_parser_does(monkeypatch, command):
     check()
 
 
+def _clear_bundled():
+    """Forget the process's bundled taxonomy and default lexicon."""
+    _bundled_ontology.cache_clear()
+    _default_lexicon.cache_clear()
+
+
 def test_segment_loads_the_taxonomy_once(tmp_path, gold_path, monkeypatch):
+    # once per process: every later command reuses the bundled taxonomy
+    _clear_bundled()
     loads = _count_calls(monkeypatch, ontology, "load_ontology")
-    code = main(["segment", "--corpus", gold_path, "--segmenter", "rules", "--out", str(tmp_path / "r")])
-    assert code == OK
-    assert loads == [(None,)]
+    for name in ("a", "b"):
+        code = main(["segment", "--corpus", gold_path, "--segmenter", "rules", "--out", str(tmp_path / name)])
+        assert code == OK
+    preds = str(tmp_path / "a" / "predictions.jsonl")
+    argv = ["evaluate", "--corpus", gold_path, "--predictions", preds, "--close-ended"]
+    assert main([*argv, "--out", str(tmp_path / "e")]) == OK
+    assert loads == [()]  # no path: the bundled taxonomy
 
 
 def test_open_evaluate_loads_no_taxonomy(tmp_path, gold_path, monkeypatch):
     preds = tmp_path / "preds.jsonl"
     preds.write_text(json.dumps({"id": "fx1", "headers": ["Allergies"]}) + "\n", encoding="utf-8")
+    _clear_bundled()
     loads = _count_calls(monkeypatch, ontology, "load_ontology")
     argv = ["evaluate", "--corpus", gold_path, "--predictions", str(preds)]
     assert main([*argv, "--out", str(tmp_path / "open")]) == PARTIAL
     assert loads == []
-    assert main([*argv, "--close-ended", "--out", str(tmp_path / "closed")]) == PARTIAL
-    assert loads == [(None,)]
+    for name in ("closed", "closed_again"):
+        assert main([*argv, "--close-ended", "--out", str(tmp_path / name)]) == PARTIAL
+    assert loads == [()]
+
+
+def test_user_files_are_read_by_every_command(tmp_path, gold_path):
+    # the same paths, rewritten between two runs in one process
+    taxonomy, lexicon, names = tmp_path / "tax.csv", tmp_path / "lex.txt", tmp_path / "names.txt"
+    names.write_text("Plan\nHPI\n", encoding="utf-8")
+    unknown = ontology.UNKNOWN
+    _clear_bundled()
+    for category, entries, found in (
+        ("Plan", "Plan\n", {("Plan", "Plan")}),
+        ("Therapy", "Plan\nHPI\n", {("Plan", "Therapy"), ("HPI", unknown)}),
+    ):
+        taxonomy.write_text(f"surface_form,category,level\nplan,{category},coarse\n", encoding="utf-8")
+        lexicon.write_text(entries, encoding="utf-8")
+        out = tmp_path / category
+        argv = ["segment", "--corpus", gold_path, "--segmenter", "keyword", "--lexicon", str(lexicon)]
+        assert main([*argv, "--ontology", str(taxonomy), "--out", str(out)]) == OK
+        records = read_jsonl(out / "predictions.jsonl")
+        assert {pair for r in records for pair in zip(r["headers"], r["categories"])} == found
+        argv = ["normalize", "--names", str(names), "--ontology", str(taxonomy)]
+        assert main([*argv, "--out", str(out / "n.tsv")]) == OK
+        assert (out / "n.tsv").read_text(encoding="utf-8") == f"Plan\t{category}\nHPI\t{unknown}\n"
+    # a user's taxonomy and lexicon never stand in for the bundled ones
+    assert (_bundled_ontology.cache_info().currsize, _default_lexicon.cache_info().currsize) == (0, 0)
+    argv = ["segment", "--corpus", gold_path, "--ontology", str(taxonomy), "--out", str(tmp_path / "r")]
+    assert main(argv) == OK
+    assert _bundled_ontology() == ontology.load_ontology()
+
+
+def test_the_bundled_taxonomy_and_lexicon_stay_as_loaded(tmp_path, gold_path):
+    names = tmp_path / "names.txt"
+    names.write_text("Plan\nAssesment and Plan\nSocial Histroy\nno such section\n", encoding="utf-8")
+    _clear_bundled()
+    argv = ["segment", "--corpus", gold_path, "--segmenter", "rules", "--out", str(tmp_path / "s")]
+    assert main(argv) == OK
+    assert main(["normalize", "--names", str(names), "--out", str(tmp_path / "n.tsv")]) == OK
+    preds = str(tmp_path / "s" / "predictions.jsonl")
+    argv = ["evaluate", "--corpus", gold_path, "--predictions", preds, "--close-ended"]
+    assert main([*argv, "--out", str(tmp_path / "e")]) == OK
+    bundled, lexicon = _bundled_ontology(), _default_lexicon()
+    assert bundled._by_length is not None and bundled._fuzzy
+    assert bundled == ontology.load_ontology()
+    assert lexicon.entries == ontology.default_lexicon_entries()
+    assert lexicon.by_word == baselines.HeaderLexicon(entries=lexicon.entries).by_word
+    assert _bundled_ontology() is bundled and _default_lexicon() is lexicon
 
 
 def test_segment_lexicon_is_bundled_under_any_taxonomy(tmp_path, gold_path):

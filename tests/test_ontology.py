@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -243,6 +245,33 @@ def test_length_window_stops_at_the_longest_surface():
     with mock.patch.object(ontology, "FUZZY_RATIO", 0.999):
         assert categorize("zz", ont) == UNKNOWN
     assert set(ont._fuzzy) == {1, 2, 3}
+
+
+def test_threads_sharing_a_cold_ontology_all_find_the_fuzzy_match():
+    # each thread's first lookup may build the tables another thread is
+    # reading; a switch every microsecond makes the overlap near certain
+    name, expected, threads = "Assesment and Plan", "Assessment & Plan", 12
+
+    def lookup(ont, start, answers):
+        start.wait(timeout=10)
+        answers.append(categorize(name, ont))
+
+    wrong = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            shared = (load_ontology(), threading.Barrier(threads), [])
+            workers = [threading.Thread(target=lookup, args=shared) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            wrong += shared[2] != [expected] * threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == 0
 
 
 # The refusals are weighted down, so that most files get past a few rows.
