@@ -133,10 +133,6 @@ def _checks() -> dict[str, Check]:
     }
 
 
-# Flags are named after the last part of their key, except these.
-_FLAG_NAMES = {"llm.max_in_flight": "--workers", "close_ended_eval": "--close-ended"}
-
-
 def _set(config: dict, key: str, value: object, source: str) -> None:
     """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
     _checks()[key](value, source)
@@ -180,12 +176,13 @@ def _load_config(args: argparse.Namespace) -> dict:
                 if name not in _checks() or name.partition(".")[0] != key:
                     raise FormatError(f"{path}: unknown config key {name!r}")
                 _set(config, name, item, f"{path}: config key {name!r}")
-    # a flag that sets a config key has that key as its argparse dest
+    # a flag that sets a config key has that key as its argparse dest, and is
+    # named as the first flag of that dest: --strict, not --no-strict
+    flags = {dest: flag for flag, (dest, _, _) in reversed(_options(args.command)[0].items())}
     for key in _checks():
         value = getattr(args, key, None)
         if value is not None:
-            flag = _FLAG_NAMES.get(key, "--" + key.rpartition(".")[2].replace("_", "-"))
-            _set(config, key, value, flag)
+            _set(config, key, value, flags[key])
     # the example keys have no flags, so only the file can set one without the other
     example = [key for key in ("example_doc", "example_headers") if key in config["llm"]]
     if config["strategy"] == ONE_SHOT and len(example) == 1:

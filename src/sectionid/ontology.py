@@ -10,10 +10,10 @@ A name with no exact surface is compared by edit distance only with the
 surfaces that pass two exact filters, a length window and a count of shared
 distinct 2-grams, so the answer is the one a comparison with every surface
 gives. Both read a per-``Ontology`` table of each surface and its 2-gram set,
-grouped by length: the surfaces are grouped at the first such lookup, and the
+grouped by length: the surfaces are grouped when the taxonomy loads, and the
 2-gram sets of one length are built when a lookup's window first reaches it.
-Each table is stored only once it is complete, so threads may share one
-``Ontology``.
+Each set of one length is stored only once it is complete, so threads may
+share one ``Ontology``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import csv
 import operator
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .corpus import AnnotatedDocument, Record, comment_lines, open_text
 from .errors import DanglingCategory, EmptyCorpus, FormatError
@@ -74,29 +74,23 @@ class Ontology(Record):
         self.levels = {} if levels is None else levels
         if UNKNOWN not in categories:
             raise DanglingCategory(f"ontology must declare {UNKNOWN!r}")
+        by_length: dict[int, list[str]] = {}
         for surface, category in surface_map.items():
             if category not in categories:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
-        # filled by fuzzy lookups: the surfaces per length and the longest
-        # length, at the first one, and per length a lookup has reached, each
-        # surface of it with its 2-gram set and that set's size. Not fields,
-        # so == and repr see only the taxonomy.
-        self._by_length: dict[int, list[str]] | None = None
-        self._longest = 0
+            by_length.setdefault(len(surface), []).append(surface)
+        # the tables of fuzzy lookups, not fields, so == and repr see only the
+        # taxonomy: the surfaces per length, the longest length, and, filled
+        # per length a lookup has reached, each surface of it with its 2-gram
+        # set and that set's size
+        self._by_length = by_length
+        self._longest = max(by_length, default=0)
         self._fuzzy: dict[int, list[tuple[str, frozenset[str], int]]] = {}
 
     def _longest_surface(self) -> int:
-        """The length of the longest surface; groups the surfaces by length first."""
-        if self._by_length is None:
-            by_length: dict[int, list[str]] = {}
-            for surface in self.surface_map:
-                by_length.setdefault(len(surface), []).append(surface)
-            # published whole, after the length, so a thread sharing this
-            # object never reads a part-built table
-            self._longest = max(by_length, default=0)
-            self._by_length = by_length
+        """The length of the longest surface."""
         return self._longest
 
     def _fuzzy_bucket(self, n: int) -> list[tuple[str, frozenset[str], int]]:
@@ -117,16 +111,26 @@ class Ontology(Record):
         return self.categories - fine_only
 
 
-def _csv_rows(src: object, fh: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """The number and fields of each row of a CSV file, the header being row 1.
+def _csv_rows(
+    src: object, fh: TextIO, accepts: Callable[[list[str]], bool], refusal: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The number and fields of each non-blank data row of a CSV file, the
+    header being row 1.
 
-    A row the ``csv`` module refuses, such as one holding a field longer than
+    A header missing, or refused by ``accepts`` once stripped and lowercased,
+    raises FormatError naming the file with ``refusal``. A row the ``csv``
+    module refuses, such as one holding a field longer than
     ``csv.field_size_limit()``, raises FormatError naming the file and row.
     """
+    rows = enumerate(csv.reader(fh), 1)
     row_no = 0
     try:
-        for row_no, row in enumerate(csv.reader(fh), 1):
-            yield row_no, row
+        row_no, header = next(rows, (1, None))
+        if header is None or not accepts([h.strip().lower() for h in header]):
+            raise FormatError(f"{src}: {refusal}")
+        for row_no, row in rows:
+            if any(map(str.strip, row)):
+                yield row_no, row
     except csv.Error as exc:
         raise FormatError(f"{src} row {row_no + 1}: {exc}") from exc
 
@@ -144,15 +148,10 @@ def load_ontology(path: str | Path | object | None = None) -> Ontology:
     surface_map: dict[str, str] = {}
     levels: dict[str, str] = {}
     with open_text(src) as fh:
-        rows = _csv_rows(src, fh)
-        _, header = next(rows, (1, None))
-        if header is None or [h.strip().lower() for h in header[:2]] != ["surface_form", "category"]:
-            raise FormatError(
-                f"{src}: taxonomy file must start with a surface_form,category,level header"
-            )
-        for row_no, row in rows:
-            if not any(map(str.strip, row)):
-                continue
+        for row_no, row in _csv_rows(
+            src, fh, lambda header: header[:2] == ["surface_form", "category"],
+            "taxonomy file must start with a surface_form,category,level header",
+        ):
             if len(row) < 2 or not (category := row[1].strip()):
                 raise FormatError(f"{src} row {row_no}: missing category")
             level = (row[2].strip().lower() or COARSE) if len(row) > 2 else COARSE
@@ -245,51 +244,46 @@ def category_stats(docs: list[AnnotatedDocument], ont: Ontology) -> CategoryStat
             total += 1
     if total == 0:
         raise EmptyCorpus("category_stats needs at least one section")
-    rows = {
-        cat: CategoryCount(
-            section_count=len(surfaces[cat]),
-            frequency=freq,
-            frequency_pct=freq / total * 100.0,
-        )
-        for cat, freq in frequency.items()
-    }
-    return CategoryStats(rows=rows, total_sections=total)
+    return _stats({cat: (len(surfaces[cat]), freq) for cat, freq in frequency.items()}, total)
+
+
+def _stats(counts: dict[str, tuple[int, int]], total: int) -> CategoryStats:
+    """Each category's ``(section_count, frequency)`` with its share of ``total``."""
+    rows = {cat: CategoryCount(sc, freq, freq / total * 100.0) for cat, (sc, freq) in counts.items()}
+    return CategoryStats(rows, total)
 
 
 def load_reference_counts(path: str | Path | object | None = None) -> CategoryStats:
     """Load the shipped per-category reference distribution.
 
-    File format: ``category,section_count,frequency`` CSV with a header row;
-    percentages are recomputed from the frequencies.
+    File format: ``category,section_count,frequency`` CSV with a header row,
+    one row per category, each count a non-negative integer; percentages are
+    recomputed from the frequencies.
     """
     src = data_path("category_counts.csv") if path is None else path
     raw: dict[str, tuple[int, int]] = {}
     with open_text(src) as fh:
-        rows = _csv_rows(src, fh)
-        _, header = next(rows, (1, None))
-        if header is None or [h.strip().lower() for h in header] != [
-            "category", "section_count", "frequency",
-        ]:
-            raise FormatError(
-                f"{src}: reference counts need a category,section_count,frequency header"
-            )
-        for row_no, row in rows:
-            if not any(map(str.strip, row)):
-                continue
+        for row_no, row in _csv_rows(
+            src, fh, lambda header: header == ["category", "section_count", "frequency"],
+            "reference counts need a category,section_count,frequency header",
+        ):
             if len(row) < 3:
                 raise FormatError(f"{src} row {row_no}: needs category,section_count,frequency")
+            if not (category := row[0].strip()):
+                raise FormatError(f"{src} row {row_no}: missing category")
+            if category in raw:
+                raise FormatError(f"{src} row {row_no}: category {category!r} is repeated")
             try:
-                raw[row[0].strip()] = (int(row[1]), int(row[2]))
+                counts = int(row[1]), int(row[2])
             except ValueError as exc:
                 raise FormatError(f"{src} row {row_no}: {exc}") from exc
+            if min(counts) < 0:
+                raise FormatError(f"{src} row {row_no}: counts must not be negative")
+            raw[category] = counts
     total = sum(freq for _, freq in raw.values())
     if total == 0:
         raise FormatError(f"{src}: reference counts sum to zero")
-    rows = {
-        cat: CategoryCount(section_count=sc, frequency=freq, frequency_pct=freq / total * 100.0)
-        for cat, (sc, freq) in raw.items()
-    }
-    return CategoryStats(rows=rows, total_sections=total)
+    return _stats(raw, total)
 
 
 def top_section_names() -> list[str]:

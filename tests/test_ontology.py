@@ -191,7 +191,7 @@ def test_ontology_keeps_no_shared_state():
     first = Ontology(categories, {"allergies": "A", "medications": "B"})
     second = Ontology(categories, {"allergies": "B", "medications": "A"})
     fresh = load_ontology()
-    assert (fresh._by_length, fresh._fuzzy) == (None, {})
+    assert fresh._fuzzy == {}
     before = repr(first)
     for _ in range(2):
         assert categorize("Allergles", first) == "A"
@@ -214,7 +214,7 @@ def test_fuzzy_table_is_built_per_length_at_first_use():
     social, chief = ont.surface_map["social history"], ont.surface_map["chief complaint"]
     with mock.patch.object(ontology, "_grams", wraps=ontology._grams) as grams:
         assert categorize("SOCIAL HISTORY:", ont) == social
-        assert (grams.call_count, ont._by_length, ont._fuzzy) == (0, None, {})
+        assert (grams.call_count, ont._fuzzy) == (0, {})
 
         # 14 characters, 2 edits: only surfaces of 12 to 16 characters can pass
         assert categorize("Social Histroy", ont) == social
@@ -337,13 +337,64 @@ _COUNTS_HEADER = "category,section_count,frequency\n"
     (_COUNTS_HEADER + "A,1,2.5\n", " row 2: invalid literal for int() with base 10: '2.5'"),
     (_COUNTS_HEADER + "A,1\n", " row 2: needs category,section_count,frequency"),
     (_COUNTS_HEADER + "A,0,0\n\nB,0,0\n", ": reference counts sum to zero"),
-], ids=["header", "empty", "not_int", "float", "short_row", "zero_sum"])
+    (_COUNTS_HEADER + "A,1,50\nB,1,10\n A ,1,30\n", " row 4: category 'A' is repeated"),
+    (_COUNTS_HEADER + "A,1,2\n ,1,2\n", " row 3: missing category"),
+    (_COUNTS_HEADER + "A,1,10\nB,1,-5\n", " row 3: counts must not be negative"),
+    (_COUNTS_HEADER + "A,-1,10\n", " row 2: counts must not be negative"),
+], ids=[
+    "header", "empty", "not_int", "float", "short_row", "zero_sum",
+    "repeated", "no_category", "negative_frequency", "negative_section_count",
+])
 def test_bad_reference_counts_are_format_errors(tmp_path, content, message):
     path = tmp_path / "counts.csv"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(FormatError) as refused:
         load_reference_counts(path)
     assert str(refused.value) == f"{path}{message}"
+
+
+# Mostly good headers and rows, so that most files get past a few rows; the
+# rest repeat or blank a category, or hold a negative, non-integer, huge or
+# missing count.
+_COUNTS_HEADERS = st.sampled_from([
+    *[["category", "section_count", "frequency"]] * 4, [" Category ", "SECTION_COUNT", "frequency"],
+    ["category", "count", "frequency"], ["category", "section_count"],
+    ["category", "section_count", "frequency", "note"], [],
+])
+_COUNT = st.one_of(
+    st.integers(0, 60).map(str),
+    st.integers(-3, -1).map(str),
+    st.integers(10**15, 10**40).map(str),
+    st.sampled_from([" 7 ", "2.5", "x", "", "1e3"]),
+)
+_COUNTS_ROWS = st.one_of(
+    st.sampled_from([[], [""], ["  ", "", " "]]),
+    st.builds(
+        lambda cells, n: list(cells[:n]),
+        st.tuples(st.sampled_from(["A", "B", "C", " A ", "a", "C, D", "", "  "]), _COUNT, _COUNT),
+        st.sampled_from([3, 3, 3, 3, 2, 1]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COUNTS_HEADERS, st.lists(_COUNTS_ROWS, max_size=8))
+def test_reference_counts_are_refused_or_sum_to_their_total(tmp_path_factory, header, rows):
+    path = tmp_path_factory.getbasetemp() / "counts.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    try:
+        got = load_reference_counts(path)
+    except FormatError as exc:
+        assert str(exc).startswith((f"{path}: ", f"{path} row "))
+        return
+    data = [row for row in rows if any(map(str.strip, row))]
+    assert list(got.rows) == [row[0].strip() for row in data]
+    assert "" not in got.rows
+    assert sum(count.frequency for count in got.rows.values()) == got.total_sections
+    assert all(count.section_count >= 0 for count in got.rows.values())
+    assert all(0 <= count.frequency_pct <= 100 for count in got.rows.values())
+    assert sum(count.frequency_pct for count in got.rows.values()) == pytest.approx(100, abs=1e-9)
 
 
 def test_levels_filtering():

@@ -11,7 +11,8 @@ would cost every command a third of its start-up. A replay run must not load
 the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
-export behind.
+export behind. Every module must parse as the oldest Python that
+``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,23 @@ def test_pyproject_declares_no_runtime_dependency():
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_package_parses_as_the_oldest_python_it_declares():
+    # ast refuses syntax newer than feature_version, such as ``except*``
+    # (3.11) or a ``type`` alias (3.12), which the interpreter running the
+    # tests would accept
+    declared = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    minor = int(re.search(r'^requires-python = ">=3\.(\d+)"$', declared, re.M).group(1))
+    modules = sorted((SRC / "sectionid").rglob("*.py"))
+    assert modules
+    refused = []
+    for path in modules:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, minor))
+        except SyntaxError as exc:
+            refused.append(f"{path.relative_to(SRC)}:{exc.lineno}: {exc.msg}")
+    assert refused == []
 
 
 def test_cli_import_loads_no_http_stack():
