@@ -107,10 +107,10 @@ def _match_titlecase_colon(line: str) -> tuple[int, int] | None:
     if colon <= 0:
         return None
     phrase = stripped[:colon].rstrip()
-    if not phrase or not any(c.isalpha() for c in phrase):
+    if not any(c.isalpha() for c in phrase):
         return None
     words = _WORD_RE.findall(phrase)
-    if not words or len(words) > _MAX_HEADER_TOKENS:
+    if len(words) > _MAX_HEADER_TOKENS:
         return None
     if words[0].lower() in _MINOR_WORDS and not words[0][0].isupper():
         return None
@@ -122,12 +122,12 @@ def _match_titlecase_colon(line: str) -> tuple[int, int] | None:
 def _match_allcaps_line(line: str) -> tuple[int, int] | None:
     # The entire line is ALL-CAPS and short enough to be a header.
     stripped = line.strip()
-    if not stripped or not any(c.isalpha() for c in stripped):
+    if not any(c.isalpha() for c in stripped):
         return None
     if stripped != stripped.upper():
         return None
     words = _WORD_RE.findall(stripped)
-    if not words or len(words) > _MAX_HEADER_TOKENS:
+    if len(words) > _MAX_HEADER_TOKENS:
         return None
     offset = len(line) - len(line.lstrip())
     return (offset, offset + len(stripped))
@@ -207,10 +207,7 @@ def _lines_to_check(
       whitespace character has a case mapping, so that holds exactly when
       the whole line equals its uppercase form.
     Every line is kept when the lexicon holds an entry with no letter or
-    digit, or when a rule is not one of the two defaults. With a lexicon,
-    every line is also kept when the note holds an 'İ', the one character
-    that lowercases to two: the first-word argument does not need this,
-    but it keeps a note whose lowercase form is longer out of the filter.
+    digit, or when a rule is not one of the two defaults.
     Each test is one C-level pass over the note, and so is ``line_starts``
     over the one split of it that every row reads.
     """
@@ -221,7 +218,7 @@ def _lines_to_check(
         return rows
     hits = []
     if lexicon is not None:
-        if "" in lexicon.by_word or "\u0130" in text:
+        if "" in lexicon.by_word:
             return rows
         hits.append(map(lexicon.by_word.__contains__, words))
     if _match_titlecase_colon in rules:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -93,7 +94,6 @@ def _edit_ratio(value: object, source: str) -> None:
         raise FormatError(f"{source}: max_edit_ratio must be a number in [0, 1), got {value!r}")
 
 
-_PATH_OR_NULL = _accepts("a string or null", lambda v: v is None or isinstance(v, str))
 _STRING = _accepts("a string", lambda v: isinstance(v, str))
 _SWITCH = _accepts("true or false", lambda v: isinstance(v, bool))
 _STRINGS = _accepts(
@@ -101,13 +101,28 @@ _STRINGS = _accepts(
 )
 
 
-def _filled(check: Check) -> Check:
-    """``check``, and then refuse an empty value."""
-    def filled(value: object, source: str) -> None:
+def _refusing(check: Check, refused: str, test: Callable[[object], bool]) -> Check:
+    """``check``, and then refuse a value that passes ``test``: it "must not <refused>"."""
+    def refusing(value: object, source: str) -> None:
         check(value, source)
-        if not value:
-            raise FormatError(f"{source} must not be empty")
-    return filled
+        if test(value):
+            raise FormatError(f"{source} must not {refused}")
+    return refusing
+
+
+def _names_no_file(value: object) -> bool:
+    """A NUL, or a lone surrogate (from a JSON escape) that the file system
+    encoding cannot hold: ``open`` raises ValueError for either."""
+    try:
+        return b"\0" in os.fsencode(value or "")
+    except UnicodeEncodeError:
+        return True
+
+
+_FILE_NAME = ("hold a NUL character or a character the file system cannot encode", _names_no_file)
+_PATH_OR_NULL = _refusing(
+    _accepts("a string or null", lambda v: v is None or isinstance(v, str)), *_FILE_NAME
+)
 
 
 @functools.cache
@@ -120,15 +135,15 @@ def _checks() -> dict[str, Check]:
 
     return {
         **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
-        "out": _STRING,
+        "out": _refusing(_STRING, *_FILE_NAME),
         "segmenter": _accepts(f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
         "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
         "strict": _SWITCH,
         "close_ended_eval": _SWITCH,
         **{f"llm.{name}": _llm_field(name) for name in LLMConfig._fields},
-        "llm.example_doc": _filled(_STRING),
-        "llm.example_headers": _filled(_STRINGS),
-        "llm.label_set": _filled(_STRINGS),
+        "llm.example_doc": _refusing(_STRING, "be empty", lambda v: not v),
+        "llm.example_headers": _refusing(_STRINGS, "be empty", lambda v: not v),
+        "llm.label_set": _refusing(_STRINGS, "be empty", lambda v: not v),
         "alignment.max_edit_ratio": _edit_ratio,
     }
 
@@ -245,7 +260,7 @@ def _build_strategy(config: dict) -> PromptStrategy:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    from .prediction import Prediction, prediction_line
+    from .prediction import prediction_line
 
     config = _load_config(args)
     if not config["corpus"]:
@@ -300,7 +315,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     max_ratio = config["alignment"]["max_edit_ratio"]
     lines = []
     for doc in docs:
-        pred = predictions.get(doc.id, Prediction(headers=[]))
+        pred = predictions[doc.id]
         alignment = None if pred.grounded else align_headers(doc.document, pred, max_ratio)
         categories = [ontology.categorize(h, ont) for h in pred.headers]
         lines.append(prediction_line(doc.id, pred, categories, alignment))

@@ -22,13 +22,10 @@ from contextlib import contextmanager
 from itertools import accumulate
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import EmptyCorpus, FormatError, SpanError, warn
 from .tokenizer import tokens_before
-
-if TYPE_CHECKING:
-    from importlib.resources.abc import Traversable
 
 SOURCE_KINDS = ("ehr_clean", "ocr_noisy")
 
@@ -211,8 +208,8 @@ def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:
 
 
 @contextmanager
-def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
-    """Open a user file, or a bundled ``data_path`` resource, as UTF-8 text.
+def open_text(src: str | Path) -> Iterator[TextIO]:
+    """Open a user file as UTF-8 text.
 
     Every reader of a user file opens it here. A leading byte order mark is
     skipped, as editors on some systems write one. A ``UnicodeDecodeError``
@@ -220,7 +217,7 @@ def open_text(src: str | Path | Traversable) -> Iterator[TextIO]:
     offset of the first byte that is not UTF-8. Text mode stays, so a lone
     CR still ends a line.
     """
-    with (Path(src) if isinstance(src, str) else src).open(encoding="utf-8-sig") as fh:
+    with open(src, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -276,7 +273,7 @@ def write_output(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
-def read_json(src: str | Path | Traversable) -> object:
+def read_json(src: str | Path) -> object:
     """``json.load`` a UTF-8 file; malformed JSON raises FormatError naming it.
 
     JSON nested too deeply for the decoder counts as malformed.
@@ -288,7 +285,7 @@ def read_json(src: str | Path | Traversable) -> object:
             raise FormatError(f"{src}: malformed JSON: {exc}") from exc
 
 
-def comment_lines(src: str | Path | Traversable) -> list[str]:
+def comment_lines(src: str | Path) -> list[str]:
     """The non-blank lines of a UTF-8 file, '#' comments and surrounding space removed."""
     with open_text(src) as fh:
         return [form for line in fh if (form := line.split("#", 1)[0].strip())]
@@ -320,14 +317,14 @@ def _jsonl_objects(
             yield lineno, where, obj
 
 
-def _not_utf8(path: str | Path | Traversable) -> str:
+def _not_utf8(path: str | Path) -> str:
     """Name the line and offset of the first byte of ``path`` that is not UTF-8.
 
     Text mode decodes a block at a time, so the error it raises does not say
     which line holds the byte. Decoding the whole file does, and counting
     line breaks as text mode does (LF, CRLF and a lone CR) gives the line.
     """
-    data = (Path(path) if isinstance(path, str) else path).read_bytes()
+    data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -50,8 +50,6 @@ def _try_object_lines(text: str) -> list[str] | None:
     headers: list[str] = []
     for line in text.splitlines():
         line = line.strip().rstrip(",")
-        if not line or line in ("[", "]"):
-            continue
         if not line.startswith("{"):
             continue
         try:

@@ -20,8 +20,6 @@ ONE_SHOT = "one_shot"
 CHAIN_OF_THOUGHT = "chain_of_thought"
 CLOSE_ENDED = "close_ended"
 
-STRATEGY_KINDS = (ZERO_SHOT, ONE_SHOT, CHAIN_OF_THOUGHT, CLOSE_ENDED)
-
 _NOTE_LEAD = "Here are some clinical notes of a patient from a doctor."
 _SLOT_RE = re.compile(r"\{(sample_text|example_headers|label_set)\}")
 
@@ -71,6 +69,7 @@ _TEMPLATES = {
     CHAIN_OF_THOUGHT: _CHAIN_OF_THOUGHT_TEMPLATE,
     CLOSE_ENDED: _CLOSE_ENDED_TEMPLATE,
 }
+STRATEGY_KINDS = tuple(_TEMPLATES)
 
 
 class PromptStrategy(Record):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import operator
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -35,9 +34,9 @@ FINE = "fine"
 FUZZY_RATIO = 0.15
 
 
-def data_path(name: str):
-    """Importable path to a bundled data file."""
-    return resources.files("sectionid").joinpath("data", name)
+def data_path(name: str) -> Path:
+    """Path to a bundled data file, in the package's ``data`` directory."""
+    return Path(__file__).with_name("data") / name
 
 
 def normalize_surface(name: str) -> str:
@@ -112,7 +111,7 @@ class Ontology(Record):
 
 
 def _csv_rows(
-    src: object, fh: TextIO, accepts: Callable[[list[str]], bool], refusal: str
+    src: str | Path, fh: TextIO, accepts: Callable[[list[str]], bool], refusal: str
 ) -> Iterator[tuple[int, list[str]]]:
     """The number and fields of each non-blank data row of a CSV file, the
     header being row 1.
@@ -135,7 +134,7 @@ def _csv_rows(
         raise FormatError(f"{src} row {row_no + 1}: {exc}") from exc
 
 
-def load_ontology(path: str | Path | object | None = None) -> Ontology:
+def load_ontology(path: str | Path | None = None) -> Ontology:
     """Parse a taxonomy CSV: ``surface_form,category,level`` with a header row.
 
     Categories are declared implicitly by appearing in the category column; a
@@ -253,12 +252,13 @@ def _stats(counts: dict[str, tuple[int, int]], total: int) -> CategoryStats:
     return CategoryStats(rows, total)
 
 
-def load_reference_counts(path: str | Path | object | None = None) -> CategoryStats:
+def load_reference_counts(path: str | Path | None = None) -> CategoryStats:
     """Load the shipped per-category reference distribution.
 
     File format: ``category,section_count,frequency`` CSV with a header row,
-    one row per category, each count a non-negative integer; percentages are
-    recomputed from the frequencies.
+    one row per category, each count written in the digits 0-9 and no
+    section count above its frequency, as ``category_stats`` counts them;
+    percentages are recomputed from the frequencies.
     """
     src = data_path("category_counts.csv") if path is None else path
     raw: dict[str, tuple[int, int]] = {}
@@ -279,6 +279,10 @@ def load_reference_counts(path: str | Path | object | None = None) -> CategorySt
                 raise FormatError(f"{src} row {row_no}: {exc}") from exc
             if min(counts) < 0:
                 raise FormatError(f"{src} row {row_no}: counts must not be negative")
+            if not all(c.strip().isascii() and c.strip().isdigit() for c in row[1:3]):
+                raise FormatError(f"{src} row {row_no}: counts must be written in the digits 0-9")
+            if counts[0] > counts[1]:
+                raise FormatError(f"{src} row {row_no}: section_count exceeds frequency")
             raw[category] = counts
     total = sum(freq for _, freq in raw.values())
     if total == 0:

@@ -52,8 +52,6 @@ def prefix_distances(needle: str, haystack: str) -> list[int]:
 
 def levenshtein(a: str, b: str) -> int:
     """Classic Levenshtein distance (unit-cost insert/delete/substitute)."""
-    if a == b:
-        return 0
     return prefix_distances(a, b)[-1]
 
 

@@ -35,6 +35,7 @@ from sectionid.cli import (
     _bundled_ontology,
     _checks,
     _default_lexicon,
+    _options,
     build_parser,
     main,
     parse_args,
@@ -1147,6 +1148,31 @@ def test_config_value_of_wrong_type_is_fatal(tmp_path, gold_path, capsys, key, v
     err = capsys.readouterr().err
     assert code == FATAL
     assert err == f"error: {config}: config key {key!r} must be {described}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["corpus", "ontology", "lexicon", "ruleset", "replay", "record", "out"])
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+@pytest.mark.parametrize("value", ["runs\0x", "runs\ud800"], ids=["nul", "surrogate"])
+def test_path_setting_that_names_no_file_is_fatal(tmp_path, gold_path, capsys, key, command, value):
+    # open() raises ValueError for a NUL, and for a lone surrogate (from a
+    # JSON escape) that the file system cannot encode; the value is refused,
+    # config key or flag, before any file is opened
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    extra = ["--predictions", str(predictions)] if command == "evaluate" else []
+    out = tmp_path / "o"
+    args = [command, "--corpus", gold_path, "--segmenter", "regex", *extra, "--out", str(out)]
+    assert main([*args, "--config", str(config)]) == FATAL
+    err = capsys.readouterr().err
+    refused = "must not hold a NUL character or a character the file system cannot encode"
+    assert err == f"error: {config}: config key {key!r} {refused}\n"
+    flag = f"--{key}"
+    if flag in _options(command)[0]:
+        assert main([*args, flag, value]) == FATAL
+        assert capsys.readouterr().err == f"error: {flag} {refused}\n"
     assert not out.exists()
 
 

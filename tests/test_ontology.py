@@ -341,9 +341,15 @@ _COUNTS_HEADER = "category,section_count,frequency\n"
     (_COUNTS_HEADER + "A,1,2\n ,1,2\n", " row 3: missing category"),
     (_COUNTS_HEADER + "A,1,10\nB,1,-5\n", " row 3: counts must not be negative"),
     (_COUNTS_HEADER + "A,-1,10\n", " row 2: counts must not be negative"),
+    (_COUNTS_HEADER + "A,1,2\nB,5,2\n", " row 3: section_count exceeds frequency"),
+    (_COUNTS_HEADER + "A,1,1_000\n", " row 2: counts must be written in the digits 0-9"),
+    (_COUNTS_HEADER + "A,\uff13,3\n", " row 2: counts must be written in the digits 0-9"),
+    (_COUNTS_HEADER + "A,-0,3\n", " row 2: counts must be written in the digits 0-9"),
+    (_COUNTS_HEADER + "A,1,+3\n", " row 2: counts must be written in the digits 0-9"),
 ], ids=[
     "header", "empty", "not_int", "float", "short_row", "zero_sum",
     "repeated", "no_category", "negative_frequency", "negative_section_count",
+    "section_count_over_frequency", "underscore", "fullwidth_digit", "minus_zero", "plus_sign",
 ])
 def test_bad_reference_counts_are_format_errors(tmp_path, content, message):
     path = tmp_path / "counts.csv"
@@ -355,7 +361,8 @@ def test_bad_reference_counts_are_format_errors(tmp_path, content, message):
 
 # Mostly good headers and rows, so that most files get past a few rows; the
 # rest repeat or blank a category, or hold a negative, non-integer, huge or
-# missing count.
+# missing count, a count that ``int`` takes but that is not plain digits, or
+# a section count above its frequency.
 _COUNTS_HEADERS = st.sampled_from([
     *[["category", "section_count", "frequency"]] * 4, [" Category ", "SECTION_COUNT", "frequency"],
     ["category", "count", "frequency"], ["category", "section_count"],
@@ -365,13 +372,19 @@ _COUNT = st.one_of(
     st.integers(0, 60).map(str),
     st.integers(-3, -1).map(str),
     st.integers(10**15, 10**40).map(str),
-    st.sampled_from([" 7 ", "2.5", "x", "", "1e3"]),
+    st.sampled_from([" 7 ", "2.5", "x", "", "1e3", "1_000", "\uff13", "-0", "+4", " \u0661 "]),
 )
+# (section_count, frequency): mostly a pair that category_stats could give
+_GOOD_PAIR = st.lists(st.integers(0, 60), min_size=2, max_size=2).map(
+    lambda pair: [str(n) for n in sorted(pair)]
+)
+_COUNT_PAIR = st.one_of(_GOOD_PAIR, _GOOD_PAIR, _GOOD_PAIR, st.lists(_COUNT, min_size=2, max_size=2))
 _COUNTS_ROWS = st.one_of(
     st.sampled_from([[], [""], ["  ", "", " "]]),
     st.builds(
-        lambda cells, n: list(cells[:n]),
-        st.tuples(st.sampled_from(["A", "B", "C", " A ", "a", "C, D", "", "  "]), _COUNT, _COUNT),
+        lambda category, counts, n: [category, *counts][:n],
+        st.sampled_from(["A", "B", "C", " A ", "a", "C, D", "", "  "]),
+        _COUNT_PAIR,
         st.sampled_from([3, 3, 3, 3, 2, 1]),
     ),
 )
@@ -392,7 +405,7 @@ def test_reference_counts_are_refused_or_sum_to_their_total(tmp_path_factory, he
     assert list(got.rows) == [row[0].strip() for row in data]
     assert "" not in got.rows
     assert sum(count.frequency for count in got.rows.values()) == got.total_sections
-    assert all(count.section_count >= 0 for count in got.rows.values())
+    assert all(0 <= count.section_count <= count.frequency for count in got.rows.values())
     assert all(0 <= count.frequency_pct <= 100 for count in got.rows.values())
     assert sum(count.frequency_pct for count in got.rows.values()) == pytest.approx(100, abs=1e-9)
 

@@ -12,12 +12,14 @@ the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
 export behind. Every module must parse as the oldest Python that
-``pyproject.toml`` declares.
+``pyproject.toml`` declares. Every bundled data file the package names is in
+its ``data`` directory, and ``pyproject.toml`` installs every file there.
 """
 
 from __future__ import annotations
 
 import ast
+import fnmatch
 import importlib
 import json
 import os
@@ -91,6 +93,29 @@ def test_pyproject_declares_no_runtime_dependency():
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_bundled_data_ships():
+    # ``ontology.data_path`` reads beside the package, so each file it is
+    # given must be there, and be installed there
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["sectionid"]
+    named = {
+        node.args[0].value
+        for path in sorted((SRC / "sectionid").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "data_path"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    shipped = {path.name for path in (SRC / "sectionid" / "data").iterdir()}
+    assert named and named <= shipped
+    assert [
+        name for name in sorted(shipped)
+        if not any(fnmatch.fnmatchcase(f"data/{name}", glob) for glob in globs)
+    ] == []
 
 
 def test_package_parses_as_the_oldest_python_it_declares():

@@ -1,0 +1,251 @@
+"""No user file ends in a traceback.
+
+One property runs ``cli.main`` on a mutated copy of one valid input: a
+corpus, a predictions file, IAA pairs, a config, a taxonomy, a lexicon, a
+names file, a ruleset or a replay record. The mutation damages the file's
+bytes (a BOM, a byte that is not UTF-8, a NUL, a lone CR, a cut) or, in a
+JSON file, swaps one value for a hostile one (null, a bool, a huge or
+negative int, NaN, an inverted or out-of-range span, 'İ' or 'Σ', a NUL, a
+lone surrogate, deep nesting). Whatever the file holds, no exception escapes
+``main``, the exit code is 0, 1 or 2, and an exit 1 writes exactly one
+``error:`` line.
+
+Every run is offline and quick: the LLM segmenter answers from a replay
+store, no input names an endpoint or sets a backoff, and ruleset patterns
+come from a fixed list of safe ones, as a hostile regex is out of scope.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES
+from sectionid.cli import main
+
+_PAIRS = [
+    {"id": "p1", "a": ["Plan", "Allergies"], "b": ["Plan"]},
+    {"id": "p2", "a": [], "b": ["HPI"]},
+]
+_TAXONOMY = (
+    "surface_form,category,level\nplan,Plan,coarse\nallergies,Allergies,coarse\n"
+    "hpi,History,fine\n,Bare,\n"
+)
+_LEXICON = "# headers\nPlan\nAllergies\nChief Complaint\nΣΣ\n"
+_NAMES = "Plan\nallergies\nHistroy\nno such section\n"
+_RULESET = [
+    {"name": "colon", "pattern": r"([A-Z][A-Za-z ]+):"},
+    {"name": "caps", "pattern": r"[A-Z ]{3,}$"},
+]
+# "<name>" stands for the path of that input; the keys keep their order, so
+# a swap's index names the same value in the template and in the file
+_CONFIG = {
+    "segmenter": "llm",
+    "strategy": "zero_shot",
+    "replay": "<store>",
+    "ontology": "<taxonomy>",
+    "lexicon": "<lexicon>",
+    "ruleset": "<ruleset>",
+    "strict": True,
+    "close_ended_eval": False,
+    "alignment": {"max_edit_ratio": 0.2},
+    "llm": {"model_name": "gpt-4", "max_context_chars": 4000, "label_set": ["Plan"]},
+}
+
+# The commands that read each input, as argv with "<name>" for the path of
+# an input and "<out>" for a fresh output directory. An LLM run needs the
+# replay store, as no input names an endpoint.
+_RUNS = {
+    "corpus": [
+        ["segment", "--corpus", "<corpus>", "--segmenter", "rules", "--out", "<out>"],
+        ["segment", "--corpus", "<corpus>", "--segmenter", "llm", "--replay", "<store>",
+         "--out", "<out>"],
+        ["evaluate", "--corpus", "<corpus>", "--predictions", "<predictions>", "--out", "<out>"],
+        ["stats", "--corpus", "<corpus>", "--out", "<out>"],
+    ],
+    "predictions": [
+        ["evaluate", "--corpus", "<corpus>", "--predictions", "<predictions>", "--out", "<out>"],
+        ["evaluate", "--corpus", "<corpus>", "--predictions", "<predictions>", "--close-ended",
+         "--out", "<out>"],
+    ],
+    "pairs": [["iaa", "--pairs", "<pairs>", "--out", "<out>"]],
+    "config": [
+        ["segment", "--config", "<config>", "--corpus", "<corpus>", "--out", "<out>"],
+        ["segment", "--config", "<config>", "--corpus", "<corpus>", "--segmenter", "rules",
+         "--out", "<out>"],
+        ["evaluate", "--config", "<config>", "--corpus", "<corpus>", "--predictions",
+         "<predictions>", "--out", "<out>"],
+    ],
+    "taxonomy": [
+        ["normalize", "--names", "<names>", "--ontology", "<taxonomy>", "--out", "<out>"],
+        ["segment", "--corpus", "<corpus>", "--ontology", "<taxonomy>", "--out", "<out>"],
+        ["evaluate", "--corpus", "<corpus>", "--predictions", "<predictions>", "--close-ended",
+         "--ontology", "<taxonomy>", "--out", "<out>"],
+    ],
+    "lexicon": [
+        ["segment", "--corpus", "<corpus>", "--segmenter", "keyword", "--lexicon", "<lexicon>",
+         "--out", "<out>"],
+        ["segment", "--corpus", "<corpus>", "--lexicon", "<lexicon>", "--out", "<out>"],
+    ],
+    "names": [["normalize", "--names", "<names>", "--out", "<out>"]],
+    "ruleset": [
+        ["segment", "--corpus", "<corpus>", "--segmenter", "regex", "--ruleset", "<ruleset>",
+         "--out", "<out>"],
+        ["segment", "--corpus", "<corpus>", "--ruleset", "<ruleset>", "--out", "<out>"],
+    ],
+    "record": [
+        ["segment", "--corpus", "<corpus>", "--segmenter", "llm", "--replay", "<store>",
+         "--out", "<out>"],
+    ],
+}
+_JSON_LINES = {"corpus", "predictions", "pairs"}
+_JSON = _JSON_LINES | {"config", "ruleset", "record"}
+
+# Byte damage: a BOM in front, or one of these inserted, or a cut.
+_INSERTS = [
+    b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x00", b"\r", "İ".encode(), "Σ".encode(),
+]
+# Stands for a value nested far deeper than the JSON decoder recurses.
+_DEEP = "deep"
+_HOSTILE = [
+    None, True, False, 10**40, -1, -(10**20), float("nan"), [9, 2], [0, 10**9],
+    "İ", "ΣΑΣ", "\u0000", "a\ud800", _DEEP, {},
+]
+
+
+def _paths(value, prefix=()):
+    """Every place in a JSON value, the value itself first, in order."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, (*prefix, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, (*prefix, i))
+
+
+def _swap(value, path, new):
+    if not path:
+        return new
+    *parents, last = path
+    holder = value
+    for key in parents:
+        holder = holder[key]
+    holder[last] = new
+    return value
+
+
+def _swapped(data: bytes, kind: str, line: int, place: int, new) -> bytes:
+    """``data`` with the ``place``-th value of one JSON document set to ``new``:
+    the ``line``-th line of a JSONL file, or the whole file."""
+    text = data.decode("utf-8")
+    documents = text.splitlines() if kind in _JSON_LINES else [text]
+    i = line % len(documents)
+    value = json.loads(documents[i])
+    places = list(_paths(value))
+    swapped = json.dumps(_swap(value, places[place % len(places)], new))
+    documents[i] = swapped.replace(json.dumps(_DEEP), "[" * 50_000 + "]" * 50_000)
+    return "\n".join(documents).encode("utf-8") + b"\n"
+
+
+def _damaged(data: bytes, op: str, at: int, insert: bytes) -> bytes:
+    i = at % (len(data) + 1)
+    if op == "bom":
+        return b"\xef\xbb\xbf" + data
+    if op == "cut":
+        return data[:i]
+    return data[:i] + insert + data[i:]
+
+
+_BYTES = st.tuples(
+    st.just("bytes"), st.sampled_from(["bom", "insert", "cut"]), st.integers(0, 10**6),
+    st.sampled_from(_INSERTS),
+)
+_SWAP = st.tuples(
+    st.just("swap"), st.integers(0, 50), st.integers(0, 10**3), st.sampled_from(_HOSTILE)
+)
+_CASES = st.sampled_from(sorted(_RUNS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.integers(0, len(_RUNS[kind]) - 1),
+        st.one_of(_BYTES, _SWAP) if kind in _JSON else _BYTES,
+    )
+)
+
+
+def _config_case(key: str, run: int, value: str):
+    """The case that sets config key ``key`` to ``value`` for run ``run``."""
+    return ("config", run, ("swap", 0, list(_paths(_CONFIG)).index((key,)), value))
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, replay_store):
+    """One valid file of each kind, the predictions written by ``segment``."""
+    base = tmp_path_factory.mktemp("inputs")
+    paths = {
+        kind: base / name for kind, name in [
+            ("corpus", "corpus.jsonl"), ("predictions", "run/predictions.jsonl"),
+            ("pairs", "pairs.jsonl"), ("config", "config.json"), ("taxonomy", "taxonomy.csv"),
+            ("lexicon", "lexicon.txt"), ("names", "names.txt"), ("ruleset", "rules.json"),
+        ]
+    }
+    paths["store"] = replay_store
+    shutil.copy(FIXTURES / "gold_small.jsonl", paths["corpus"])
+    paths["pairs"].write_text("".join(json.dumps(p) + "\n" for p in _PAIRS), encoding="utf-8")
+    paths["taxonomy"].write_text(_TAXONOMY, encoding="utf-8")
+    paths["lexicon"].write_text(_LEXICON, encoding="utf-8")
+    paths["names"].write_text(_NAMES, encoding="utf-8")
+    paths["ruleset"].write_text(json.dumps(_RULESET), encoding="utf-8")
+    config = json.dumps(_CONFIG)
+    for name, path in paths.items():
+        config = config.replace(json.dumps(f"<{name}>"), json.dumps(str(path)))
+    paths["config"].write_text(config, encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([
+            "segment", "--corpus", str(paths["corpus"]), "--segmenter", "llm",
+            "--replay", str(replay_store), "--out", str(paths["predictions"].parent),
+        ]) == 0
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_CASES)
+# path settings that open() refuses with ValueError
+@example(case=_config_case("ontology", 0, "a\u0000b"))
+@example(case=_config_case("lexicon", 1, "a\u0000b"))
+@example(case=_config_case("ontology", 0, "a\ud800"))
+def test_no_user_file_ends_in_a_traceback(inputs, case):
+    kind, run, (how, *mutation) = case
+    with tempfile.TemporaryDirectory(dir=inputs["corpus"].parent) as scratch:
+        scratch = Path(scratch)
+        paths = {**inputs, "out": scratch / "out"}
+        if kind == "record":
+            paths["store"] = scratch / "store"
+            shutil.copytree(inputs["store"], paths["store"])
+            records = sorted(paths["store"].iterdir())
+            # the mutation's second part is an int either way
+            target = records[mutation[1] % len(records)]
+        else:
+            target = paths[kind] = scratch / inputs[kind].name
+            shutil.copy(inputs[kind], target)
+        data = target.read_bytes()
+        if how == "swap":
+            target.write_bytes(_swapped(data, kind, *mutation))
+        else:
+            target.write_bytes(_damaged(data, *mutation))
+        argv = [str(paths[arg[1:-1]]) if arg[0] == "<" else arg for arg in _RUNS[kind][run]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err.getvalue()
