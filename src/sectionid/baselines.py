@@ -65,8 +65,8 @@ class HeaderLexicon(Record):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: set[str]) -> None:
-        self.entries = entries
+    def _post_init(self) -> None:
+        entries = self.entries
         if not entries:
             raise ValueError("lexicon must contain at least one entry")
         if any(not e.strip() for e in entries):

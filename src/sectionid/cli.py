@@ -58,7 +58,7 @@ from .corpus import (
     read_json,
     write_output,
 )
-from .errors import FormatError, SectionIdError
+from .errors import EmptyCorpus, EmptyInput, FormatError, SectionIdError
 
 OK = 0
 FATAL = 1
@@ -378,7 +378,11 @@ def _emit_json(payload: dict, out: str | None, name: str) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(load_gold_corpus(args.corpus, strict=args.strict))
+    docs = load_gold_corpus(args.corpus, strict=args.strict)
+    try:
+        stats = corpus_stats(docs)
+    except EmptyCorpus as exc:
+        raise EmptyCorpus(f"{args.corpus}: {exc}") from exc
     payload = {name: getattr(stats, name) for name in stats._fields}
     _emit_json(payload, args.out, "corpus_stats.json")
     return OK
@@ -417,7 +421,10 @@ def cmd_iaa(args: argparse.Namespace) -> int:
                 raise FormatError(f"{where}: {side!r} must be a list of strings")
         pairs.append((obj["a"], obj["b"]))
         ids.append(str(obj.get("id", lineno)))
-    report = iaa_report(pairs, ids)
+    try:
+        report = iaa_report(pairs, ids)
+    except EmptyInput as exc:
+        raise EmptyInput(f"{args.pairs}: {exc}") from exc
     payload = {
         "mean_jaccard": report.mean_jaccard,
         "per_pair": [{"id": pid, "jaccard": value} for pid, value in report.per_pair],
@@ -599,6 +606,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parse_args(argv)
     try:
+        # every flag value but a number names a file or a choice, so one that
+        # can name no file is refused before any file is opened
+        for flag, (dest, _, keywords) in _options(args.command)[0].items():
+            if keywords is not None and "type" not in keywords:
+                _PATH_OR_NULL(getattr(args, dest), flag)
         return int(args.func(args))
     except (SectionIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,16 +38,47 @@ BODY_SPAN_INVALID = "body_span_invalid"
 
 
 class Record:
-    """Base of the package's records. A record lists its fields, in
-    constructor order, in ``_fields``, and a slotted one as its ``__slots__``
-    too. As with ``@dataclass``, two records are ``==`` when they are of one
-    type with equal fields, the ``repr`` is ``Name(field=value, ...)``, and a
-    record has no hash. ``dataclasses`` is not used: importing it, and making
-    each class with it, slowed the start of every command by a third.
+    """Base of the package's records. A record declares its fields once, in
+    constructor order, as ``_fields`` (and ``__slots__ = _fields`` when it
+    keeps no other attribute); the defaults of its trailing fields in
+    ``_defaults``, where ``list`` or ``dict`` stands for a new empty
+    container behind a ``None`` default; and at most one ``_post_init``,
+    which checks or indexes the fields once they are set. From these each
+    record's ``__init__`` is written once, when its class is made at
+    import, as the function one would write by hand, with named parameters.
+    As with ``@dataclass``, two records are ``==`` when they are of one type
+    with equal fields, the ``repr`` is ``Name(field=value, ...)``, and a
+    record has no hash. ``dataclasses`` is not used: importing it, and
+    making each class with it, slowed the start of every command by a third.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        params, lines = ["self"], []
+        for name in cls._fields:
+            value = name
+            if name in cls._defaults:
+                default = cls._defaults[name]
+                if default is list or default is dict:
+                    params.append(f"{name}=None")
+                    value = f"{default()!r} if {name} is None else {name}"
+                else:
+                    params.append(f"{name}=_defaults[{name!r}]")
+            else:
+                params.append(name)
+            lines.append(f"self.{name} = {value}")
+        if hasattr(cls, "_post_init"):
+            lines.append("self._post_init()")
+        namespace: dict[str, object] = {}
+        source = f"def __init__({', '.join(params)}):\n    " + "\n    ".join(lines)
+        exec(source, {"_defaults": cls._defaults}, namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -65,11 +96,7 @@ class Record:
 
 class Document(Record):
     __slots__ = _fields = ("id", "text", "source_kind")
-
-    def __init__(self, id: str, text: str, source_kind: str = "ehr_clean") -> None:
-        self.id = id
-        self.text = text
-        self.source_kind = source_kind
+    _defaults = {"source_kind": "ehr_clean"}
 
 
 def line_starts(lines: list[str]) -> list[int]:
@@ -81,28 +108,12 @@ def line_starts(lines: list[str]) -> list[int]:
 
 class SectionAnnotation(Record):
     __slots__ = _fields = ("label", "header_span", "raw_header", "body_span")
-
-    def __init__(
-        self,
-        label: str,
-        header_span: tuple[int, int],
-        raw_header: str,
-        body_span: tuple[int, int] | None = None,
-    ) -> None:
-        self.label = label
-        self.header_span = header_span
-        self.raw_header = raw_header
-        self.body_span = body_span
+    _defaults = {"body_span": None}
 
 
 class AnnotatedDocument(Record):
     __slots__ = _fields = ("document", "sections")
-
-    def __init__(
-        self, document: Document, sections: list[SectionAnnotation] | None = None
-    ) -> None:
-        self.document = document
-        self.sections = [] if sections is None else sections
+    _defaults = {"sections": list}
 
     @property
     def id(self) -> str:
@@ -125,31 +136,10 @@ class CorpusStats(Record):
         "mean_sections_per_doc", "stddev_sections_per_doc",
     )
 
-    def __init__(
-        self,
-        document_count: int,
-        mean_token_length: float,
-        stddev_token_length: float,
-        mean_sections_per_doc: float,
-        stddev_sections_per_doc: float,
-    ) -> None:
-        self.document_count = document_count
-        self.mean_token_length = mean_token_length
-        self.stddev_token_length = stddev_token_length
-        self.mean_sections_per_doc = mean_sections_per_doc
-        self.stddev_sections_per_doc = stddev_sections_per_doc
-
 
 class ValidationIssue(Record):
     __slots__ = _fields = ("kind", "doc_id", "message", "section")
-
-    def __init__(
-        self, kind: str, doc_id: str | None, message: str, section: int | None = None
-    ) -> None:
-        self.kind = kind
-        self.doc_id = doc_id
-        self.message = message
-        self.section = section
+    _defaults = {"section": None}
 
 
 def _issues(doc: AnnotatedDocument) -> Iterator[tuple[int, str, str]]:

@@ -24,24 +24,24 @@ from ..errors import AuthError, FormatError, ReplayMiss, TransportError, warn
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
-# What each LLMConfig field accepts, in field order. A bool is never a number
-# here, though Python counts it as an int.
+# Each LLMConfig field, in field order, with its default and what it
+# accepts. A bool is never a number here, though Python counts it as an int.
 _STRING = ((str,), "a string")
 _NUMBER = ((int, float), "a number")
 _INTEGER = ((int,), "an integer")
-_FIELD_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
-    "endpoint_url": _STRING,
-    "model_name": _STRING,
-    "temperature": _NUMBER,
-    "frequency_penalty": _NUMBER,
-    "presence_penalty": _NUMBER,
-    "max_tokens": _INTEGER,
-    "timeout": _NUMBER,
-    "max_retries": _INTEGER,
-    "max_in_flight": _INTEGER,
-    "backoff_base": _NUMBER,
-    "api_key_env": _STRING,
-    "max_context_chars": ((int, type(None)), "an integer or null"),
+_FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str]] = {
+    "endpoint_url": ("", *_STRING),
+    "model_name": ("gpt-4", *_STRING),
+    "temperature": (0.0, *_NUMBER),
+    "frequency_penalty": (0.0, *_NUMBER),
+    "presence_penalty": (0.0, *_NUMBER),
+    "max_tokens": (1000, *_INTEGER),
+    "timeout": (60.0, *_NUMBER),
+    "max_retries": (3, *_INTEGER),
+    "max_in_flight": (4, *_INTEGER),
+    "backoff_base": (0.5, *_NUMBER),
+    "api_key_env": ("SECTIONID_API_TOKEN", *_STRING),
+    "max_context_chars": (None, (int, type(None)), "an integer or null"),
 }
 # The least value of each bounded field; timeout must also be above 0. The
 # penalties are unbounded.
@@ -55,35 +55,10 @@ class LLMConfig(Record):
     """Raises TypeError for a value of the wrong type, ValueError for one out of range."""
 
     __slots__ = _fields = tuple(_FIELD_TYPES)
+    _defaults = {name: row[0] for name, row in _FIELD_TYPES.items()}
 
-    def __init__(
-        self,
-        endpoint_url: str = "",
-        model_name: str = "gpt-4",
-        temperature: float = 0.0,
-        frequency_penalty: float = 0.0,
-        presence_penalty: float = 0.0,
-        max_tokens: int = 1000,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        max_in_flight: int = 4,
-        backoff_base: float = 0.5,
-        api_key_env: str = "SECTIONID_API_TOKEN",
-        max_context_chars: int | None = None,
-    ) -> None:
-        self.endpoint_url = endpoint_url
-        self.model_name = model_name
-        self.temperature = temperature
-        self.frequency_penalty = frequency_penalty
-        self.presence_penalty = presence_penalty
-        self.max_tokens = max_tokens
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.max_in_flight = max_in_flight
-        self.backoff_base = backoff_base
-        self.api_key_env = api_key_env
-        self.max_context_chars = max_context_chars
-        for name, (types, described) in _FIELD_TYPES.items():
+    def _post_init(self) -> None:
+        for name, (_, types, described) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name} must be {described}, not {value!r}")
@@ -98,10 +73,6 @@ class LLMConfig(Record):
 
 class ChatResult(Record):
     __slots__ = _fields = ("status", "body")
-
-    def __init__(self, status: int, body: dict) -> None:
-        self.status = status
-        self.body = body
 
 
 class ChatClient(Protocol):

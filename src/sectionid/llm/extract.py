@@ -70,10 +70,6 @@ def extract_headers(
 class ExtractionFailure(Record):
     __slots__ = _fields = ("doc_id", "error")
 
-    def __init__(self, doc_id: str, error: str) -> None:
-        self.doc_id = doc_id
-        self.error = error
-
 
 def extract_corpus(
     docs: list[Document],

@@ -74,18 +74,7 @@ STRATEGY_KINDS = tuple(_TEMPLATES)
 
 class PromptStrategy(Record):
     __slots__ = _fields = ("kind", "example_doc", "example_headers", "label_set")
-
-    def __init__(
-        self,
-        kind: str,
-        example_doc: str | None = None,
-        example_headers: list[str] | None = None,
-        label_set: list[str] | None = None,
-    ) -> None:
-        self.kind = kind
-        self.example_doc = example_doc
-        self.example_headers = [] if example_headers is None else example_headers
-        self.label_set = [] if label_set is None else label_set
+    _defaults = {"example_doc": None, "example_headers": list, "label_set": list}
 
     def validate(self) -> None:
         if self.kind not in STRATEGY_KINDS:

@@ -30,30 +30,7 @@ class Counts(Record):
         "tp", "fp", "fn", "gold_tokens", "pred_tokens", "gold_headers",
         "matched_exact", "role_correct", "total_tokens", "equal_tokens",
     )
-
-    def __init__(
-        self,
-        tp: int = 0,
-        fp: int = 0,
-        fn: int = 0,
-        gold_tokens: int = 0,
-        pred_tokens: int = 0,
-        gold_headers: int = 0,
-        matched_exact: int = 0,
-        role_correct: int = 0,
-        total_tokens: int = 0,
-        equal_tokens: int = 0,
-    ) -> None:
-        self.tp = tp
-        self.fp = fp
-        self.fn = fn
-        self.gold_tokens = gold_tokens
-        self.pred_tokens = pred_tokens
-        self.gold_headers = gold_headers
-        self.matched_exact = matched_exact
-        self.role_correct = role_correct
-        self.total_tokens = total_tokens
-        self.equal_tokens = equal_tokens
+    _defaults = dict.fromkeys(__slots__, 0)
 
     def add(self, other: "Counts") -> None:
         for name in self._fields:
@@ -65,9 +42,6 @@ class TokenMetrics(Record):
     conventions above, so no stored score can disagree with its counts."""
 
     __slots__ = _fields = ("counts",)
-
-    def __init__(self, counts: Counts) -> None:
-        self.counts = counts
 
     @property
     def precision(self) -> float:
@@ -104,13 +78,7 @@ class DocScore(TokenMetrics):
 
     __slots__ = ("doc_id", "unmatched_headers")
     _fields = ("counts", *__slots__)
-
-    def __init__(
-        self, counts: Counts, doc_id: str, unmatched_headers: list[str] | None = None
-    ) -> None:
-        self.counts = counts
-        self.doc_id = doc_id
-        self.unmatched_headers = [] if unmatched_headers is None else unmatched_headers
+    _defaults = {"unmatched_headers": list}
 
     @property
     def em(self) -> float:
@@ -125,21 +93,9 @@ class MetricsReport(TokenMetrics):
     __slots__ = ("em",)
     _fields = ("counts", *__slots__)
 
-    def __init__(self, counts: Counts, em: float) -> None:
-        self.counts = counts
-        self.em = em
-
 
 class RunReport(Record):
     __slots__ = _fields = ("method", "corpus", "report", "per_doc")
-
-    def __init__(
-        self, method: str, corpus: str, report: MetricsReport, per_doc: list[DocScore]
-    ) -> None:
-        self.method = method
-        self.corpus = corpus
-        self.report = report
-        self.per_doc = per_doc
 
 
 def token_counts(gold_tags: Sequence[str], pred_tags: Sequence[str]) -> Counts:
@@ -262,10 +218,6 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
 
 class IAAReport(Record):
     __slots__ = _fields = ("mean_jaccard", "per_pair")
-
-    def __init__(self, mean_jaccard: float, per_pair: list[tuple[str, float]]) -> None:
-        self.mean_jaccard = mean_jaccard
-        self.per_pair = per_pair
 
 
 def iaa_report(

@@ -61,20 +61,14 @@ def _grams(s: str) -> frozenset[str]:
 
 class Ontology(Record):
     _fields = ("categories", "surface_map", "levels")
+    _defaults = {"levels": dict}
 
-    def __init__(
-        self,
-        categories: set[str],
-        surface_map: dict[str, str],
-        levels: dict[str, str] | None = None,
-    ) -> None:
-        self.categories = categories
-        self.surface_map = surface_map
-        self.levels = {} if levels is None else levels
+    def _post_init(self) -> None:
+        categories = self.categories
         if UNKNOWN not in categories:
             raise DanglingCategory(f"ontology must declare {UNKNOWN!r}")
         by_length: dict[int, list[str]] = {}
-        for surface, category in surface_map.items():
+        for surface, category in self.surface_map.items():
             if category not in categories:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
@@ -214,18 +208,9 @@ def categorize(name: str, ont: Ontology) -> str:
 class CategoryCount(Record):
     __slots__ = _fields = ("section_count", "frequency", "frequency_pct")
 
-    def __init__(self, section_count: int, frequency: int, frequency_pct: float) -> None:
-        self.section_count = section_count
-        self.frequency = frequency
-        self.frequency_pct = frequency_pct
-
 
 class CategoryStats(Record):
     __slots__ = _fields = ("rows", "total_sections")
-
-    def __init__(self, rows: dict[str, CategoryCount], total_sections: int) -> None:
-        self.rows = rows
-        self.total_sections = total_sections
 
 
 def category_stats(docs: list[AnnotatedDocument], ont: Ontology) -> CategoryStats:

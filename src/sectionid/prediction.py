@@ -29,22 +29,10 @@ DEFAULT_MAX_EDIT_RATIO = 0.2
 class HeaderMatch(Record):
     __slots__ = _fields = ("prediction_index", "span", "match_kind")
 
-    def __init__(self, prediction_index: int, span: tuple[int, int], match_kind: str) -> None:
-        self.prediction_index = prediction_index
-        self.span = span
-        self.match_kind = match_kind
-
 
 class AlignmentResult(Record):
     __slots__ = _fields = ("matches", "unmatched_predictions")
-
-    def __init__(
-        self,
-        matches: list[HeaderMatch] | None = None,
-        unmatched_predictions: list[int] | None = None,
-    ) -> None:
-        self.matches = [] if matches is None else matches
-        self.unmatched_predictions = [] if unmatched_predictions is None else unmatched_predictions
+    _defaults = {"matches": list, "unmatched_predictions": list}
 
     def matched_spans(self) -> list[tuple[int, int]]:
         return [m.span for m in self.matches]
@@ -56,16 +44,13 @@ class Prediction(Record):
     must be sorted and non-overlapping."""
 
     __slots__ = _fields = ("headers", "spans")
+    _defaults = {"spans": None}
 
-    def __init__(
-        self, headers: list[str], spans: list[tuple[int, int] | None] | None = None
-    ) -> None:
-        self.headers = headers
-        self.spans = spans
-        if spans is None:
+    def _post_init(self) -> None:
+        if self.spans is None:
             return
-        if len(spans) != len(headers):
-            raise LengthMismatch(f"{len(spans)} spans for {len(headers)} headers")
+        if len(self.spans) != len(self.headers):
+            raise LengthMismatch(f"{len(self.spans)} spans for {len(self.headers)} headers")
         _check_spans(self.placed_spans())
 
     @property

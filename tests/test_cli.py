@@ -1176,6 +1176,67 @@ def test_path_setting_that_names_no_file_is_fatal(tmp_path, gold_path, capsys, k
     assert not out.exists()
 
 
+# Every flag of each command that names a file
+_PATH_FLAGS = {
+    "segment": ["--config", "--corpus", "--out", "--ontology", "--lexicon", "--ruleset", "--replay"],
+    "evaluate": ["--config", "--corpus", "--out", "--ontology", "--predictions"],
+    "stats": ["--corpus", "--out"],
+    "normalize": ["--names", "--ontology", "--out"],
+    "iaa": ["--pairs", "--out"],
+}
+
+
+def test_path_flags_are_the_flags_that_take_free_text():
+    for command, flags in _PATH_FLAGS.items():
+        free = {
+            flag for flag, (_, _, keywords) in _options(command)[0].items()
+            if keywords is not None and not {"type", "choices"} & keywords.keys()
+        }
+        assert free == set(flags), command
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, flags in _PATH_FLAGS.items() for flag in flags]
+)
+@pytest.mark.parametrize("value", ["runs\0x", "runs\ud800"], ids=["nul", "surrogate"])
+def test_path_flag_that_names_no_file_is_fatal(tmp_path, gold_path, capsys, command, flag, value):
+    # a caller of main(argv) can pass what no process's argv holds; every
+    # such value is refused, whichever command and flag, before any file is
+    # opened, in the words of the config-key refusal
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"a": ["Plan"], "b": ["Plan"]}\n', encoding="utf-8")
+    names = tmp_path / "names.txt"
+    names.write_text("Plan\n", encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    out = tmp_path / "o"
+    valid = {
+        "--corpus": gold_path, "--predictions": str(predictions), "--names": str(names),
+        "--pairs": str(pairs), "--out": str(out),
+    }
+    argv = [command]
+    for name in _PATH_FLAGS[command]:
+        if name == flag:
+            argv += [flag, value]
+        elif name in valid:
+            argv += [name, valid[name]]
+    assert main(argv) == FATAL
+    refused = "must not hold a NUL character or a character the file system cannot encode"
+    assert capsys.readouterr() == ("", f"error: {flag} {refused}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, refusal", [
+    ("stats", "--corpus", "corpus_stats needs at least one document"),
+    ("iaa", "--pairs", "iaa_report needs at least one annotation pair"),
+])
+def test_empty_input_is_refused_naming_its_file(tmp_path, capsys, command, flag, refusal):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n  \n", encoding="utf-8")
+    assert main([command, flag, str(empty)]) == FATAL
+    assert capsys.readouterr() == ("", f"error: {empty}: {refusal}\n")
+
+
 def test_empty_ruleset_file_is_fatal(tmp_path, gold_path, capsys):
     ruleset = tmp_path / "rules.json"
     ruleset.write_text("[]", encoding="utf-8")

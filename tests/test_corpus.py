@@ -575,6 +575,11 @@ def test_record_keeps_its_dataclass_semantics(cls, args, parameters):
     assert hasattr(a, "__dict__") == (cls in (Ontology, HeaderLexicon))
 
 
+@pytest.mark.parametrize("cls", [r[0] for r in _RECORDS], ids=[r[0].__name__ for r in _RECORDS])
+def test_record_defaults_name_its_fields(cls):
+    assert set(cls._defaults) <= set(cls._fields)
+
+
 def test_record_repr_is_the_dataclass_format():
     assert repr(Document("d", "x")) == "Document(id='d', text='x', source_kind='ehr_clean')"
     assert repr(DocScore(Counts(tp=1), "d")) == (

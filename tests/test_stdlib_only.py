@@ -7,7 +7,8 @@ dependency, and importing the CLI must not load the HTTP stack, which only
 a live endpoint call needs. Importing the CLI loads only the package layers
 every command shares, and each command adds only the layers it runs. No
 module imports ``dataclasses``, whose import, with the ``inspect`` it loads,
-would cost every command a third of its start-up. A replay run must not load
+would cost every command a third of its start-up, and no record writes its
+own ``__init__``, which ``Record`` writes from its fields. A replay run must not load
 the thread pool either,
 which only a live endpoint with several documents uses. Every name in a
 package's ``__all__`` must resolve, so a deleted function leaves no stale
@@ -86,6 +87,26 @@ def test_package_does_not_import_dataclasses():
         if name == "dataclasses" or name.startswith("dataclasses.")
     ]
     assert found == []
+
+
+def test_no_record_writes_its_own_constructor():
+    # ``Record`` writes each record's ``__init__`` from ``_fields``,
+    # ``_defaults`` and ``_post_init``; a hand-written one would name every
+    # field again and drift from them
+    bases: dict[str, set[str]] = {}
+    inits = []
+    for path in sorted((SRC / "sectionid").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {base.id for base in node.bases if isinstance(base, ast.Name)}
+                if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body):
+                    inits.append((node.name, f"{path.relative_to(SRC)}:{node.lineno}"))
+    records = {"Record"}
+    while grown := {name for name, of in bases.items() if of & records} - records:
+        records |= grown
+    assert len(records) > 20
+    assert [where for name, where in inits if name in records] == []
 
 
 def test_pyproject_declares_no_runtime_dependency():

@@ -1,4 +1,4 @@
-"""No user file ends in a traceback.
+"""No user file or flag value ends in a traceback.
 
 One property runs ``cli.main`` on a mutated copy of one valid input: a
 corpus, a predictions file, IAA pairs, a config, a taxonomy, a lexicon, a
@@ -6,9 +6,12 @@ names file, a ruleset or a replay record. The mutation damages the file's
 bytes (a BOM, a byte that is not UTF-8, a NUL, a lone CR, a cut) or, in a
 JSON file, swaps one value for a hostile one (null, a bool, a huge or
 negative int, NaN, an inverted or out-of-range span, 'İ' or 'Σ', a NUL, a
-lone surrogate, deep nesting). Whatever the file holds, no exception escapes
-``main``, the exit code is 0, 1 or 2, and an exit 1 writes exactly one
-``error:`` line.
+lone surrogate, deep nesting). Another gives one flag of one command a
+hostile value (a NUL, a lone surrogate, 'İ' or 'Σ', an empty string, a
+value starting with '-', and for the numeric flags NaN, infinities and huge
+or negative numbers). Whatever the file or the flag holds, no exception
+escapes ``main``, the exit code is 0, 1 or 2 (argparse's usage error counts
+as its exit 2), and an exit 1 writes exactly one ``error:`` line.
 
 Every run is offline and quick: the LLM segmenter answers from a replay
 store, no input names an endpoint or sets a backoff, and ruleset patterns
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from sectionid.cli import main
+from sectionid.cli import _options, main
 
 _PAIRS = [
     {"id": "p1", "a": ["Plan", "Allergies"], "b": ["Plan"]},
@@ -119,6 +123,25 @@ _HOSTILE = [
     None, True, False, 10**40, -1, -(10**20), float("nan"), [9, 2], [0, 10**9],
     "İ", "ΣΑΣ", "\u0000", "a\ud800", _DEEP, {},
 ]
+
+
+# Hostile flag values: for every flag that takes a value, and for the
+# numeric ones the extra values of their type
+_FLAG_VALUES = ["\0", "a\0b", "a\ud800", "İ", "ΣΑΣ", "", "-x", "--out"]
+_NUMBER_VALUES = {
+    "--max-edit-ratio": ["nan", "inf", "-inf", "1e999", "-0.5", "1"],
+    "--workers": [str(10**40), "-1", "0", str(-(10**20))],
+}
+_FLAG_CASES = st.sampled_from([
+    (run, flag)
+    for run in dict.fromkeys(tuple(run) for runs in _RUNS.values() for run in runs)
+    for flag, (_, _, keywords) in _options(run[0])[0].items()
+    if keywords is not None
+]).flatmap(
+    lambda pair: st.tuples(
+        st.just(pair), st.sampled_from([*_NUMBER_VALUES.get(pair[1], ()), *_FLAG_VALUES])
+    )
+)
 
 
 def _paths(value, prefix=()):
@@ -241,11 +264,53 @@ def test_no_user_file_ends_in_a_traceback(inputs, case):
             target.write_bytes(_swapped(data, kind, *mutation))
         else:
             target.write_bytes(_damaged(data, *mutation))
-        argv = [str(paths[arg[1:-1]]) if arg[0] == "<" else arg for arg in _RUNS[kind][run]]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        _check_main([str(paths[arg[1:-1]]) if arg[0] == "<" else arg for arg in _RUNS[kind][run]])
+
+
+def _check_main(argv):
+    """Run ``main(argv)``: no exception escapes, the exit code is 0, 1 or 2,
+    a usage error counting as argparse's exit 2, and an exit 1 writes
+    exactly one ``error:`` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
             code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 1, 2)
     if code == 1:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) == 1, err.getvalue()
+
+
+def _flag_case(argv: str, flag: str, value: str):
+    """The case that sets ``flag`` to ``value`` in the run ``argv``."""
+    return ((tuple(argv.split()), flag), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_FLAG_CASES)
+# path flags that open() or mkdir() refuse with ValueError or UnicodeEncodeError
+@example(case=_flag_case("normalize --names <names> --out <out>", "--names", "a\0b"))
+@example(case=_flag_case("normalize --names <names> --out <out>", "--out", "a\ud800"))
+@example(case=_flag_case("iaa --pairs <pairs> --out <out>", "--pairs", "a\0b"))
+@example(case=_flag_case("stats --corpus <corpus> --out <out>", "--out", "a\ud800"))
+@example(case=_flag_case(
+    "segment --config <config> --corpus <corpus> --out <out>", "--config", "a\0b"
+))
+def test_no_flag_value_ends_in_a_traceback(inputs, case):
+    (run, flag), value = case
+    argv = list(run)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    cwd = os.getcwd()
+    # a relative value, such as an empty --out, names a path in the scratch directory
+    with tempfile.TemporaryDirectory(dir=inputs["corpus"].parent) as scratch:
+        paths = {**inputs, "out": Path(scratch) / "out"}
+        os.chdir(scratch)
+        try:
+            _check_main([str(paths[arg[1:-1]]) if arg[:1] == "<" else arg for arg in argv])
+        finally:
+            os.chdir(cwd)
