@@ -33,6 +33,7 @@ from .prediction import (
     AlignmentResult,
     HeaderMatch,
     Prediction,
+    _check_edit_ratio,
 )
 from .textdist import max_edits, prefix_distances
 
@@ -154,10 +155,10 @@ def align_headers(
 
     Only ``pred.headers`` is read; spans the prediction carries play no
     part. Headers that cannot be placed are listed in
-    ``unmatched_predictions``; they never raise.
+    ``unmatched_predictions``; they never raise. A ``max_edit_ratio`` that
+    is not a number in [0, 1) raises ValueError.
     """
-    if not 0 <= max_edit_ratio < 1:
-        raise ValueError("max_edit_ratio must be in [0, 1)")
+    _check_edit_ratio(max_edit_ratio)
     result = AlignmentResult()
     text = doc.text
     lines: _NoteLines | None = None

@@ -78,20 +78,18 @@ def _accepts(described: str, test: Callable[[object], bool]) -> Check:
     return check
 
 
-def _llm_field(name: str) -> Check:
-    from .llm.client import LLMConfig
-
+def _library(test: Callable[[object], object]) -> Check:
+    """A library check that raises TypeError or ValueError, naming the source."""
     def check(value: object, source: str) -> None:
         try:
-            LLMConfig(**{name: value})
+            test(value)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{source}: {exc}") from exc
     return check
 
 
-def _edit_ratio(value: object, source: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
-        raise FormatError(f"{source}: max_edit_ratio must be a number in [0, 1), got {value!r}")
+def _one_of(choices: tuple[str, ...]) -> Check:
+    return _accepts(f"one of {', '.join(choices)}", lambda v: v in choices)
 
 
 _STRING = _accepts("a string", lambda v: isinstance(v, str))
@@ -120,61 +118,59 @@ def _names_no_file(value: object) -> bool:
 
 
 _FILE_NAME = ("hold a NUL character or a character the file system cannot encode", _names_no_file)
+_EMPTY = ("be empty", lambda v: not v)
 _PATH_OR_NULL = _refusing(
     _accepts("a string or null", lambda v: v is None or isinstance(v, str)), *_FILE_NAME
 )
+# the output directory or file, in the config and as every command's --out
+_OUT = _refusing(_refusing(_STRING, *_FILE_NAME), *_EMPTY)
+_UNSET = object()  # the default of a key that is set only when given
 
 
 @functools.cache
-def _checks() -> dict[str, Check]:
+def _checks() -> dict[str, tuple[Check, object]]:
     """Every settable key, dotted inside the object-valued entries, with its
-    check. Built on first use, as it reads the LLM layer's client and
-    prompts, which only ``segment`` and ``evaluate`` load."""
+    check and default; an ``llm.*`` key is only set when given. Built on first
+    use, as it reads the LLM layer, which only ``segment`` and ``evaluate`` load."""
     from .llm.client import LLMConfig
-    from .llm.prompts import STRATEGY_KINDS
+    from .llm.prompts import STRATEGY_KINDS, ZERO_SHOT
+    from .prediction import DEFAULT_MAX_EDIT_RATIO, _check_edit_ratio
 
+    paths = ("corpus", "ontology", "lexicon", "ruleset", "replay", "record")
     return {
-        **dict.fromkeys(("corpus", "ontology", "lexicon", "ruleset", "replay", "record"), _PATH_OR_NULL),
-        "out": _refusing(_STRING, *_FILE_NAME),
-        "segmenter": _accepts(f"one of {', '.join(SEGMENTERS)}", lambda v: v in SEGMENTERS),
-        "strategy": _accepts(f"one of {', '.join(STRATEGY_KINDS)}", lambda v: v in STRATEGY_KINDS),
-        "strict": _SWITCH,
-        "close_ended_eval": _SWITCH,
-        **{f"llm.{name}": _llm_field(name) for name in LLMConfig._fields},
-        "llm.example_doc": _refusing(_STRING, "be empty", lambda v: not v),
-        "llm.example_headers": _refusing(_STRINGS, "be empty", lambda v: not v),
-        "llm.label_set": _refusing(_STRINGS, "be empty", lambda v: not v),
-        "alignment.max_edit_ratio": _edit_ratio,
+        **dict.fromkeys(paths, (_PATH_OR_NULL, None)),
+        "out": (_OUT, "runs"),
+        "segmenter": (_one_of(SEGMENTERS), "rules"),
+        "strategy": (_one_of(STRATEGY_KINDS), ZERO_SHOT),
+        "strict": (_SWITCH, True),
+        "close_ended_eval": (_SWITCH, False),
+        **{
+            f"llm.{name}": (_library(lambda v, name=name: LLMConfig(**{name: v})), _UNSET)
+            for name in LLMConfig._fields
+        },
+        "llm.example_doc": (_refusing(_STRING, *_EMPTY), _UNSET),
+        "llm.example_headers": (_refusing(_STRINGS, *_EMPTY), _UNSET),
+        "llm.label_set": (_refusing(_STRINGS, *_EMPTY), _UNSET),
+        "alignment.max_edit_ratio": (_library(_check_edit_ratio), DEFAULT_MAX_EDIT_RATIO),
     }
 
 
 def _set(config: dict, key: str, value: object, source: str) -> None:
     """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
-    _checks()[key](value, source)
+    _checks()[key][0](value, source)
     section, _, name = key.rpartition(".")
-    (config[section] if section else config)[name] = value
+    (config.setdefault(section, {}) if section else config)[name] = value
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    """The defaults, then the ``--config`` file, then every flag given, each value checked."""
+    """The defaults, then the ``--config`` file, then every flag given, each
+    value checked; ``segment`` and ``evaluate`` need a corpus."""
     from .llm.prompts import ONE_SHOT
-    from .prediction import DEFAULT_MAX_EDIT_RATIO
 
-    config = {
-        "corpus": None,
-        "segmenter": "rules",
-        "strategy": "zero_shot",
-        "ontology": None,
-        "lexicon": None,
-        "ruleset": None,
-        "out": "runs",
-        "replay": None,
-        "record": None,
-        "strict": True,
-        "close_ended_eval": False,
-        "alignment": {"max_edit_ratio": DEFAULT_MAX_EDIT_RATIO},
-        "llm": {},
-    }
+    config: dict = {"llm": {}}
+    for key, (_, default) in _checks().items():
+        if default is not _UNSET:
+            _set(config, key, default, "default")
     path = args.config
     if path:
         user = read_json(path)
@@ -205,6 +201,8 @@ def _load_config(args: argparse.Namespace) -> dict:
             f"{path}: config key 'llm.{example[0]}': one_shot needs "
             "llm.example_doc and llm.example_headers together"
         )
+    if not config["corpus"]:
+        raise SectionIdError(f"{args.command} needs --corpus")
     return config
 
 
@@ -263,8 +261,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
     from .prediction import prediction_line
 
     config = _load_config(args)
-    if not config["corpus"]:
-        raise SectionIdError("segment needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = _ontology(config["ontology"])
     # set up the segmenter, reading every file and store it needs, so that a
@@ -332,8 +328,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .prediction import load_predictions
 
     config = _load_config(args)
-    if not config["corpus"]:
-        raise SectionIdError("evaluate needs --corpus")
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     predictions = load_predictions(args.predictions, docs)
     # only close-ended scoring reads the taxonomy; a user's file is still checked
@@ -609,8 +603,9 @@ def main(argv: list[str] | None = None) -> int:
         # every flag value but a number names a file or a choice, so one that
         # can name no file is refused before any file is opened
         for flag, (dest, _, keywords) in _options(args.command)[0].items():
-            if keywords is not None and "type" not in keywords:
-                _PATH_OR_NULL(getattr(args, dest), flag)
+            value = getattr(args, dest)
+            if keywords is not None and "type" not in keywords and value is not None:
+                (_OUT if dest == "out" else _PATH_OR_NULL)(value, flag)
         return int(args.func(args))
     except (SectionIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

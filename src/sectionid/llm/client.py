@@ -24,48 +24,44 @@ from ..errors import AuthError, FormatError, ReplayMiss, TransportError, warn
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
-# Each LLMConfig field, in field order, with its default and what it
-# accepts. A bool is never a number here, though Python counts it as an int.
+# Each LLMConfig field, in field order, with its default, what it accepts
+# and its least value (None for none; timeout must also be above 0). A bool
+# is never a number here, though Python counts it as an int.
 _STRING = ((str,), "a string")
 _NUMBER = ((int, float), "a number")
 _INTEGER = ((int,), "an integer")
-_FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str]] = {
-    "endpoint_url": ("", *_STRING),
-    "model_name": ("gpt-4", *_STRING),
-    "temperature": (0.0, *_NUMBER),
-    "frequency_penalty": (0.0, *_NUMBER),
-    "presence_penalty": (0.0, *_NUMBER),
-    "max_tokens": (1000, *_INTEGER),
-    "timeout": (60.0, *_NUMBER),
-    "max_retries": (3, *_INTEGER),
-    "max_in_flight": (4, *_INTEGER),
-    "backoff_base": (0.5, *_NUMBER),
-    "api_key_env": ("SECTIONID_API_TOKEN", *_STRING),
-    "max_context_chars": (None, (int, type(None)), "an integer or null"),
+_FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str, object]] = {
+    "endpoint_url": ("", *_STRING, None),
+    "model_name": ("gpt-4", *_STRING, None),
+    "temperature": (0.0, *_NUMBER, 0),
+    "frequency_penalty": (0.0, *_NUMBER, None),
+    "presence_penalty": (0.0, *_NUMBER, None),
+    "max_tokens": (1000, *_INTEGER, 1),
+    "timeout": (60.0, *_NUMBER, None),
+    "max_retries": (3, *_INTEGER, 0),
+    "max_in_flight": (4, *_INTEGER, 1),
+    "backoff_base": (0.5, *_NUMBER, 0),
+    "api_key_env": ("SECTIONID_API_TOKEN", *_STRING, None),
+    "max_context_chars": (None, (int, type(None)), "an integer or null", 1),
 }
-# The least value of each bounded field; timeout must also be above 0. The
-# penalties are unbounded.
-_MINIMUMS = (
-    ("temperature", 0), ("max_tokens", 1), ("max_in_flight", 1),
-    ("max_retries", 0), ("backoff_base", 0), ("max_context_chars", 1),
-)
 
 
 class LLMConfig(Record):
-    """Raises TypeError for a value of the wrong type, ValueError for one out of range."""
+    """The settings, each declared once in ``_FIELD_TYPES``. Raises TypeError for a
+    value of the wrong type, ValueError for one below its least or a timeout not above 0."""
 
     __slots__ = _fields = tuple(_FIELD_TYPES)
     _defaults = {name: row[0] for name, row in _FIELD_TYPES.items()}
 
     def _post_init(self) -> None:
-        for name, (_, types, described) in _FIELD_TYPES.items():
+        for name, (_, types, described, _) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name} must be {described}, not {value!r}")
-        for name, least in _MINIMUMS:
+        for name, (*_, least) in _FIELD_TYPES.items():
             value = getattr(self, name)
             # written so that NaN fails too
-            if value is not None and not value >= least:
+            if least is not None and value is not None and not value >= least:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")

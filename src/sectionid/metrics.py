@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedDocument, Record
 from .errors import EmptyInput, LengthMismatch, MalformedTags
-from .ontology import Ontology, categorize, normalize_surface
+from .ontology import UNKNOWN, Ontology, categorize, normalize_surface
 from .prediction import DEFAULT_MAX_EDIT_RATIO, Prediction
 from .tokenizer import O, _check_spans, is_well_formed, splits_token, tokens_before
 
@@ -235,11 +235,18 @@ def iaa_report(
     return IAAReport(mean_jaccard=mean, per_pair=per_pair)
 
 
+def _close_ended_label(name: str, ont: Ontology) -> object:
+    """``name``'s category; a name outside the taxonomy stands for its own
+    normalized surface, so that it hits only the same name."""
+    category = categorize(name, ont)
+    return (UNKNOWN, normalize_surface(name)) if category == UNKNOWN else category
+
+
 def _close_ended_counts(
     gold_labels: Sequence[str], pred_headers: Sequence[str], ont: Ontology
 ) -> Counts:
-    gold_cats = {categorize(label, ont) for label in gold_labels}
-    pred_cats = {categorize(h, ont) for h in pred_headers}
+    gold_cats = {_close_ended_label(label, ont) for label in gold_labels}
+    pred_cats = {_close_ended_label(h, ont) for h in pred_headers}
     hit = len(gold_cats & pred_cats)
     return Counts(
         tp=hit,
@@ -271,7 +278,8 @@ def evaluate_run(
     entries as unmatched headers, and aligns one without spans (``align``)
     first; spans count as token IOB tags (``span_counts``), micro-averaged,
     and exact match is macro-averaged per document. Close-ended mode
-    compares the categorized label sets instead, which needs an ontology.
+    compares the categorized label sets instead, which needs an ontology; a
+    label outside it is its own class, not one shared ``UNKNOWN``.
     Documents without a prediction are scored against an empty one.
     """
     if close_ended and ontology is None:

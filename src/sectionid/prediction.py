@@ -21,9 +21,15 @@ CASE_INSENSITIVE = "case_insensitive"
 FUZZY = "fuzzy"
 MATCH_KINDS = (EXACT, CASE_INSENSITIVE, FUZZY)
 # The default bound on a fuzzy placement's edits per header character. It
-# lives here, and ``align`` re-exports it, so that reading it loads no
-# grounding code.
+# lives here, with its check, and ``align`` re-exports it, so that reading
+# it loads no grounding code.
 DEFAULT_MAX_EDIT_RATIO = 0.2
+
+
+def _check_edit_ratio(value: object) -> None:
+    """Refuse a bound that is not a number in [0, 1); a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
+        raise ValueError(f"max_edit_ratio must be a number in [0, 1), got {value!r}")
 
 
 class HeaderMatch(Record):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -328,8 +329,13 @@ def test_raising_ratio_never_loses_matches():
 
 def test_max_edit_ratio_validation():
     doc = Document("d", "x")
-    with pytest.raises(ValueError):
-        align_headers(doc, Prediction(headers=[]), max_edit_ratio=1.0)
+    # the CLI's check: a bool and a string are not numbers
+    for ratio in (1.0, 1, -0.1, float("nan"), False, True, "0.2", None):
+        message = f"max_edit_ratio must be a number in [0, 1), got {ratio!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            align_headers(doc, Prediction(headers=[]), max_edit_ratio=ratio)
+    for ratio in (0, 0.0, 0.99):
+        assert align_headers(doc, Prediction(headers=["x"]), max_edit_ratio=ratio).matches
 
 
 def test_empty_headers_unmatched():

@@ -1226,6 +1226,36 @@ def test_path_flag_that_names_no_file_is_fatal(tmp_path, gold_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", list(_PATH_FLAGS))
+def test_empty_out_is_refused_by_every_command(tmp_path, gold_path, capsys, monkeypatch, command):
+    # Path("") is the working directory, which an empty --out or 'out' would
+    # fill; every command refuses it, and the directory stays empty
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"a": ["Plan"], "b": ["Plan"]}\n', encoding="utf-8")
+    names = tmp_path / "names.txt"
+    names.write_text("Plan\n", encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text('{"out": ""}', encoding="utf-8")
+    args = {
+        "segment": ["--corpus", gold_path, "--segmenter", "regex"],
+        "evaluate": ["--corpus", gold_path, "--predictions", str(predictions)],
+        "stats": ["--corpus", gold_path],
+        "normalize": ["--names", str(names)],
+        "iaa": ["--pairs", str(pairs)],
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, *args, "--out", ""]) == FATAL
+    assert capsys.readouterr() == ("", "error: --out must not be empty\n")
+    if command in ("segment", "evaluate"):
+        assert main([command, *args, "--config", str(config)]) == FATAL
+        assert capsys.readouterr() == ("", f"error: {config}: config key 'out' must not be empty\n")
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, flag, refusal", [
     ("stats", "--corpus", "corpus_stats needs at least one document"),
     ("iaa", "--pairs", "iaa_report needs at least one annotation pair"),

@@ -171,7 +171,23 @@ def test_config_validation():
         LLMConfig(max_in_flight=0)
 
 
+# Each bounded field's least value, which is accepted, and a value below it,
+# which is refused as "<field> must be >= <least>"; timeout's bound is "> 0"
+_BOUNDS = {
+    "temperature": (0, -1e-9),
+    "max_tokens": (1, 0),
+    "max_retries": (0, -1),
+    "max_in_flight": (1, 0),
+    "backoff_base": (0, -0.5),
+    "max_context_chars": (1, 0),
+}
+
+
 @pytest.mark.parametrize("field, value, error", [
+    *[
+        case for field, (least, below) in _BOUNDS.items()
+        for case in ((field, least, None), (field, below, ValueError))
+    ],
     ("endpoint_url", None, TypeError),
     ("model_name", 4, TypeError),
     ("temperature", "0", TypeError),
@@ -182,25 +198,24 @@ def test_config_validation():
     ("max_tokens", True, TypeError),
     ("timeout", "soon", TypeError),
     ("timeout", 0, ValueError),
-    ("max_retries", -1, ValueError),
     ("max_in_flight", False, TypeError),
-    ("backoff_base", -0.5, ValueError),
     ("api_key_env", 1, TypeError),
     ("max_context_chars", "900", TypeError),
-    ("max_context_chars", 0, ValueError),
-    # accepted: an int for a float, null context, the lower bounds, any penalty
+    # accepted: an int for a float, null context, any timeout above 0, any penalty
     ("timeout", 5, None),
+    ("timeout", 1e-9, None),
     ("max_context_chars", None, None),
-    ("max_retries", 0, None),
-    ("backoff_base", 0, None),
     ("frequency_penalty", -2.0, None),
+    ("presence_penalty", -1e300, None),
 ])
 def test_config_checks_every_field(field, value, error):
     if error is None:
         assert getattr(LLMConfig(**{field: value}), field) == value
     else:
-        with pytest.raises(error, match=f"^{field} must be "):
+        with pytest.raises(error, match=f"^{field} must be ") as raised:
             LLMConfig(**{field: value})
+        if error is ValueError and field in _BOUNDS:
+            assert str(raised.value) == f"{field} must be >= {_BOUNDS[field][0]}"
 
 
 def test_http_client_posts_bearer_token(monkeypatch):

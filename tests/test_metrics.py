@@ -7,9 +7,9 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, make_synthetic_corpus, reference_span_counts
+from conftest import FIXTURES, make_synthetic_corpus, reference_categorize, reference_span_counts
 from sectionid import align, metrics, tokenizer
 from sectionid.baselines import HeaderLexicon, keyword_segment, regex_segment, rule_segment
 from sectionid.cli import OK, main
@@ -19,6 +19,7 @@ from sectionid.llm import PromptStrategy, ReplayClient, extract_corpus, parse_ll
 from sectionid.metrics import (
     Counts,
     DocScore,
+    MetricsReport,
     evaluate_run,
     exact_match_count,
     iaa_report,
@@ -28,7 +29,7 @@ from sectionid.metrics import (
     span_counts,
     token_metrics,
 )
-from sectionid.ontology import default_lexicon_entries, load_ontology
+from sectionid.ontology import UNKNOWN, default_lexicon_entries, load_ontology, normalize_surface
 from sectionid.prediction import Prediction
 from sectionid.tokenizer import B, I, O
 
@@ -245,6 +246,60 @@ def test_evaluate_run_close_ended_mode():
     assert run.report.precision == 1.0
     with pytest.raises(ValueError):
         evaluate_run(corpus, preds, None, close_ended=True)
+
+
+@pytest.mark.parametrize("gold, pred, tp", [
+    (["Zebra Notes"], ["None"], 0),
+    (["Zebra Notes", "Plan"], ["Plan", "Totally Invented"], 1),
+    (["Zebra Notes"], ["zebra notes"], 1),
+])
+def test_close_ended_answer_outside_the_taxonomy_is_not_a_hit(gold, pred, tp):
+    counts = metrics._close_ended_counts(gold, pred, load_ontology())
+    assert (counts.tp, counts.fp, counts.fn) == (tp, len(pred) - tp, len(gold) - tp)
+
+
+def _brute_close_ended(gold, pred, ont):
+    """(tp, fp, fn) over classes of names found pairwise: two names are one
+    class when both categorize (by the oracle) to one known category, or both
+    to none with the same normalized surface."""
+    category = {name: reference_categorize(name, ont) for name in [*gold, *pred]}
+
+    def same(a, b):
+        if UNKNOWN in (category[a], category[b]):
+            return category[a] == category[b] and normalize_surface(a) == normalize_surface(b)
+        return category[a] == category[b]
+
+    def classes(names):
+        kept = []
+        for name in names:
+            if not any(same(name, other) for other in kept):
+                kept.append(name)
+        return kept
+
+    gold, pred = classes(gold), classes(pred)
+    tp = sum(any(same(g, p) for p in pred) for g in gold)
+    return tp, len(pred) - tp, len(gold) - tp
+
+
+_BUNDLED = load_ontology()
+# bundled surfaces as written and title-cased, names outside the taxonomy,
+# the prompt's "None" escape, and short strings that may fall either side
+_CLOSE_ENDED_NAMES = st.one_of(
+    st.sampled_from(sorted(_BUNDLED.surface_map)),
+    st.sampled_from(sorted(_BUNDLED.surface_map)).map(str.title),
+    st.sampled_from(["None", "none", "Zebra Notes", "zebra notes:", "Totally Invented", "--"]),
+    st.text(alphabet="aeilnpz :", max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CLOSE_ENDED_NAMES, max_size=5), st.lists(_CLOSE_ENDED_NAMES, max_size=5))
+def test_close_ended_counts_match_brute_force(gold, pred):
+    counts = metrics._close_ended_counts(gold, pred, _BUNDLED)
+    assert (counts.tp, counts.fp, counts.fn) == _brute_close_ended(gold, pred, _BUNDLED)
+    echo = metrics._close_ended_counts(gold, gold, _BUNDLED)
+    assert echo.fp == echo.fn == 0
+    assert MetricsReport(counts=echo, em=1.0).f1 == 1.0
 
 
 def _planted_miss_corpus():

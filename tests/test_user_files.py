@@ -9,13 +9,15 @@ negative int, NaN, an inverted or out-of-range span, 'İ' or 'Σ', a NUL, a
 lone surrogate, deep nesting). Another gives one flag of one command a
 hostile value (a NUL, a lone surrogate, 'İ' or 'Σ', an empty string, a
 value starting with '-', and for the numeric flags NaN, infinities and huge
-or negative numbers). Whatever the file or the flag holds, no exception
-escapes ``main``, the exit code is 0, 1 or 2 (argparse's usage error counts
-as its exit 2), and an exit 1 writes exactly one ``error:`` line.
+or negative numbers). A third runs the ``regex`` and ``rules`` segmenters
+with a ruleset drawn from a small grammar of patterns. Whatever the file or
+the flag holds, no exception escapes ``main``, the exit code is 0, 1 or 2
+(argparse's usage error counts as its exit 2), and an exit 1 writes exactly
+one ``error:`` line.
 
 Every run is offline and quick: the LLM segmenter answers from a replay
-store, no input names an endpoint or sets a backoff, and ruleset patterns
-come from a fixed list of safe ones, as a hostile regex is out of scope.
+store, no input names an endpoint or sets a backoff, and no drawn pattern
+nests quantifiers, as a regex that backtracks without bound is out of scope.
 """
 
 from __future__ import annotations
@@ -267,10 +269,10 @@ def test_no_user_file_ends_in_a_traceback(inputs, case):
         _check_main([str(paths[arg[1:-1]]) if arg[0] == "<" else arg for arg in _RUNS[kind][run]])
 
 
-def _check_main(argv):
+def _check_main(argv) -> tuple[int, str]:
     """Run ``main(argv)``: no exception escapes, the exit code is 0, 1 or 2,
     a usage error counting as argparse's exit 2, and an exit 1 writes
-    exactly one ``error:`` line."""
+    exactly one ``error:`` line. Returns the code and stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -281,6 +283,7 @@ def _check_main(argv):
     if code == 1:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) == 1, err.getvalue()
+    return code, err.getvalue()
 
 
 def _flag_case(argv: str, flag: str, value: str):
@@ -314,3 +317,35 @@ def test_no_flag_value_ends_in_a_traceback(inputs, case):
             _check_main([str(paths[arg[1:-1]]) if arg[:1] == "<" else arg for arg in argv])
         finally:
             os.chdir(cwd)
+
+
+# Ruleset patterns from a small grammar: patterns that do not compile, and
+# runs of zero-width assertions, patterns that match a whole line, a newline
+# or a colon, a named group, a lookbehind and 'İ' or 'Σ'. A quantifier sits
+# only inside an atom, so no draw nests one quantifier in another.
+_BROKEN_PATTERNS = ["(", "[A-", "*", "x{2,1}", "(?P<h>", "(?<=P+)", "\\", "(?P<1>x)"]
+_PATTERN_ATOMS = [
+    "^", "$", "(?=P)", "(?!P)", ".*", "\\n", "\n", ":", " ", "Plan", "[A-Z]+", "(Plan)",
+    "(?P<h>Plan)", "(?P<h>[A-Z][a-z]+)", "(?<=P)", "(?<=P)lan", "İ", "Σ", "(?i:σ)",
+]
+_PATTERNS = st.one_of(
+    st.sampled_from(_BROKEN_PATTERNS),
+    st.lists(st.sampled_from(_PATTERN_ATOMS), min_size=1, max_size=4).map("".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(patterns=st.lists(_PATTERNS, min_size=1, max_size=3))
+@example(patterns=["^", "$", "(?=P)", "\\n", ":", ".*", "(?P<h>Plan):", "P(?<=P)lan"])
+def test_no_ruleset_pattern_ends_in_a_traceback(inputs, patterns):
+    rules = [{"name": f"r{i}", "pattern": pattern} for i, pattern in enumerate(patterns)]
+    with tempfile.TemporaryDirectory(dir=inputs["corpus"].parent) as scratch:
+        ruleset = Path(scratch) / "rules.json"
+        ruleset.write_text(json.dumps(rules), encoding="utf-8")
+        for segmenter in ("regex", "rules"):
+            code, err = _check_main([
+                "segment", "--corpus", str(inputs["corpus"]), "--segmenter", segmenter,
+                "--ruleset", str(ruleset), "--out", str(Path(scratch) / segmenter),
+            ])
+            # a pattern is refused naming its file; any other ends cleanly
+            assert code == 0 or (code == 1 and f"error: {ruleset}: " in err), err
