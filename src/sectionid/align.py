@@ -134,15 +134,12 @@ def _fuzzy_line_match(
             continue
         # no prefix past hi is read
         row = prefix_distances(needle, lines.folded[i][:hi])
-        best: tuple[float, int, int] | None = None
-        for k in range(lo, hi + 1):
-            ratio = row[k] / max(len(needle), k)
-            key = (ratio, abs(k - len(needle)), k)
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] <= max_edit_ratio:
+        ratio, _, k = min(
+            (row[k] / max(len(needle), k), abs(k - len(needle)), k) for k in range(lo, hi + 1)
+        )
+        if ratio <= max_edit_ratio:
             start = lines.starts[i]
-            return (start, start + best[2])
+            return (start, start + k)
     return None
 
 

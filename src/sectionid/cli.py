@@ -6,12 +6,14 @@ them, and all output files are deterministic byte-for-byte given the same
 inputs. The API bearer token is only ever read from the environment
 variable named in the config, never from the config file itself.
 
-Each command's flags are one table of ``add_argument`` keywords. Arguments
-in the canonical form (full flag names, each followed by a valid value, or
-a bare switch) are read from that table without building a parser.
-Anything else, ``--help`` and every usage error included, goes to the full
-parser with every subcommand, which gives the same namespace wherever both
-apply.
+Each command's flags are one plain tuple of ``(name, add_argument
+keywords)`` pairs. A ``choices`` given as a function (``--strategy``'s,
+which the LLM layer holds) is called only when the table is read, so that
+importing the CLI loads no LLM code. Arguments in the canonical form (full
+flag names, each followed by a valid value, or a bare switch) are read from
+that table without building a parser. Anything else, ``--help`` and every
+usage error included, goes to the full parser with every subcommand, which
+gives the same namespace wherever both apply.
 
 Each command imports only the layers it runs: ``normalize`` and ``stats``
 load no LLM, alignment, metrics or baselines code, and ``iaa`` adds only
@@ -46,7 +48,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import ontology
 from .corpus import (
@@ -59,6 +61,7 @@ from .corpus import (
     write_output,
 )
 from .errors import EmptyCorpus, EmptyInput, FormatError, SectionIdError
+from .prediction import DEFAULT_MAX_EDIT_RATIO, _check_edit_ratio, load_predictions, prediction_line
 
 OK = 0
 FATAL = 1
@@ -134,7 +137,6 @@ def _checks() -> dict[str, tuple[Check, object]]:
     use, as it reads the LLM layer, which only ``segment`` and ``evaluate`` load."""
     from .llm.client import LLMConfig
     from .llm.prompts import STRATEGY_KINDS, ZERO_SHOT
-    from .prediction import DEFAULT_MAX_EDIT_RATIO, _check_edit_ratio
 
     paths = ("corpus", "ontology", "lexicon", "ruleset", "replay", "record")
     return {
@@ -258,8 +260,6 @@ def _build_strategy(config: dict) -> PromptStrategy:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    from .prediction import prediction_line
-
     config = _load_config(args)
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
     ont = _ontology(config["ontology"])
@@ -325,11 +325,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import metrics
-    from .prediction import load_predictions
 
     config = _load_config(args)
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
-    predictions = load_predictions(args.predictions, docs)
+    predictions = load_predictions(args.predictions, docs, strict=config["strict"])
     # only close-ended scoring reads the taxonomy; a user's file is still checked
     ont = None
     if config["close_ended_eval"] or config["ontology"] is not None:
@@ -427,19 +426,12 @@ def cmd_iaa(args: argparse.Namespace) -> int:
     return OK
 
 
-class _Flags(tuple):
-    """A command's flags as ``(name, add_argument keywords)`` pairs, in help
-    order. Calling it adds them to a parser."""
-
-    def resolved(self):
-        """The pairs, each ``choices`` given as a function replaced by its result."""
-        for name, keywords in self:
-            choices = keywords.get("choices")
-            yield name, {**keywords, "choices": choices()} if callable(choices) else keywords
-
-    def __call__(self, parser: argparse.ArgumentParser) -> None:
-        for name, keywords in self.resolved():
-            parser.add_argument(name, **keywords)
+def _resolved(flags: tuple) -> Iterator[tuple[str, dict]]:
+    """A flag table's ``(name, add_argument keywords)`` pairs, each ``choices``
+    given as a function replaced by its result."""
+    for name, keywords in flags:
+        choices = keywords.get("choices")
+        yield name, {**keywords, "choices": choices()} if callable(choices) else keywords
 
 
 def _strategy_kinds() -> tuple[str, ...]:
@@ -461,7 +453,7 @@ _COMMON_FLAGS = (
         "help": "abort on corpus invariant violations (default: strict)",
     }),
 )
-_SEGMENT_FLAGS = _Flags(_COMMON_FLAGS + (
+_SEGMENT_FLAGS = _COMMON_FLAGS + (
     ("--segmenter", {"choices": SEGMENTERS}),
     ("--strategy", {"choices": _strategy_kinds}),
     ("--lexicon", {"help": "lexicon file for keyword/rules segmenters"}),
@@ -471,37 +463,34 @@ _SEGMENT_FLAGS = _Flags(_COMMON_FLAGS + (
         "type": int, "dest": "llm.max_in_flight", "metavar": "WORKERS",
         "help": "max in-flight llm requests",
     }),
-))
-_EVALUATE_FLAGS = _Flags(_COMMON_FLAGS + (
+)
+_EVALUATE_FLAGS = _COMMON_FLAGS + (
     ("--predictions", {"required": True, "help": "predictions JSONL from segment"}),
     ("--segmenter", {"choices": SEGMENTERS, "help": "method name for the report"}),
     ("--close-ended", {
         "action": "store_true", "default": None, "dest": "close_ended_eval",
         "help": "compare categorized label sets instead of spans",
     }),
-))
-_STATS_FLAGS = _Flags((
+)
+_STATS_FLAGS = (
     ("--corpus", {"required": True}),
     ("--out", {}),
     ("--strict", {"action": argparse.BooleanOptionalAction, "default": True}),
-))
-_NORMALIZE_FLAGS = _Flags((
+)
+_NORMALIZE_FLAGS = (
     ("--names", {"required": True, "help": "one section name per line"}),
     ("--ontology", {"help": "taxonomy CSV (default: bundled)"}),
     ("--out", {"help": "output TSV path"}),
-))
-_IAA_FLAGS = _Flags((
+)
+_IAA_FLAGS = (
     ("--pairs", {"required": True, "help": 'JSONL: {"id", "a": [...], "b": [...]}'}),
     ("--out", {}),
-))
+)
 
 
-# Each command's help line, its flags (which add its arguments to a parser)
-# and the function running it, in the order ``sectionid --help`` lists them.
-_COMMANDS: dict[
-    str,
-    tuple[str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]],
-] = {
+# Each command's help line, its flag table and the function running it, in
+# the order ``sectionid --help`` lists them.
+_COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], int]]] = {
     "segment": ("run a segmenter over a corpus", _SEGMENT_FLAGS, cmd_segment),
     "evaluate": ("score predictions against gold", _EVALUATE_FLAGS, cmd_evaluate),
     "stats": ("corpus summary statistics", _STATS_FLAGS, cmd_stats),
@@ -517,9 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Identify, normalize, and score section headers in clinical notes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+    for name, (help_text, flags, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for flag, keywords in _resolved(flags):
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
     return parser
 
@@ -532,7 +522,7 @@ def _options(command: str) -> tuple[dict[str, tuple], dict[str, object], set[str
     options: dict[str, tuple] = {}
     defaults: dict[str, object] = {}
     required = set()
-    for name, keywords in _COMMANDS[command][1].resolved():
+    for name, keywords in _resolved(_COMMANDS[command][1]):
         dest = keywords.get("dest", name[2:].replace("-", "_"))
         defaults[dest] = keywords.get("default")
         if keywords.get("required"):

@@ -13,6 +13,7 @@ whole pipelines re-run byte-identically with no endpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -24,47 +25,57 @@ from ..errors import AuthError, FormatError, ReplayMiss, TransportError, warn
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
-# Each LLMConfig field, in field order, with its default, what it accepts
-# and its least value (None for none; timeout must also be above 0). A bool
-# is never a number here, though Python counts it as an int.
+# The longest wait, in seconds, that a socket timeout or ``time.sleep`` takes.
+_LONGEST_WAIT = threading.TIMEOUT_MAX
+# Each LLMConfig field, in field order, with its default, what it accepts,
+# its least value and its greatest (None for none; timeout must also be
+# above 0). A bool is never a number here, though Python counts it as an
+# int, and a number must be finite.
 _STRING = ((str,), "a string")
 _NUMBER = ((int, float), "a number")
 _INTEGER = ((int,), "an integer")
-_FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str, object]] = {
-    "endpoint_url": ("", *_STRING, None),
-    "model_name": ("gpt-4", *_STRING, None),
-    "temperature": (0.0, *_NUMBER, 0),
-    "frequency_penalty": (0.0, *_NUMBER, None),
-    "presence_penalty": (0.0, *_NUMBER, None),
-    "max_tokens": (1000, *_INTEGER, 1),
-    "timeout": (60.0, *_NUMBER, None),
-    "max_retries": (3, *_INTEGER, 0),
-    "max_in_flight": (4, *_INTEGER, 1),
-    "backoff_base": (0.5, *_NUMBER, 0),
-    "api_key_env": ("SECTIONID_API_TOKEN", *_STRING, None),
-    "max_context_chars": (None, (int, type(None)), "an integer or null", 1),
+_FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str, object, object]] = {
+    "endpoint_url": ("", *_STRING, None, None),
+    "model_name": ("gpt-4", *_STRING, None, None),
+    "temperature": (0.0, *_NUMBER, 0, None),
+    "frequency_penalty": (0.0, *_NUMBER, None, None),
+    "presence_penalty": (0.0, *_NUMBER, None, None),
+    "max_tokens": (1000, *_INTEGER, 1, None),
+    "timeout": (60.0, *_NUMBER, None, _LONGEST_WAIT),
+    "max_retries": (3, *_INTEGER, 0, None),
+    "max_in_flight": (4, *_INTEGER, 1, None),
+    "backoff_base": (0.5, *_NUMBER, 0, _LONGEST_WAIT),
+    "api_key_env": ("SECTIONID_API_TOKEN", *_STRING, None, None),
+    "max_context_chars": (None, (int, type(None)), "an integer or null", 1, None),
 }
 
 
 class LLMConfig(Record):
-    """The settings, each declared once in ``_FIELD_TYPES``. Raises TypeError for a
-    value of the wrong type, ValueError for one below its least or a timeout not above 0."""
+    """The settings, each declared once in ``_FIELD_TYPES``. Raises TypeError
+    for a value of the wrong type, ValueError for a number that is not
+    finite, is out of its bounds or is a timeout not above 0."""
 
     __slots__ = _fields = tuple(_FIELD_TYPES)
     _defaults = {name: row[0] for name, row in _FIELD_TYPES.items()}
 
     def _post_init(self) -> None:
-        for name, (_, types, described, _) in _FIELD_TYPES.items():
+        for name, (_, types, described, _, _) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name} must be {described}, not {value!r}")
-        for name, (*_, least) in _FIELD_TYPES.items():
+        for name, (_, _, _, least, _) in _FIELD_TYPES.items():
             value = getattr(self, name)
             # written so that NaN fails too
             if least is not None and value is not None and not value >= least:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
+        for name, (_, _, _, _, most) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be <= {most}")
 
 
 class ChatResult(Record):
@@ -238,16 +249,20 @@ def complete(config: LLMConfig, user: str, client: ChatClient, *, system: str = 
     """One chat round trip with exponential backoff on transient failures.
 
     Retries transport errors, 429, and 5xx up to ``max_retries`` extra
-    attempts; 401/403 raise AuthError immediately. A response that stopped
-    at the token limit is warned of on stderr but still returned.
+    attempts, waiting ``backoff_base`` seconds before the first retry and
+    twice as long before each next one, at most ``threading.TIMEOUT_MAX``;
+    401/403 raise AuthError immediately. A response that stopped at the
+    token limit is warned of on stderr but still returned.
     """
     payload = build_payload(config, user, system=system)
     last_error: str = "no attempt made"
+    delay = config.backoff_base
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
-            delay = config.backoff_base * (2 ** (attempt - 1))
             if delay > 0:
                 time.sleep(delay)
+            # doubled, up to the longest wait the platform takes
+            delay = min(delay * 2, _LONGEST_WAIT)
         try:
             result = client.send(payload)
         except TransportError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..corpus import Document, Record
-from ..errors import SectionIdError, warn
+from ..errors import FormatError, SectionIdError, warn
 from ..prediction import Prediction
 from .client import ChatClient, LLMConfig, complete
 from .parsing import parse_llm_response
@@ -51,11 +51,19 @@ def extract_headers(
     order. Every header the model names is kept, repeats included: a note
     may hold two sections of one name, and grounding places each repeat at
     the next occurrence or lists it as unmatched.
-    Transport and parse errors propagate; batch callers turn them into empty
-    predictions plus a failure record.
+    A note holding text UTF-8 cannot encode (a lone surrogate from a JSON
+    escape), which no request body or replay key can hold, raises FormatError
+    before any request. Transport and parse errors propagate; batch callers
+    turn them into empty predictions plus a failure record.
     """
     if not doc.text.strip():
         return Prediction(headers=[])
+    try:
+        doc.text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(
+            f"text holds {doc.text[exc.start]!r} at offset {exc.start}, which UTF-8 cannot encode"
+        ) from exc
     budget = config.max_context_chars
     pieces = (
         [doc.text] if budget is None else chunk_text(doc.text, budget)

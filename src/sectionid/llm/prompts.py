@@ -76,7 +76,7 @@ class PromptStrategy(Record):
     __slots__ = _fields = ("kind", "example_doc", "example_headers", "label_set")
     _defaults = {"example_doc": None, "example_headers": list, "label_set": list}
 
-    def validate(self) -> None:
+    def _post_init(self) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise MissingField(f"unknown strategy kind {self.kind!r}")
         if self.kind == ONE_SHOT and (not self.example_doc or not self.example_headers):
@@ -109,7 +109,6 @@ def build_prompt(strategy: PromptStrategy, doc: Document) -> tuple[str, str]:
     markers. Each slot is filled once, so text inside a filled-in value is
     sent as written.
     """
-    strategy.validate()
     slots = {
         "sample_text": strategy.example_doc or "",
         "example_headers": json.dumps(strategy.example_headers, ensure_ascii=False),

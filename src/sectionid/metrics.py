@@ -16,6 +16,7 @@ Conventions, chosen so every number is recomputable from the reported counts:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedDocument, Record
@@ -192,18 +193,11 @@ def exact_match_count(gold_headers: Sequence[str], pred_headers: Sequence[str]) 
     """Number of gold headers reproduced verbatim after normalization.
 
     Matching is one-to-one: each predicted header can satisfy only one gold
-    header, scanned greedily in order.
+    header, so the count is the size of the multiset intersection of the
+    two sides' normalized names.
     """
-    remaining = [normalize_surface(p) for p in pred_headers]
-    matched = 0
-    for gold in gold_headers:
-        norm = normalize_surface(gold)
-        try:
-            remaining.remove(norm)
-        except ValueError:
-            continue
-        matched += 1
-    return matched
+    gold = Counter(map(normalize_surface, gold_headers))
+    return sum((gold & Counter(map(normalize_surface, pred_headers))).values())
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:

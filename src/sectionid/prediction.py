@@ -2,17 +2,19 @@
 (``HeaderMatch``, ``AlignmentResult``) and ``predictions.jsonl``: ``segment``
 writes each line with ``prediction_line`` from one alignment, refusing a
 grounded prediction with a ``None`` span or an alignment, and ``evaluate``
-reads the file with ``load_predictions``.
+reads the file with ``load_predictions``, which checks each placed span
+against the note it names.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import AnnotatedDocument, Record, _jsonl_objects, _parse_span
-from .errors import FormatError, LengthMismatch, OverlapError, SpanError
+from .errors import FormatError, LengthMismatch, OverlapError, SpanError, warn
 from .tokenizer import _check_spans
 
 # How alignment placed a header; ``align`` imports these and the types below.
@@ -91,21 +93,26 @@ def prediction_line(
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _line_spans(obj: dict, count: int, where: str) -> list[tuple[int, int] | None] | None:
+def _line_spans(
+    obj: dict, count: int, where: str
+) -> tuple[list[tuple[int, int] | None] | None, list[str | None]]:
     """A line's per-header spans: its ``spans``, or those its ``grounding`` and
-    ``unmatched`` record; ``None`` for a line with neither."""
+    ``unmatched`` record; ``None`` for a line with neither. With them, how each
+    header was placed: ``EXACT`` for every header of a ``spans`` line, the
+    ``kind`` of each grounding entry, None for a header placed nowhere."""
     spans, grounding, unmatched = obj.get("spans"), obj.get("grounding"), obj.get("unmatched")
     if spans is not None:
         if not isinstance(spans, list):
             raise FormatError(f"{where}: 'spans' must be a list or null")
         spans = [_parse_span(s, "each span", where) for s in spans]
     if grounding is None and unmatched is None:
-        return spans
+        return spans, [EXACT] * count
     if spans is not None:
         raise FormatError(f"{where}: a line sets 'spans' or 'grounding', not both")
     if not isinstance(grounding, list) or not all(isinstance(g, dict) for g in grounding):
         raise FormatError(f"{where}: 'grounding' must be a list of objects")
     carried: list[tuple[int, int] | None] = [None] * count
+    kinds: list[str | None] = [None] * count
     for entry in grounding:
         index, kind = entry.get("header_index"), entry.get("kind")
         if type(index) is not int or not 0 <= index < count:
@@ -119,6 +126,7 @@ def _line_spans(obj: dict, count: int, where: str) -> list[tuple[int, int] | Non
                 f"{where}: 'kind' must be one of {', '.join(MATCH_KINDS)}, got {kind!r}"
             )
         carried[index] = _parse_span(entry.get("span"), "each grounding span", where)
+        kinds[index] = kind
     left = [i for i, span in enumerate(carried) if span is None]
     # == alone would take True for 1
     ints = isinstance(unmatched, list) and all(type(i) is int for i in unmatched)
@@ -126,16 +134,38 @@ def _line_spans(obj: dict, count: int, where: str) -> list[tuple[int, int] | Non
         raise FormatError(
             f"{where}: 'unmatched' must list the ungrounded headers {left}, got {unmatched!r}"
         )
-    return carried
+    return carried, kinds
 
 
-def load_predictions(path: str | Path, docs: Sequence[AnnotatedDocument]) -> dict[str, Prediction]:
+def _fits(text: str, header: str, span: tuple[int, int], kind: str | None) -> bool:
+    """Whether ``span`` of ``text`` is where grounding of ``kind`` could have
+    placed ``header``: the header itself, stripped as ``align`` strips it;
+    the header up to case, by the stage's own ``re.IGNORECASE`` search; or,
+    for a fuzzy placement, a line prefix (its edit ratio is not checked, as
+    ``evaluate`` may be given another bound than ``segment`` was)."""
+    start, end = span
+    if kind == FUZZY:
+        return start == 0 or text[start - 1] == "\n"
+    placed, header = text[start:end], header.strip()
+    if kind == EXACT:
+        return placed == header
+    return re.fullmatch(re.escape(header), placed, re.IGNORECASE) is not None
+
+
+def load_predictions(
+    path: str | Path, docs: Sequence[AnnotatedDocument], strict: bool = True
+) -> dict[str, Prediction]:
     """Read predictions JSONL; every bad line fails with the file and line number.
 
     Only a line with neither ``spans`` nor ``grounding`` is left ungrounded.
-    Placed spans must lie within the corpus document the line names.
+    Placed spans must lie within the corpus document the line names, and
+    each must hold its header the way it was placed (``_fits``): a span
+    that does not, as when the note changed after ``segment`` ran, raises
+    SpanError naming the header and what the note reads there. A lenient
+    run (``strict=False``) warns instead and scores that header as placed
+    nowhere.
     """
-    lengths = {doc.id: len(doc.text) for doc in docs}
+    texts = {doc.id: doc.text for doc in docs}
     predictions: dict[str, Prediction] = {}
     first_line: dict[str, int] = {}
     for lineno, where, obj in _jsonl_objects(path):
@@ -150,15 +180,27 @@ def load_predictions(path: str | Path, docs: Sequence[AnnotatedDocument]) -> dic
         first_line[doc_id] = lineno
         if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
             raise FormatError(f"{where}: 'headers' must be a list of strings")
-        spans = _line_spans(obj, len(headers), where)
+        spans, kinds = _line_spans(obj, len(headers), where)
         try:
             pred = Prediction(headers=headers, spans=spans)
         except (LengthMismatch, OverlapError) as exc:
             raise SpanError(f"{where}: {exc}") from exc
-        placed, length = pred.placed_spans(), lengths.get(doc_id)
-        if placed and length is not None and not (0 <= placed[0][0] and placed[-1][1] <= length):
-            raise SpanError(
-                f"{where}: spans must lie within document {doc_id!r} of {length} characters"
-            )
+        placed, text = pred.placed_spans(), texts.get(doc_id)
+        if placed and text is not None:
+            if not (0 <= placed[0][0] and placed[-1][1] <= len(text)):
+                raise SpanError(
+                    f"{where}: spans must lie within document {doc_id!r} of {len(text)} characters"
+                )
+            for i, (header, span, kind) in enumerate(zip(headers, spans, kinds)):
+                if span is None or _fits(text, header, span, kind):
+                    continue
+                refusal = (
+                    f"{where}: header {i} {header!r} is not at {span}: "
+                    f"the note there reads {text[span[0]:span[1]]!r}"
+                )
+                if strict:
+                    raise SpanError(refusal)
+                warn(f"{refusal}; scored as placed nowhere")
+                spans[i] = None
         predictions[doc_id] = pred
     return predictions

@@ -187,6 +187,21 @@ def reference_span_counts(text, gold_spans, pred_spans) -> Counts:
     return token_counts(spans_to_iob(tokens, gold_spans), spans_to_iob(tokens, pred_spans))
 
 
+def reference_exact_match_count(gold_headers: Sequence[str], pred_headers: Sequence[str]) -> int:
+    """Oracle for ``metrics.exact_match_count``: each gold header, in order,
+    removes the first equal normalized prediction left."""
+    remaining = [ontology.normalize_surface(p) for p in pred_headers]
+    matched = 0
+    for gold in gold_headers:
+        norm = ontology.normalize_surface(gold)
+        try:
+            remaining.remove(norm)
+        except ValueError:
+            continue
+        matched += 1
+    return matched
+
+
 def reference_prefix_distances(needle: str, haystack: str) -> list[int]:
     """Oracle for ``textdist.prefix_distances``: the O(len(needle) *
     len(haystack)) Wagner-Fischer table, last row."""

@@ -264,7 +264,8 @@ def test_every_header_is_matched_or_unmatched_never_both(case, ratio):
 @given(_text_and_headers(), st.floats(0.0, 1.0, exclude_max=True))
 def test_every_prediction_segment_writes_reads_back(tmp_path_factory, case, ratio):
     # segment writes an aligned prediction with its grounding, and a
-    # grounded one (the rules segmenters') with its spans
+    # grounded one (the rules segmenters') with its spans, each of which
+    # slices to its header, as an exact match does
     text, headers = case
     doc = Document("d", text)
     pred = Prediction(headers=headers)
@@ -272,9 +273,8 @@ def test_every_prediction_segment_writes_reads_back(tmp_path_factory, case, rati
     spans: list[tuple[int, int] | None] = [None] * len(headers)
     for m in result.matches:
         spans[m.prediction_index] = m.span
-    grounded = Prediction(
-        [headers[m.prediction_index] for m in result.matches], result.matched_spans()
-    )
+    exact = [m for m in result.matches if m.match_kind == EXACT]
+    grounded = Prediction([headers[m.prediction_index] for m in exact], [m.span for m in exact])
     lines = prediction_line("aligned", pred, ["UNKNOWN"] * len(headers), result) + (
         prediction_line("grounded", grounded, ["UNKNOWN"] * len(grounded.headers))
     )

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -36,6 +37,7 @@ from sectionid.cli import (
     _checks,
     _default_lexicon,
     _options,
+    _resolved,
     build_parser,
     main,
     parse_args,
@@ -546,13 +548,21 @@ def _regrounded(first=None, second=None, **fields):
     (_regrounded(headers="HPI"), "'headers' must be a list of strings"),
     ({"id": "fx2", "sections": []}, "'headers' must be a list of strings"),
     (_regrounded(spans={"HPI": [0, 3]}), "'spans' must be a list or null"),
+    (_regrounded({"span": [25, 28]}), "header 0 'HPI' is not at (25, 28): the note there reads 'Imp'"),
+    (_regrounded({"span": [4, 7], "kind": "case_insensitive"}),
+     "header 0 'HPI' is not at (4, 7): the note there reads ' 61'"),
+    (_regrounded(second={"span": [45, 49]}),
+     "header 2 'Plan' is not at (45, 49): the note there reads 'lan:'"),
+    ({"id": "fx2", "headers": ["HPI"], "spans": [[1, 4]]},
+     "header 0 'HPI' is not at (1, 4): the note there reads 'PI:'"),
 ], ids=[
     "index-not-int", "index-bool", "index-out-of-range", "index-repeats", "span-not-pair",
     "span-not-ints", "span-bool", "span-past-end", "span-before-start", "unsorted", "overlapping",
     "empty-span", "unknown-kind", "unmatched-missing", "unmatched-short", "unmatched-lists-grounded",
     "unmatched-not-ints", "unmatched-without-grounding", "grounding-not-objects",
     "spans-and-grounding", "id-not-string", "headers-not-strings", "headers-not-list",
-    "headers-missing", "spans-not-list",
+    "headers-missing", "spans-not-list", "exact-elsewhere", "case-insensitive-elsewhere",
+    "fuzzy-inside-a-line", "spans-elsewhere",
 ])
 def test_evaluate_bad_grounding_is_fatal(tmp_path, gold_path, capsys, line, message):
     err = _evaluate_bad_predictions(tmp_path, gold_path, capsys, [
@@ -560,6 +570,101 @@ def test_evaluate_bad_grounding_is_fatal(tmp_path, gold_path, capsys, line, mess
         json.dumps(line),
     ])
     assert message in err
+
+
+@pytest.mark.parametrize("line", [
+    # each placement that fx2 holds the way its kind places it
+    {"id": "fx2", "headers": [" HPI ", "Impression"], "spans": [[0, 3], [25, 35]]},
+    _regrounded({"kind": "case_insensitive"}, headers=["hpi", "Impression", "Plan"]),
+    _regrounded(headers=["HPI", "Impression", "Plna"]),
+    _regrounded(second={"span": [44, 49]}, headers=["HPI", "Impression", "Ploughed"]),
+])
+def test_evaluate_takes_each_placement_that_fits(tmp_path, gold_path, capsys, line):
+    preds_path = tmp_path / "preds.jsonl"
+    preds_path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--corpus", gold_path, "--predictions", str(preds_path)]
+    assert main([*argv, "--out", str(tmp_path / "eval")]) == PARTIAL
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_evaluate_refuses_predictions_of_a_changed_corpus(tmp_path, gold_path, capsys):
+    # every note now starts with a sentence, and its gold spans moved to
+    # match, so no keyword span holds its header any more
+    seg = tmp_path / "seg"
+    assert main(["segment", "--corpus", gold_path, "--segmenter", "keyword", "--out", str(seg)]) == OK
+    lead = "Seen today. "
+    notes = read_jsonl(Path(gold_path))
+    for note in notes:
+        note["text"] = lead + note["text"]
+        for section in note["sections"]:
+            for key in ("header_span", "body_span"):
+                if key in section:
+                    section[key] = [i + len(lead) for i in section[key]]
+    corpus = tmp_path / "drifted.jsonl"
+    corpus.write_text("".join(json.dumps(note) + "\n" for note in notes), encoding="utf-8")
+    preds = seg / "predictions.jsonl"
+    argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(preds)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "strict")]) == FATAL
+    assert capsys.readouterr().err == (
+        f"error: {preds} line 1: header 0 'Allergies' is not at (0, 9): "
+        "the note there reads 'Seen toda'\n"
+    )
+    assert not (tmp_path / "strict").exists()
+    # a lenient run scores every moved header as placed nowhere, and says so
+    assert main([*argv, "--no-strict", "--out", str(tmp_path / "lenient")]) == OK
+    warned = capsys.readouterr().err.splitlines()
+    assert len(warned) == sum(len(r["spans"]) for r in read_jsonl(preds))
+    assert warned[0] == (
+        f"warning: {preds} line 1: header 0 'Allergies' is not at (0, 9): "
+        "the note there reads 'Seen toda'; scored as placed nowhere"
+    )
+    assert all(line.endswith("; scored as placed nowhere") for line in warned)
+    report = json.loads((tmp_path / "lenient" / "report.json").read_text(encoding="utf-8"))
+    assert report["scores"]["recall"] == 0.0
+
+
+def test_evaluate_refuses_a_note_edited_before_a_placed_span(tmp_path, gold_path, replay_store):
+    # one character put in or taken out before a header that was placed
+    # verbatim or up to case moves the text under it
+    notes = {note["id"]: note for note in read_jsonl(Path(gold_path))}
+    placed = []
+    for segmenter in ("keyword", "llm"):
+        seg = tmp_path / segmenter
+        argv = ["segment", "--corpus", gold_path, "--segmenter", segmenter, "--out", str(seg)]
+        assert main([*argv, "--replay", str(replay_store)] if segmenter == "llm" else argv) == OK
+        # the note as segment read it is scored
+        argv = ["evaluate", "--corpus", gold_path, "--predictions", str(seg / "predictions.jsonl")]
+        assert main([*argv, "--out", str(seg / "eval")]) == OK
+        for lineno, r in enumerate(read_jsonl(seg / "predictions.jsonl"), 1):
+            for g in r.get("grounding") or [{"span": s, "kind": "exact"} for s in r["spans"]]:
+                if g["kind"] != "fuzzy":
+                    placed.append((seg / "predictions.jsonl", lineno, r["id"], g["span"][0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(placed), st.integers(0, 10**6), st.sampled_from(["", "a", " ", "\n", ":", "İ"])
+    )
+    def check(target, at, insert):
+        # "" deletes the character at ``where``
+        preds, lineno, doc_id, start = target
+        assume(insert or start > 0)
+        text = notes[doc_id]["text"]
+        where = at % (start + (1 if insert else 0))
+        edited = text[:where] + insert + text[where + (0 if insert else 1):]
+        # the gold sections are dropped, so that the edited note still loads
+        corpus = tmp_path / "edited.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": i, "text": edited if i == doc_id else n["text"]}) + "\n"
+            for i, n in notes.items()
+        ), encoding="utf-8")
+        argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(preds)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([*argv, "--out", str(tmp_path / "eval")]) == FATAL
+        assert err.getvalue().startswith(f"error: {preds} line {lineno}: header ")
+
+    check()
 
 
 def test_evaluate_scores_the_grounding_as_written(tmp_path, gold_path):
@@ -905,6 +1010,25 @@ def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, caps
     assert not (tmp_path / "o" / "predictions.jsonl").exists()
 
 
+@pytest.mark.parametrize("segmenter", ["llm", "rules"])
+@pytest.mark.parametrize("key, value", [
+    ("timeout", math.inf), ("timeout", 1e10), ("backoff_base", math.inf),
+    ("frequency_penalty", math.nan), ("presence_penalty", -math.inf), ("temperature", math.inf),
+])
+def test_llm_number_no_run_can_use_is_fatal(tmp_path, gold_path, replay_store, capsys, segmenter, key, value):
+    # no socket or sleep takes it, or it has no JSON form for run_config.json
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"llm": {key: value}}), encoding="utf-8")
+    code = main([
+        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", segmenter,
+        "--replay", str(replay_store), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == FATAL
+    assert err.startswith(f"error: {config}: config key 'llm.{key}': {key} must be ")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, args", [
     ("--ruleset", ["segment", "--segmenter", "rules"]),
     ("--lexicon", ["segment", "--segmenter", "keyword"]),
@@ -940,6 +1064,26 @@ def test_segment_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
     )
     assert (out / "predictions.jsonl").read_bytes() == b"old\n"
     assert (out / "run_config.json").read_bytes() == b"old snapshot\n"
+
+
+def test_llm_note_utf8_cannot_hold_fails_alone(tmp_path, gold_path, replay_store, capsys):
+    """A JSON escape can put a lone surrogate in a note's text; no request
+    body or replay key can hold it, so that note fails and the others run."""
+    corpus = tmp_path / "corpus.jsonl"
+    bad = '{"id": "d1", "text": "Plan: rest \\ud800 today\\nHPI: cough", "sections": []}\n'
+    corpus.write_text(Path(gold_path).read_text(encoding="utf-8") + bad, encoding="utf-8")
+    argv = ["segment", "--segmenter", "llm", "--replay", str(replay_store)]
+    assert main([*argv, "--corpus", gold_path, "--out", str(tmp_path / "gold")]) == OK
+    assert main([*argv, "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == PARTIAL
+    assert capsys.readouterr().err == (
+        "warning: document d1 failed: FormatError: text holds '\\ud800' at offset 11, "
+        "which UTF-8 cannot encode\n1 document(s) failed: d1\n"
+    )
+    gold, run = (tmp_path / name / "predictions.jsonl" for name in ("gold", "run"))
+    written = run.read_text(encoding="utf-8").split(gold.read_text(encoding="utf-8"))
+    assert written[0] == "" and json.loads(written[1]) == {
+        "id": "d1", "headers": [], "spans": None, "categories": [], "grounding": [], "unmatched": [],
+    }
 
 
 def test_evaluate_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
@@ -1569,7 +1713,8 @@ def _argv(command):
     token groups: a flag with a valid or invalid value, a switch, an
     abbreviated flag, ``-h``, ``--`` or a token the command does not take."""
     parser = argparse.ArgumentParser()
-    _COMMANDS[command][1](parser)
+    for flag, keywords in _resolved(_COMMANDS[command][1]):
+        parser.add_argument(flag, **keywords)
     required = [[a.option_strings[0], "x.jsonl"] for a in parser._actions if a.required]
     groups = [st.sampled_from([["-h"], ["--"], ["extra"], ["--bogus"], ["-x"], ["--bogus=1"]])]
     for action in parser._actions:
@@ -1594,7 +1739,8 @@ def _canonical_argv(command):
     without a parser: its required flags and any others, repeats included,
     in any order, each by its full name with a valid value, or a switch."""
     parser = argparse.ArgumentParser()
-    _COMMANDS[command][1](parser)
+    for flag, keywords in _resolved(_COMMANDS[command][1]):
+        parser.add_argument(flag, **keywords)
     plain = st.text(max_size=6).filter(lambda s: not s.startswith("-"))
     values = {float: st.floats(0, 100).map(repr), int: st.integers(0, 99).map(str), None: plain}
     required, groups = [], []

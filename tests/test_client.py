@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import math
 import socket
 import sys
 import threading
@@ -18,7 +19,7 @@ from sectionid.llm import (
     complete,
     prompt_hash,
 )
-from sectionid.llm.client import ChatResult
+from sectionid.llm.client import _FIELD_TYPES, ChatResult
 
 
 def ok_body(content: str, finish_reason: str = "stop") -> dict:
@@ -123,6 +124,18 @@ def test_backoff_is_exponential(monkeypatch):
     assert delays == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("backoff_base", [0.5, threading.TIMEOUT_MAX])
+def test_backoff_stays_within_the_platform_limit(monkeypatch, backoff_base):
+    # 2 ** 1099 does not fit a float, and time.sleep refuses a wait above the limit
+    delays = []
+    monkeypatch.setattr("sectionid.llm.client.time.sleep", delays.append)
+    busy = ScriptedClient([ChatResult(503, {})] * 1101)
+    with pytest.raises(TransportError, match="^gave up after 1101 attempts: HTTP 503$"):
+        complete(LLMConfig(backoff_base=backoff_base, max_retries=1100), "p", busy)
+    assert busy.calls == 1101 and len(delays) == 1100
+    assert delays[0] == backoff_base and max(delays) == threading.TIMEOUT_MAX
+
+
 def test_prompt_hash_is_stable_and_sensitive():
     a = build_payload(CONFIG, "prompt one")
     b = build_payload(CONFIG, "prompt one")
@@ -216,6 +229,28 @@ def test_config_checks_every_field(field, value, error):
             LLMConfig(**{field: value})
         if error is ValueError and field in _BOUNDS:
             assert str(raised.value) == f"{field} must be >= {_BOUNDS[field][0]}"
+
+
+_NUMBER_FIELDS = [name for name, row in _FIELD_TYPES.items() if float in row[1]]
+
+
+@pytest.mark.parametrize("field", _NUMBER_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_number_that_is_not_finite(field, value):
+    # such a number has no JSON form, and no socket or sleep takes it
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        LLMConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["timeout", "backoff_base"])
+def test_config_waits_no_longer_than_the_platform_takes(field):
+    longest = threading.TIMEOUT_MAX
+    assert getattr(LLMConfig(**{field: longest}), field) == longest
+    with socket.socket() as sock:
+        sock.settimeout(longest)
+    for above in (math.nextafter(longest, math.inf), 1e10, 10**400):
+        with pytest.raises(ValueError, match=f"^{field} must be <= {longest}$"):
+            LLMConfig(**{field: above})
 
 
 def test_http_client_posts_bearer_token(monkeypatch):

@@ -9,7 +9,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, make_synthetic_corpus, reference_categorize, reference_span_counts
+from conftest import (
+    FIXTURES,
+    make_synthetic_corpus,
+    reference_categorize,
+    reference_exact_match_count,
+    reference_span_counts,
+)
 from sectionid import align, metrics, tokenizer
 from sectionid.baselines import HeaderLexicon, keyword_segment, regex_segment, rule_segment
 from sectionid.cli import OK, main
@@ -140,6 +146,18 @@ def test_exact_match_normalizes_and_consumes():
     assert exact_match_count(["ALLERGIES:"], ["allergies"]) == 1
     # one prediction cannot satisfy two gold copies
     assert exact_match_count(["Plan", "Plan"], ["Plan"]) == 1
+
+
+# names that normalize alike ("Plan:", "PLAN", " plan "), apart, or to nothing
+_HEADER_NAMES = st.sampled_from(
+    ["Plan:", "PLAN", " plan ", "Plan", "Allergies", "ALLERGIES:", "Assessment", "HPI", "", ":"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_HEADER_NAMES, max_size=8), st.lists(_HEADER_NAMES, max_size=8))
+def test_exact_match_count_is_the_greedy_one_to_one_count(gold, pred):
+    assert exact_match_count(gold, pred) == reference_exact_match_count(gold, pred)
 
 
 def test_jaccard_examples():

@@ -47,14 +47,15 @@ def test_close_ended_lists_labels_and_none_escape():
 
 
 def test_strategy_validation():
-    with pytest.raises(MissingField):
-        build_prompt(PromptStrategy("one_shot"), DOC)
-    with pytest.raises(MissingField):
-        build_prompt(PromptStrategy("close_ended"), DOC)
-    with pytest.raises(MissingField):
-        build_prompt(PromptStrategy("few_shot"), DOC)
-    with pytest.raises(MissingField):
-        build_prompt(PromptStrategy("one_shot", example_doc="x", example_headers=[]), DOC)
+    # a strategy checks itself when it is made, so no bad one reaches build_prompt
+    for kind, fields in (
+        ("one_shot", {}),
+        ("close_ended", {}),
+        ("few_shot", {}),
+        ("one_shot", {"example_doc": "x", "example_headers": []}),
+    ):
+        with pytest.raises(MissingField):
+            PromptStrategy(kind, **fields)
 
 
 def test_build_prompt_deterministic():

@@ -6,10 +6,11 @@ names file, a ruleset or a replay record. The mutation damages the file's
 bytes (a BOM, a byte that is not UTF-8, a NUL, a lone CR, a cut) or, in a
 JSON file, swaps one value for a hostile one (null, a bool, a huge or
 negative int, NaN, an inverted or out-of-range span, 'İ' or 'Σ', a NUL, a
-lone surrogate, deep nesting). Another gives one flag of one command a
-hostile value (a NUL, a lone surrogate, 'İ' or 'Σ', an empty string, a
-value starting with '-', and for the numeric flags NaN, infinities and huge
-or negative numbers). A third runs the ``regex`` and ``rules`` segmenters
+lone surrogate, deep nesting), or, in a corpus, appends a hostile string to
+one note's text. Another gives one flag of one command a hostile value (a
+NUL, a lone surrogate, 'İ' or 'Σ', an empty string, a value starting with
+'-', and for the numeric flags NaN, infinities and huge or negative
+numbers). A third runs the ``regex`` and ``rules`` segmenters
 with a ruleset drawn from a small grammar of patterns. Whatever the file or
 the flag holds, no exception escapes ``main``, the exit code is 0, 1 or 2
 (argparse's usage error counts as its exit 2), and an exit 1 writes exactly
@@ -197,13 +198,30 @@ _BYTES = st.tuples(
 _SWAP = st.tuples(
     st.just("swap"), st.integers(0, 50), st.integers(0, 10**3), st.sampled_from(_HOSTILE)
 )
+# A hostile string at the end of one note's text, where it moves no gold
+# span, so that strict loading passes and the note reaches every stage
+_APPEND = st.tuples(
+    st.just("append"), st.integers(0, 50),
+    st.sampled_from([h for h in _HOSTILE if isinstance(h, str) and h != _DEEP]),
+)
+_MUTATIONS = {"corpus": st.one_of(_BYTES, _SWAP, _APPEND)}
 _CASES = st.sampled_from(sorted(_RUNS)).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
         st.integers(0, len(_RUNS[kind]) - 1),
-        st.one_of(_BYTES, _SWAP) if kind in _JSON else _BYTES,
+        _MUTATIONS.get(kind, st.one_of(_BYTES, _SWAP) if kind in _JSON else _BYTES),
     )
 )
+
+
+def _appended(data: bytes, line: int, new: str) -> bytes:
+    """``data``, a corpus, with ``new`` appended to the ``line``-th note's text."""
+    notes = data.decode("utf-8").splitlines()
+    i = line % len(notes)
+    note = json.loads(notes[i])
+    note["text"] += new
+    notes[i] = json.dumps(note)
+    return "\n".join(notes).encode("utf-8") + b"\n"
 
 
 def _config_case(key: str, run: int, value: str):
@@ -247,6 +265,8 @@ def inputs(tmp_path_factory, replay_store):
 @example(case=_config_case("ontology", 0, "a\u0000b"))
 @example(case=_config_case("lexicon", 1, "a\u0000b"))
 @example(case=_config_case("ontology", 0, "a\ud800"))
+# a note text that no request body or replay key can hold, in an LLM run
+@example(case=("corpus", 1, ("append", 0, "a\ud800")))
 def test_no_user_file_ends_in_a_traceback(inputs, case):
     kind, run, (how, *mutation) = case
     with tempfile.TemporaryDirectory(dir=inputs["corpus"].parent) as scratch:
@@ -264,6 +284,8 @@ def test_no_user_file_ends_in_a_traceback(inputs, case):
         data = target.read_bytes()
         if how == "swap":
             target.write_bytes(_swapped(data, kind, *mutation))
+        elif how == "append":
+            target.write_bytes(_appended(data, *mutation))
         else:
             target.write_bytes(_damaged(data, *mutation))
         _check_main([str(paths[arg[1:-1]]) if arg[0] == "<" else arg for arg in _RUNS[kind][run]])
