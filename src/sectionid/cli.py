@@ -328,7 +328,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     docs = load_gold_corpus(config["corpus"], strict=config["strict"])
-    predictions = load_predictions(args.predictions, docs, strict=config["strict"])
+    predictions = load_predictions(args.predictions, docs)
     # only close-ended scoring reads the taxonomy; a user's file is still checked
     ont = None
     if config["close_ended_eval"] or config["ontology"] is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import AnnotatedDocument, Record, _jsonl_objects, _parse_span
-from .errors import FormatError, LengthMismatch, OverlapError, SpanError, warn
+from .errors import FormatError, LengthMismatch, OverlapError, SpanError
 from .tokenizer import _check_spans
 
 # How alignment placed a header; ``align`` imports these and the types below.
@@ -98,15 +98,15 @@ def _line_spans(
 ) -> tuple[list[tuple[int, int] | None] | None, list[str | None]]:
     """A line's per-header spans: its ``spans``, or those its ``grounding`` and
     ``unmatched`` record; ``None`` for a line with neither. With them, how each
-    header was placed: ``EXACT`` for every header of a ``spans`` line, the
-    ``kind`` of each grounding entry, None for a header placed nowhere."""
+    header was placed: the ``kind`` of each grounding entry, or None for a
+    header placed nowhere and for every header of a ``spans`` line."""
     spans, grounding, unmatched = obj.get("spans"), obj.get("grounding"), obj.get("unmatched")
     if spans is not None:
         if not isinstance(spans, list):
             raise FormatError(f"{where}: 'spans' must be a list or null")
         spans = [_parse_span(s, "each span", where) for s in spans]
     if grounding is None and unmatched is None:
-        return spans, [EXACT] * count
+        return spans, [None] * count
     if spans is not None:
         raise FormatError(f"{where}: a line sets 'spans' or 'grounding', not both")
     if not isinstance(grounding, list) or not all(isinstance(g, dict) for g in grounding):
@@ -138,32 +138,35 @@ def _line_spans(
 
 
 def _fits(text: str, header: str, span: tuple[int, int], kind: str | None) -> bool:
-    """Whether ``span`` of ``text`` is where grounding of ``kind`` could have
-    placed ``header``: the header itself, stripped as ``align`` strips it;
-    the header up to case, by the stage's own ``re.IGNORECASE`` search; or,
-    for a fuzzy placement, a line prefix (its edit ratio is not checked, as
-    ``evaluate`` may be given another bound than ``segment`` was)."""
+    """Whether ``span`` of ``text`` is where ``header`` could have been placed.
+    On a ``spans`` line (``kind`` None) the slice is the header up to
+    surrounding whitespace: a rules segmenter writes the slice itself,
+    indentation included. Grounding of ``kind`` places the header stripped as
+    ``align`` strips it: the header itself; the header up to case, by the
+    stage's own ``re.IGNORECASE`` search; or, for a fuzzy placement, a line
+    prefix (its edit ratio is not checked, as ``evaluate`` may be given
+    another bound than ``segment`` was)."""
     start, end = span
     if kind == FUZZY:
         return start == 0 or text[start - 1] == "\n"
     placed, header = text[start:end], header.strip()
+    if kind is None:
+        return placed.strip() == header
     if kind == EXACT:
         return placed == header
     return re.fullmatch(re.escape(header), placed, re.IGNORECASE) is not None
 
 
-def load_predictions(
-    path: str | Path, docs: Sequence[AnnotatedDocument], strict: bool = True
-) -> dict[str, Prediction]:
+def load_predictions(path: str | Path, docs: Sequence[AnnotatedDocument]) -> dict[str, Prediction]:
     """Read predictions JSONL; every bad line fails with the file and line number.
 
     Only a line with neither ``spans`` nor ``grounding`` is left ungrounded.
     Placed spans must lie within the corpus document the line names, and
     each must hold its header the way it was placed (``_fits``): a span
     that does not, as when the note changed after ``segment`` ran, raises
-    SpanError naming the header and what the note reads there. A lenient
-    run (``strict=False``) warns instead and scores that header as placed
-    nowhere.
+    SpanError naming the header and what the note reads there. Both checks
+    hold in a lenient run too: a corpus that no longer holds the spans cannot
+    score them.
     """
     texts = {doc.id: doc.text for doc in docs}
     predictions: dict[str, Prediction] = {}
@@ -192,15 +195,10 @@ def load_predictions(
                     f"{where}: spans must lie within document {doc_id!r} of {len(text)} characters"
                 )
             for i, (header, span, kind) in enumerate(zip(headers, spans, kinds)):
-                if span is None or _fits(text, header, span, kind):
-                    continue
-                refusal = (
-                    f"{where}: header {i} {header!r} is not at {span}: "
-                    f"the note there reads {text[span[0]:span[1]]!r}"
-                )
-                if strict:
-                    raise SpanError(refusal)
-                warn(f"{refusal}; scored as placed nowhere")
-                spans[i] = None
+                if span is not None and not _fits(text, header, span, kind):
+                    raise SpanError(
+                        f"{where}: header {i} {header!r} is not at {span}: "
+                        f"the note there reads {text[span[0]:span[1]]!r}"
+                    )
         predictions[doc_id] = pred
     return predictions

@@ -587,6 +587,21 @@ def test_evaluate_takes_each_placement_that_fits(tmp_path, gold_path, capsys, li
     assert "error:" not in capsys.readouterr().err
 
 
+def test_evaluate_takes_a_header_written_with_its_indent(tmp_path, capsys):
+    # a rule that matches from the start of the line writes the indent into
+    # the header; the span holds the header as written
+    corpus, ruleset, seg = tmp_path / "c.jsonl", tmp_path / "rules.json", tmp_path / "seg"
+    text = "  HPI\ncough for two days\n  PLAN\nrest\n"
+    corpus.write_text(json.dumps({"id": "d1", "text": text}) + "\n", encoding="utf-8")
+    ruleset.write_text(json.dumps([{"name": "caps", "pattern": "[A-Z ]{3,}$"}]), encoding="utf-8")
+    argv = ["--corpus", str(corpus), "--segmenter", "regex", "--ruleset", str(ruleset)]
+    assert main(["segment", *argv, "--out", str(seg)]) == OK
+    assert read_jsonl(seg / "predictions.jsonl")[0]["headers"] == ["  HPI", "  PLAN"]
+    argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(seg / "predictions.jsonl")]
+    assert main([*argv, "--out", str(tmp_path / "eval")]) == OK
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_evaluate_refuses_predictions_of_a_changed_corpus(tmp_path, gold_path, capsys):
     # every note now starts with a sentence, and its gold spans moved to
     # match, so no keyword span holds its header any more
@@ -605,23 +620,17 @@ def test_evaluate_refuses_predictions_of_a_changed_corpus(tmp_path, gold_path, c
     preds = seg / "predictions.jsonl"
     argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(preds)]
     capsys.readouterr()
-    assert main([*argv, "--out", str(tmp_path / "strict")]) == FATAL
-    assert capsys.readouterr().err == (
+    refusal = (
         f"error: {preds} line 1: header 0 'Allergies' is not at (0, 9): "
         "the note there reads 'Seen toda'\n"
     )
-    assert not (tmp_path / "strict").exists()
-    # a lenient run scores every moved header as placed nowhere, and says so
-    assert main([*argv, "--no-strict", "--out", str(tmp_path / "lenient")]) == OK
-    warned = capsys.readouterr().err.splitlines()
-    assert len(warned) == sum(len(r["spans"]) for r in read_jsonl(preds))
-    assert warned[0] == (
-        f"warning: {preds} line 1: header 0 'Allergies' is not at (0, 9): "
-        "the note there reads 'Seen toda'; scored as placed nowhere"
-    )
-    assert all(line.endswith("; scored as placed nowhere") for line in warned)
-    report = json.loads((tmp_path / "lenient" / "report.json").read_text(encoding="utf-8"))
-    assert report["scores"]["recall"] == 0.0
+    # --no-strict drops bad corpus sections; it scores no span the note
+    # no longer holds
+    for flags in ([], ["--no-strict"]):
+        out = tmp_path / "eval"
+        assert main([*argv, *flags, "--out", str(out)]) == FATAL
+        assert capsys.readouterr().err == refusal
+        assert not out.exists()
 
 
 def test_evaluate_refuses_a_note_edited_before_a_placed_span(tmp_path, gold_path, replay_store):
@@ -995,38 +1004,36 @@ def test_bad_ruleset_file_is_fatal(tmp_path, gold_path, capsys, content, message
     ({"llm": {"max_context_chars": 0}}, "{config}: config key 'llm.max_context_chars': "),
     ({"llm": {"max_retries": -1}}, "{config}: config key 'llm.max_retries': "),
     ({"llm": {"timeout": "soon"}}, "{config}: config key 'llm.timeout': "),
+    # no socket or sleep takes it, or it has no JSON form for
+    # run_config.json, which a rules run writes too
+    ({"llm": {"timeout": math.inf}}, "{config}: config key 'llm.timeout': timeout must be finite"),
+    ({"llm": {"timeout": 1e10}}, "{config}: config key 'llm.timeout': timeout must be <= "),
+    ({"llm": {"backoff_base": math.inf}},
+     "{config}: config key 'llm.backoff_base': backoff_base must be finite"),
+    ({"llm": {"frequency_penalty": math.nan}},
+     "{config}: config key 'llm.frequency_penalty': frequency_penalty must be finite"),
+    ({"llm": {"presence_penalty": -math.inf}},
+     "{config}: config key 'llm.presence_penalty': presence_penalty must be finite"),
+    ({"llm": {"temperature": math.inf}},
+     "{config}: config key 'llm.temperature': temperature must be finite"),
+    ({"segmenter": "rules", "llm": {"frequency_penalty": math.nan}},
+     "{config}: config key 'llm.frequency_penalty': frequency_penalty must be finite"),
+    ({"segmenter": "rules", "llm": {"temperature": math.inf}},
+     "{config}: config key 'llm.temperature': temperature must be finite"),
 ])
 def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, capsys, source, message):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(source if isinstance(source, dict) else {}), encoding="utf-8")
+    settings = {"segmenter": "llm", **(source if isinstance(source, dict) else {})}
+    config.write_text(json.dumps(settings), encoding="utf-8")
     flags = source if isinstance(source, list) else []
     code = main([
-        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", "llm",
+        "segment", "--config", str(config), "--corpus", gold_path,
         "--replay", str(replay_store), *flags, "--out", str(tmp_path / "o"),
     ])
     err = capsys.readouterr().err
     assert code == FATAL
-    assert err.startswith("error: " + message.format(config=config)) and "Traceback" not in err
-    assert not (tmp_path / "o" / "predictions.jsonl").exists()
-
-
-@pytest.mark.parametrize("segmenter", ["llm", "rules"])
-@pytest.mark.parametrize("key, value", [
-    ("timeout", math.inf), ("timeout", 1e10), ("backoff_base", math.inf),
-    ("frequency_penalty", math.nan), ("presence_penalty", -math.inf), ("temperature", math.inf),
-])
-def test_llm_number_no_run_can_use_is_fatal(tmp_path, gold_path, replay_store, capsys, segmenter, key, value):
-    # no socket or sleep takes it, or it has no JSON form for run_config.json
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"llm": {key: value}}), encoding="utf-8")
-    code = main([
-        "segment", "--config", str(config), "--corpus", gold_path, "--segmenter", segmenter,
-        "--replay", str(replay_store), "--out", str(tmp_path / "o"),
-    ])
-    err = capsys.readouterr().err
-    assert code == FATAL
-    assert err.startswith(f"error: {config}: config key 'llm.{key}': {key} must be ")
-    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+    assert err.startswith("error: " + message.format(config=config)) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, args", [
