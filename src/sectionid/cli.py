@@ -157,6 +157,19 @@ def _checks() -> dict[str, tuple[Check, object]]:
     }
 
 
+def _utf8(value: object, source: str) -> None:
+    """Refuse a string, or one in a list, that UTF-8 cannot encode, such as a
+    lone surrogate from a JSON escape: no output file could hold it."""
+    for item in value if isinstance(value, list) else (value,):
+        if isinstance(item, str) and not item.isascii():
+            try:
+                item.encode()
+            except UnicodeEncodeError as exc:
+                raise FormatError(
+                    f"{source} must not hold {item[exc.start]!r}, which UTF-8 cannot encode"
+                ) from exc
+
+
 def _set(config: dict, key: str, value: object, source: str) -> None:
     """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
     _checks()[key][0](value, source)
@@ -188,7 +201,9 @@ def _load_config(args: argparse.Namespace) -> dict:
                 # a dotted key is set only inside its object, never at the top
                 if name not in _checks() or name.partition(".")[0] != key:
                     raise FormatError(f"{path}: unknown config key {name!r}")
-                _set(config, name, item, f"{path}: config key {name!r}")
+                source = f"{path}: config key {name!r}"
+                _set(config, name, item, source)
+                _utf8(item, source)
     # a flag that sets a config key has that key as its argparse dest, and is
     # named as the first flag of that dest: --strict, not --no-strict
     flags = {dest: flag for flag, (dest, _, _) in reversed(_options(args.command)[0].items())}
@@ -209,16 +224,17 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 
 def _snapshot(config: dict, out_dir: Path) -> tuple[Path, str]:
-    """Make ``out_dir`` and render ``config`` as its ``run_config.json``.
+    """Render ``config`` as ``out_dir``'s ``run_config.json``, then make ``out_dir``.
 
-    The text is checked here, before the command writes any output, and
-    written after every other output: a run that fails part-way leaves the
-    previous run's snapshot beside the previous run's outputs.
+    The text is checked here, before the command writes any output or makes
+    its directory, and written after every other output: a run that fails
+    part-way leaves the previous run's snapshot beside the previous run's
+    outputs.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_config.json"
     text = json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     encode_output(path, text)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return path, text
 
 

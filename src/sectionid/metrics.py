@@ -136,9 +136,16 @@ def span_counts(
     _check_spans(gold_spans)
     _check_spans(pred_spans)
     n = len(text)
-    before = tokens_before(
-        text, {min(max(p, 0), n) for span in (*gold_spans, *pred_spans) for p in span}
-    )
+
+    def inside(spans: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
+        # the spans clamped to the text; they are sorted, so only the first
+        # start and the last end can lie outside it
+        if spans and (spans[0][0] < 0 or spans[-1][1] > n):
+            return [(min(max(start, 0), n), min(max(end, 0), n)) for start, end in spans]
+        return spans
+
+    gold_spans, pred_spans = inside(gold_spans), inside(pred_spans)
+    before = tokens_before(text, {p for span in (*gold_spans, *pred_spans) for p in span})
 
     def runs(spans: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         # the [first, last) token runs that spans_to_iob tags B, I...; a
@@ -146,8 +153,9 @@ def span_counts(
         out = []
         claimed = 0
         for start, end in spans:
-            start, end = min(max(start, 0), n), min(max(end, 0), n)
-            first = max(claimed, before[start] - splits_token(text, start))
+            first = before[start] - splits_token(text, start)
+            if first < claimed:
+                first = claimed
             last = before[end]
             if first < last:
                 out.append((first, last))

@@ -9,10 +9,11 @@ built, so the distribution can be reproduced without the source documents.
 A name with no exact surface is compared by edit distance only with the
 surfaces that pass two exact filters, a length window and a count of shared
 distinct 2-grams, so the answer is the one a comparison with every surface
-gives. Both read a per-``Ontology`` table of each surface and its 2-gram set,
-grouped by length: the surfaces are grouped when the taxonomy loads, and the
-2-gram sets of one length are built when a lookup's window first reaches it.
-Each set of one length is stored only once it is complete, so threads may
+gives. Both read one per-``Ontology`` table, built whole at the first fuzzy
+lookup: a bit for each distinct 2-gram of the surfaces and, per length, each
+surface with the bits of its 2-grams and their count. A name's 2-grams become
+one int of the same bits, so the shared count is one AND. The table is built
+in local variables and published in one attribute store, so threads may
 share one ``Ontology``.
 """
 
@@ -67,35 +68,35 @@ class Ontology(Record):
         categories = self.categories
         if UNKNOWN not in categories:
             raise DanglingCategory(f"ontology must declare {UNKNOWN!r}")
-        by_length: dict[int, list[str]] = {}
         for surface, category in self.surface_map.items():
             if category not in categories:
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
-            by_length.setdefault(len(surface), []).append(surface)
-        # the tables of fuzzy lookups, not fields, so == and repr see only the
-        # taxonomy: the surfaces per length, the longest length, and, filled
-        # per length a lookup has reached, each surface of it with its 2-gram
-        # set and that set's size
-        self._by_length = by_length
-        self._longest = max(by_length, default=0)
-        self._fuzzy: dict[int, list[tuple[str, frozenset[str], int]]] = {}
+        # the table of fuzzy lookups, not a field, so == and repr see only the
+        # taxonomy; None until the first fuzzy lookup builds it
+        self._longest = max(map(len, self.surface_map), default=0)
+        self._fuzzy = None
 
     def _longest_surface(self) -> int:
         """The length of the longest surface."""
         return self._longest
 
-    def _fuzzy_bucket(self, n: int) -> list[tuple[str, frozenset[str], int]]:
-        """Each surface of length ``n``, its 2-gram set and that set's size."""
-        bucket = self._fuzzy.get(n)
-        if bucket is None:
-            bucket = []
-            for surface in self._by_length.get(n, ()):
+    def _fuzzy_table(self) -> tuple[dict[str, int], dict[int, list[tuple[str, int, int]]]]:
+        """The bit of each distinct 2-gram of the surfaces and, per length,
+        each surface with the OR of its 2-grams' bits and their count."""
+        table = self._fuzzy
+        if table is None:
+            bits: dict[str, int] = {}
+            by_length: dict[int, list[tuple[str, int, int]]] = {}
+            for surface in self.surface_map:
                 grams = _grams(surface)
-                bucket.append((surface, grams, len(grams)))
-            self._fuzzy[n] = bucket
-        return bucket
+                mask = 0
+                for gram in grams:
+                    mask |= bits.setdefault(gram, 1 << len(bits))
+                by_length.setdefault(len(surface), []).append((surface, mask, len(grams)))
+            table = self._fuzzy = (bits, by_length)
+        return table
 
     def coarse_categories(self) -> set[str]:
         fine_only = {
@@ -185,8 +186,13 @@ def categorize(name: str, ont: Ontology) -> str:
     if hit is not None:
         return hit
     size = len(surface)
+    bits, by_length = ont._fuzzy_table()
     mine = _grams(surface)
     my_grams = len(mine)
+    # the name's 2-grams that some surface holds, as one int of their bits
+    my_bits = 0
+    for gram in mine:
+        my_bits |= bits.get(gram, 0)
     best: tuple[float, str] | None = None
     # the budget of every length up to the name's own, where the name is the longer
     budget = max_edits(size, FUZZY_RATIO)
@@ -196,8 +202,9 @@ def categorize(name: str, ont: Ontology) -> str:
         # most 1 per character), so no longer surface can pass either
         if n - size > edits:
             break
-        for candidate, theirs, their_grams in ont._fuzzy_bucket(n):
-            if len(mine & theirs) < max(my_grams, their_grams) - 2 * edits:
+        for candidate, their_bits, their_grams in by_length.get(n, ()):
+            # the bit count is the number of 2-grams the two share
+            if (my_bits & their_bits).bit_count() < max(my_grams, their_grams) - 2 * edits:
                 continue
             ratio = edit_ratio(surface, candidate)
             if ratio <= FUZZY_RATIO and (best is None or (ratio, candidate) < best):

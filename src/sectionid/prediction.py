@@ -144,11 +144,11 @@ def _fits(text: str, header: str, span: tuple[int, int], kind: str | None) -> bo
     indentation included. Grounding of ``kind`` places the header stripped as
     ``align`` strips it: the header itself; the header up to case, by the
     stage's own ``re.IGNORECASE`` search; or, for a fuzzy placement, a line
-    prefix (its edit ratio is not checked, as ``evaluate`` may be given
-    another bound than ``segment`` was)."""
+    prefix that holds no line break (its edit ratio is not checked, as
+    ``evaluate`` may be given another bound than ``segment`` was)."""
     start, end = span
     if kind == FUZZY:
-        return start == 0 or text[start - 1] == "\n"
+        return (start == 0 or text[start - 1] == "\n") and text.find("\n", start, end) < 0
     placed, header = text[start:end], header.strip()
     if kind is None:
         return placed.strip() == header

@@ -44,19 +44,26 @@ def tokenize(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
+def _char_class(char: str) -> str:
+    return "a" if char.isalnum() else " " if char.isspace() else "p"
+
+
 class _TokenClasses(dict):
     """A ``str.translate`` table that maps each character to its class.
 
     ``"a"`` for alphanumeric (``[^\\W_]``), ``" "`` for whitespace (``\\s``)
     and ``"p"`` for any other character, which is a token of its own. A
-    class is looked up once per distinct character, on first use; make a
-    fresh table for each text.
+    class is looked up once per distinct character, on first use; give each
+    text its own table, a copy of ``_ASCII_CLASSES``, so that none grows
+    with every character a process sees.
     """
 
     def __missing__(self, code: int) -> str:
-        char = chr(code)
-        cls = self[code] = "a" if char.isalnum() else " " if char.isspace() else "p"
+        cls = self[code] = _char_class(chr(code))
         return cls
+
+
+_ASCII_CLASSES = {code: _char_class(chr(code)) for code in range(128)}
 
 
 def tokens_before(text: str, offsets: Iterable[int] = ()) -> dict[int, int]:
@@ -68,7 +75,7 @@ def tokens_before(text: str, offsets: Iterable[int] = ()) -> dict[int, int]:
     every ``a`` after a ``p`` or a space (a leading space stands before the
     first character). No token is built.
     """
-    classes = " " + text.translate(_TokenClasses())
+    classes = " " + text.translate(_TokenClasses(_ASCII_CLASSES))
     before = {0: 0}
     a = 0
     for b in sorted({*offsets, len(text)}):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -633,9 +633,29 @@ def test_evaluate_refuses_predictions_of_a_changed_corpus(tmp_path, gold_path, c
         assert not out.exists()
 
 
+def test_evaluate_refuses_a_fuzzy_span_over_a_line_break(tmp_path, gold_path, capsys):
+    # a line break put in before fx2's "Plan" leaves a line start under the
+    # fuzzy span [44, 48], which now holds that line break
+    notes = read_jsonl(Path(gold_path))
+    corpus, preds = tmp_path / "edited.jsonl", tmp_path / "preds.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": n["id"], "text": n["text"][:44] + "\n" + n["text"][44:]
+                    if n["id"] == "fx2" else n["text"]}) + "\n"
+        for n in notes
+    ), encoding="utf-8")
+    preds.write_text(json.dumps(_FX2_GROUNDED) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(preds)]
+    assert main([*argv, "--out", str(tmp_path / "eval")]) == FATAL
+    assert capsys.readouterr().err == (
+        f"error: {preds} line 1: header 2 'Plan' is not at (44, 48): "
+        "the note there reads '\\nPla'\n"
+    )
+
+
 def test_evaluate_refuses_a_note_edited_before_a_placed_span(tmp_path, gold_path, replay_store):
-    # one character put in or taken out before a header that was placed
-    # verbatim or up to case moves the text under it
+    # one character put in or taken out before a placed header moves the
+    # text under it; a fuzzy span holds a line prefix, so only an edit
+    # strictly before it is sure to move that out of its shape
     notes = {note["id"]: note for note in read_jsonl(Path(gold_path))}
     placed = []
     for segmenter in ("keyword", "llm"):
@@ -647,19 +667,23 @@ def test_evaluate_refuses_a_note_edited_before_a_placed_span(tmp_path, gold_path
         assert main([*argv, "--out", str(seg / "eval")]) == OK
         for lineno, r in enumerate(read_jsonl(seg / "predictions.jsonl"), 1):
             for g in r.get("grounding") or [{"span": s, "kind": "exact"} for s in r["spans"]]:
-                if g["kind"] != "fuzzy":
-                    placed.append((seg / "predictions.jsonl", lineno, r["id"], g["span"][0]))
+                placed.append((seg / "predictions.jsonl", lineno, r["id"], g["span"][0], g["kind"]))
+
+    fuzzy = next(p for p in placed if p[4] == "fuzzy")
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(placed), st.integers(0, 10**6), st.sampled_from(["", "a", " ", "\n", ":", "İ"])
     )
+    # a line break just before a fuzzy span keeps a line start under it
+    @example(fuzzy, fuzzy[3] - 1, "\n")
     def check(target, at, insert):
         # "" deletes the character at ``where``
-        preds, lineno, doc_id, start = target
-        assume(insert or start > 0)
+        preds, lineno, doc_id, start, kind = target
+        room = start + (1 if insert and kind != "fuzzy" else 0)
+        assume(room > 0)
         text = notes[doc_id]["text"]
-        where = at % (start + (1 if insert else 0))
+        where = at % room
         edited = text[:where] + insert + text[where + (0 if insert else 1):]
         # the gold sections are dropped, so that the edited note still loads
         corpus = tmp_path / "edited.jsonl"
@@ -1020,6 +1044,12 @@ def test_bad_ruleset_file_is_fatal(tmp_path, gold_path, capsys, content, message
      "{config}: config key 'llm.frequency_penalty': frequency_penalty must be finite"),
     ({"segmenter": "rules", "llm": {"temperature": math.inf}},
      "{config}: config key 'llm.temperature': temperature must be finite"),
+    # a lone surrogate from a JSON escape, which run_config.json cannot hold
+    ({"strategy": "one_shot",
+      "llm": {"example_doc": "Plan: a \ud800", "example_headers": ["Plan"]}},
+     "{config}: config key 'llm.example_doc' must not hold '\\ud800', which UTF-8 cannot encode\n"),
+    ({"strategy": "close_ended", "llm": {"label_set": ["Plan", "HPI \udcff"]}},
+     "{config}: config key 'llm.label_set' must not hold '\\udcff', which UTF-8 cannot encode\n"),
 ])
 def test_out_of_range_llm_value_is_fatal(tmp_path, gold_path, replay_store, capsys, source, message):
     config = tmp_path / "config.json"
@@ -1123,7 +1153,7 @@ def test_out_path_not_utf8_is_fatal(tmp_path, gold_path, capsys):
     assert code == FATAL
     assert err.startswith(f"error: {tmp_path}/o2\\udcff/run_config.json line ")
     assert err.endswith(": cannot be written as UTF-8: '\\udcff' (surrogates not allowed)\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -1871,7 +1901,7 @@ def test_the_bundled_taxonomy_and_lexicon_stay_as_loaded(tmp_path, gold_path):
     argv = ["evaluate", "--corpus", gold_path, "--predictions", preds, "--close-ended"]
     assert main([*argv, "--out", str(tmp_path / "e")]) == OK
     bundled, lexicon = _bundled_ontology(), _default_lexicon()
-    assert bundled._by_length is not None and bundled._fuzzy
+    assert bundled._fuzzy is not None
     assert bundled == ontology.load_ontology()
     assert lexicon.entries == ontology.default_lexicon_entries()
     assert lexicon.by_word == baselines.HeaderLexicon(entries=lexicon.entries).by_word

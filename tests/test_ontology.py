@@ -191,7 +191,7 @@ def test_ontology_keeps_no_shared_state():
     first = Ontology(categories, {"allergies": "A", "medications": "B"})
     second = Ontology(categories, {"allergies": "B", "medications": "A"})
     fresh = load_ontology()
-    assert fresh._fuzzy == {}
+    assert fresh._fuzzy is None
     before = repr(first)
     for _ in range(2):
         assert categorize("Allergles", first) == "A"
@@ -199,42 +199,53 @@ def test_ontology_keeps_no_shared_state():
         assert categorize("Medicatons", first) == "B"
         assert categorize("Medicatons", second) == "A"
     assert repr(first) == before
-    assert {s for group in first._by_length.values() for s in group} == set(first.surface_map)
-    assert {s for group in first._fuzzy.values() for s, _, _ in group} == set(first.surface_map)
-    assert first._by_length is not second._by_length
+    assert {s for group in first._fuzzy[1].values() for s, _, _ in group} == set(first.surface_map)
     assert first._fuzzy is not second._fuzzy
     assert first == Ontology(categories, {"allergies": "A", "medications": "B"})
     assert Ontology._fields == ("categories", "surface_map", "levels")
 
 
-def test_fuzzy_table_is_built_per_length_at_first_use():
-    # the work-count guard of the lazy table: an exact hit builds no 2-gram
-    # set, and a fuzzy lookup builds those of its length window only, once
+def test_fuzzy_table_is_built_whole_at_first_use():
+    # the work-count guard of the lazy table: an exact hit builds nothing, the
+    # first fuzzy lookup takes the 2-grams of every surface, and later lookups
+    # take those of their own name only
     ont = load_ontology()
     social, chief = ont.surface_map["social history"], ont.surface_map["chief complaint"]
     with mock.patch.object(ontology, "_grams", wraps=ontology._grams) as grams:
         assert categorize("SOCIAL HISTORY:", ont) == social
-        assert (grams.call_count, ont._fuzzy) == (0, {})
+        assert (grams.call_count, ont._fuzzy) == (0, None)
 
-        # 14 characters, 2 edits: only surfaces of 12 to 16 characters can pass
         assert categorize("Social Histroy", ont) == social
-        window = {s for s in ont.surface_map if 12 <= len(s) <= 16}
-        assert set(ont._fuzzy) == set(range(12, 17))
-        assert {s for group in ont._fuzzy.values() for s, _, _ in group} == window
-        assert grams.call_count == 1 + len(window)
-        assert len(window) < len(ont.surface_map) // 2
-        for group in ont._fuzzy.values():
-            for surface, theirs, size in group:
-                assert (theirs, size) == (ontology._grams(surface), len(theirs))
+        assert grams.call_count == 1 + len(ont.surface_map)
+        table = ont._fuzzy
 
         grams.reset_mock()
         assert categorize("Social Histroy", ont) == social
-        # 17 characters, 2 edits, 3 at 20 characters: lengths 15 to 20, of
-        # which 17 to 20 are new
         assert categorize("Chief Complaintss", ont) == chief
-        new = {s for s in ont.surface_map if 17 <= len(s) <= 20}
-        assert set(ont._fuzzy) == set(range(12, 21))
-        assert grams.call_count == 2 + len(new)
+        assert grams.call_count == 2
+        assert ont._fuzzy is table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_taxonomy_and_names(), st.text(_SURFACE_ALPHABET + "xyz", max_size=40))
+def test_gram_masks_count_the_shared_grams(case, stranger):
+    # the table's bits stand for the 2-gram sets exactly, so one AND counts
+    # what the set intersection counts, also for a name with 2-grams (those
+    # of "xyz") that no surface holds
+    ont, names = case
+    bits, by_length = ont._fuzzy_table()
+    gram_of = {bit: gram for gram, bit in bits.items()}
+    assert sorted(gram_of) == [1 << i for i in range(len(bits))]
+    entries = [(n, *entry) for n, group in by_length.items() for entry in group]
+    assert sorted(surface for _, surface, _, _ in entries) == sorted(ont.surface_map)
+    for name in [*names, stranger]:
+        mine = ontology._grams(normalize_surface(name))
+        my_bits = sum(bits.get(gram, 0) for gram in mine)
+        for n, surface, mask, count in entries:
+            theirs = ontology._grams(surface)
+            assert (n, count) == (len(surface), len(theirs))
+            assert {gram for bit, gram in gram_of.items() if mask & bit} == theirs
+            assert (my_bits & mask).bit_count() == len(mine & theirs)
 
 
 def test_length_window_stops_at_the_longest_surface():
@@ -242,9 +253,12 @@ def test_length_window_stops_at_the_longest_surface():
     # n = size / (1 - ratio): at a ratio near 1, which the property test
     # above draws, only the longest surface keeps the window short
     ont = Ontology({UNKNOWN, "A"}, {"abc": "A"})
-    with mock.patch.object(ontology, "FUZZY_RATIO", 0.999):
+    with mock.patch.object(ontology, "FUZZY_RATIO", 0.999), \
+            mock.patch.object(ontology, "max_edits", wraps=ontology.max_edits) as budgets:
         assert categorize("zz", ont) == UNKNOWN
-    assert set(ont._fuzzy) == {1, 2, 3}
+    # the budget of the name's own length, then that of length 3, the only
+    # longer one
+    assert budgets.call_count == 2
 
 
 def test_threads_sharing_a_cold_ontology_all_find_the_fuzzy_match():

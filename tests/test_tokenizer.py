@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from sectionid.errors import LengthMismatch, MalformedTags, OverlapError
 from sectionid.tokenizer import (
-    B, I, O, Token, _TOKEN_RE, _TokenClasses, iob_to_spans, is_well_formed, spans_to_iob,
-    tokenize, tokens_before,
+    B, I, O, Token, _ASCII_CLASSES, _TOKEN_RE, _TokenClasses, iob_to_spans, is_well_formed,
+    spans_to_iob, tokenize, tokens_before,
 )
 
 
@@ -170,6 +170,8 @@ def test_token_classes_are_the_token_pattern_classes():
     expected = re.sub(r"\s", " ", re.sub(r"[^\w\s]|_", "p", re.sub(r"[^\W_]", "a", chars)))
     assert _TOKEN_RE.pattern == r"[^\W_]+|[^\w\s]|_"
     assert chars.translate(_TokenClasses()) == expected
+    # the prefilled table each text starts from
+    assert chars[:128].translate(_ASCII_CLASSES) == expected[:128]
 
 
 @given(st.data())
