@@ -72,12 +72,19 @@ SEGMENTERS = ("keyword", "regex", "rules", "llm")
 # A check takes a value and the source to name in its error: a config key
 # ("<file>: config key 'llm.timeout'") or a flag ("--workers").
 Check = Callable[[object, str], None]
+_Test = Callable[[object], bool]
 
 
-def _accepts(described: str, test: Callable[[object], bool]) -> Check:
+def _accepts(described: str, test: _Test, *refusals: tuple[str, _Test]) -> Check:
+    """A check that refuses a value failing ``test`` ("must be <described>"),
+    then one passing the test of a ``(refused, test)`` pair ("must not
+    <refused>"), the pairs tried in order."""
     def check(value: object, source: str) -> None:
         if not test(value):
             raise FormatError(f"{source} must be {described}, got {value!r}")
+        for refused, refuses in refusals:
+            if refuses(value):
+                raise FormatError(f"{source} must not {refused}")
     return check
 
 
@@ -95,20 +102,7 @@ def _one_of(choices: tuple[str, ...]) -> Check:
     return _accepts(f"one of {', '.join(choices)}", lambda v: v in choices)
 
 
-_STRING = _accepts("a string", lambda v: isinstance(v, str))
 _SWITCH = _accepts("true or false", lambda v: isinstance(v, bool))
-_STRINGS = _accepts(
-    "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
-)
-
-
-def _refusing(check: Check, refused: str, test: Callable[[object], bool]) -> Check:
-    """``check``, and then refuse a value that passes ``test``: it "must not <refused>"."""
-    def refusing(value: object, source: str) -> None:
-        check(value, source)
-        if test(value):
-            raise FormatError(f"{source} must not {refused}")
-    return refusing
 
 
 def _names_no_file(value: object) -> bool:
@@ -122,11 +116,14 @@ def _names_no_file(value: object) -> bool:
 
 _FILE_NAME = ("hold a NUL character or a character the file system cannot encode", _names_no_file)
 _EMPTY = ("be empty", lambda v: not v)
-_PATH_OR_NULL = _refusing(
-    _accepts("a string or null", lambda v: v is None or isinstance(v, str)), *_FILE_NAME
+# what a string setting, or a list of strings, must be
+_A_STRING = ("a string", lambda v: isinstance(v, str))
+_STRING_LIST = (
+    "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
 )
+_PATH_OR_NULL = _accepts("a string or null", lambda v: v is None or isinstance(v, str), _FILE_NAME)
 # the output directory or file, in the config and as every command's --out
-_OUT = _refusing(_refusing(_STRING, *_FILE_NAME), *_EMPTY)
+_OUT = _accepts(*_A_STRING, _FILE_NAME, _EMPTY)
 _UNSET = object()  # the default of a key that is set only when given
 
 
@@ -150,9 +147,9 @@ def _checks() -> dict[str, tuple[Check, object]]:
             f"llm.{name}": (_library(lambda v, name=name: LLMConfig(**{name: v})), _UNSET)
             for name in LLMConfig._fields
         },
-        "llm.example_doc": (_refusing(_STRING, *_EMPTY), _UNSET),
-        "llm.example_headers": (_refusing(_STRINGS, *_EMPTY), _UNSET),
-        "llm.label_set": (_refusing(_STRINGS, *_EMPTY), _UNSET),
+        "llm.example_doc": (_accepts(*_A_STRING, _EMPTY), _UNSET),
+        "llm.example_headers": (_accepts(*_STRING_LIST, _EMPTY), _UNSET),
+        "llm.label_set": (_accepts(*_STRING_LIST, _EMPTY), _UNSET),
         "alignment.max_edit_ratio": (_library(_check_edit_ratio), DEFAULT_MAX_EDIT_RATIO),
     }
 
@@ -171,8 +168,10 @@ def _utf8(value: object, source: str) -> None:
 
 
 def _set(config: dict, key: str, value: object, source: str) -> None:
-    """Check ``value`` for ``key``, naming ``source`` if it is refused, then store it."""
+    """Check ``value`` for ``key``, and that UTF-8 can hold it, naming
+    ``source`` if it is refused; then store it."""
     _checks()[key][0](value, source)
+    _utf8(value, source)
     section, _, name = key.rpartition(".")
     (config.setdefault(section, {}) if section else config)[name] = value
 
@@ -201,9 +200,7 @@ def _load_config(args: argparse.Namespace) -> dict:
                 # a dotted key is set only inside its object, never at the top
                 if name not in _checks() or name.partition(".")[0] != key:
                     raise FormatError(f"{path}: unknown config key {name!r}")
-                source = f"{path}: config key {name!r}"
-                _set(config, name, item, source)
-                _utf8(item, source)
+                _set(config, name, item, f"{path}: config key {name!r}")
     # a flag that sets a config key has that key as its argparse dest, and is
     # named as the first flag of that dest: --strict, not --no-strict
     flags = {dest: flag for flag, (dest, _, _) in reversed(_options(args.command)[0].items())}

@@ -53,25 +53,22 @@ _FIELD_TYPES: dict[str, tuple[object, tuple[type, ...], str, object, object]] = 
 class LLMConfig(Record):
     """The settings, each declared once in ``_FIELD_TYPES``. Raises TypeError
     for a value of the wrong type, ValueError for a number that is not
-    finite, is out of its bounds or is a timeout not above 0."""
+    finite, is out of its bounds or is a timeout not above 0. Each field is
+    checked in full before the next, so the first bad field is the one named."""
 
     __slots__ = _fields = tuple(_FIELD_TYPES)
     _defaults = {name: row[0] for name, row in _FIELD_TYPES.items()}
 
     def _post_init(self) -> None:
-        for name, (_, types, described, _, _) in _FIELD_TYPES.items():
+        for name, (_, types, described, least, most) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name} must be {described}, not {value!r}")
-        for name, (_, _, _, least, _) in _FIELD_TYPES.items():
-            value = getattr(self, name)
             # written so that NaN fails too
             if least is not None and value is not None and not value >= least:
                 raise ValueError(f"{name} must be >= {least}")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be > 0")
-        for name, (_, _, _, _, most) in _FIELD_TYPES.items():
-            value = getattr(self, name)
+            if name == "timeout" and not value > 0:
+                raise ValueError("timeout must be > 0")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
             if most is not None and value > most:

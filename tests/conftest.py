@@ -14,7 +14,7 @@ from typing import Sequence
 import pytest
 
 from sectionid import ontology
-from sectionid.align import _LINE_PREFIX_LIMIT, _fold, line_starts
+from sectionid.align import _LINE_PREFIX_LIMIT, _fold, _NoteLines, line_starts
 from sectionid.baselines import DEFAULT_RULES, HeaderLexicon, Rule
 from sectionid.corpus import (
     AnnotatedDocument,
@@ -244,6 +244,23 @@ def reference_fuzzy_line_match(
     return None
 
 
+class NoteLinesKeepingText(_NoteLines):
+    """``align._NoteLines`` that keeps its note, for ``reference_fuzzy_line_search``."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.text = text
+
+
+def reference_fuzzy_line_search(
+    lines: NoteLinesKeepingText, header: str, cursor: int, max_edit_ratio: float
+) -> tuple[int, int] | None:
+    """``reference_fuzzy_line_match`` called as ``align._fuzzy_line_match`` is,
+    on the note that ``lines`` keeps, with its line starts found again."""
+    starts = line_starts(lines.text.split("\n"))
+    return reference_fuzzy_line_match(lines.text, starts, header, cursor, max_edit_ratio)
+
+
 def reference_categorize(name: str, ont: ontology.Ontology) -> str:
     """Oracle for ``ontology.categorize``: an exact lookup, then the edit
     ratio to every surface, with no length or 2-gram filter."""
@@ -258,9 +275,10 @@ def reference_categorize(name: str, ont: ontology.Ontology) -> str:
     return ontology.UNKNOWN if best is None else ont.surface_map[best[1]]
 
 
-def reference_load_ontology(src: Path) -> ontology.Ontology:
+def reference_load_ontology(src: Path | None = None) -> ontology.Ontology:
     """Oracle for ``ontology.load_ontology``: the row loop as first written,
-    one plain check per refusal."""
+    one plain check per refusal; the bundled taxonomy for None."""
+    src = ontology.data_path("taxonomy.csv") if src is None else src
     categories: set[str] = set()
     surface_map: dict[str, str] = {}
     levels: dict[str, str] = {}

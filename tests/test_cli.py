@@ -1145,15 +1145,31 @@ def test_evaluate_id_utf8_cannot_hold_is_fatal(tmp_path, capsys):
     assert (out / "run_config.json").read_bytes() == b"old snapshot\n"
 
 
-def test_out_path_not_utf8_is_fatal(tmp_path, gold_path, capsys):
-    # a byte of argv that is not UTF-8 arrives as a lone surrogate
-    out = tmp_path / "o2\udcff"
-    code = main(["segment", "--corpus", gold_path, "--out", str(out)])
+@pytest.mark.parametrize("command, flag", [
+    *(("segment", flag) for flag in (
+        "--corpus", "--out", "--ontology", "--lexicon", "--ruleset", "--replay",
+    )),
+    *(("evaluate", flag) for flag in ("--corpus", "--out", "--ontology")),
+    ("stats", "--corpus"),
+])
+def test_out_path_not_utf8_is_fatal(tmp_path, gold_path, capsys, command, flag):
+    # a byte of argv that is not UTF-8 arrives as a lone surrogate; a flag that
+    # sets a config key is refused by name before anything is written, as the
+    # run's snapshot could not hold it, while stats records no path and reads it
+    path = tmp_path / "in\udcff"
+    shutil.copyfile(gold_path, path)
+    given = {} if command == "stats" else {"--corpus": gold_path, "--out": str(tmp_path / "o")}
+    if command == "evaluate":
+        given["--predictions"] = os.devnull
+    given[flag] = str(path)
+    code = main([command, *(token for pair in given.items() for token in pair)])
     err = capsys.readouterr().err
+    if command == "stats":
+        assert (code, err) == (OK, "")
+        return
     assert code == FATAL
-    assert err.startswith(f"error: {tmp_path}/o2\\udcff/run_config.json line ")
-    assert err.endswith(": cannot be written as UTF-8: '\\udcff' (surrogates not allowed)\n")
-    assert not out.exists()
+    assert err == f"error: {flag} must not hold '\\udcff', which UTF-8 cannot encode\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("rows, message", [

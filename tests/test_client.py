@@ -268,6 +268,13 @@ def test_config_checks_every_field(field, value, error):
             assert str(raised.value) == f"{field} must be >= {_BOUNDS[field][0]}"
 
 
+def test_config_names_the_first_bad_field_in_field_order():
+    # each field is checked in full before the next, so temperature's bound
+    # is refused before max_tokens' type
+    with pytest.raises(ValueError, match=r"^temperature must be >= 0$"):
+        LLMConfig(temperature=-1, max_tokens="x")
+
+
 def test_http_client_posts_bearer_token(monkeypatch):
     captured = {}
 

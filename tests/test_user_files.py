@@ -323,6 +323,12 @@ def _flag_case(argv: str, flag: str, value: str):
 @example(case=_flag_case(
     "segment --config <config> --corpus <corpus> --out <out>", "--config", "a\0b"
 ))
+# an argv byte that is not UTF-8 arrives as a lone surrogate that the file
+# system encodes back: segment refuses it by flag, normalize finds no such file
+@example(case=_flag_case(
+    "segment --corpus <corpus> --segmenter rules --out <out>", "--out", "a\udcff"
+))
+@example(case=_flag_case("normalize --names <names> --out <out>", "--names", "a\udcff"))
 def test_no_flag_value_ends_in_a_traceback(inputs, case):
     (run, flag), value = case
     argv = list(run)
