@@ -9,17 +9,19 @@ built, so the distribution can be reproduced without the source documents.
 A name with no exact surface is compared by edit distance only with the
 surfaces that pass two exact filters, a length window and a count of shared
 distinct 2-grams, so the answer is the one a comparison with every surface
-gives. Both read one per-``Ontology`` table, built whole at the first fuzzy
-lookup: a bit for each distinct 2-gram of the surfaces and, per length, each
-surface with the bits of its 2-grams and their count. A name's 2-grams become
-one int of the same bits, so the shared count is one AND. The table is built
-in local variables and published in one attribute store, so threads may
-share one ``Ontology``.
+gives. Both read one per-``Ontology`` table, a ``functools.cached_property``
+built whole at the first fuzzy lookup: a bit for each distinct 2-gram of the
+surfaces; per length, each surface with the bits of its 2-grams and their
+count; and the longest surface length, the end of the length window. A name's
+2-grams become one int of the same bits, so the shared count is one AND. The
+table is built in local variables and published in one attribute store, so
+threads may share one ``Ontology``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
@@ -73,30 +75,21 @@ class Ontology(Record):
                 raise DanglingCategory(
                     f"surface {surface!r} maps to undeclared category {category!r}"
                 )
-        # the table of fuzzy lookups, not a field, so == and repr see only the
-        # taxonomy; None until the first fuzzy lookup builds it
-        self._longest = max(map(len, self.surface_map), default=0)
-        self._fuzzy = None
 
-    def _longest_surface(self) -> int:
-        """The length of the longest surface."""
-        return self._longest
-
-    def _fuzzy_table(self) -> tuple[dict[str, int], dict[int, list[tuple[str, int, int]]]]:
-        """The bit of each distinct 2-gram of the surfaces and, per length,
-        each surface with the OR of its 2-grams' bits and their count."""
-        table = self._fuzzy
-        if table is None:
-            bits: dict[str, int] = {}
-            by_length: dict[int, list[tuple[str, int, int]]] = {}
-            for surface in self.surface_map:
-                grams = _grams(surface)
-                mask = 0
-                for gram in grams:
-                    mask |= bits.setdefault(gram, 1 << len(bits))
-                by_length.setdefault(len(surface), []).append((surface, mask, len(grams)))
-            table = self._fuzzy = (bits, by_length)
-        return table
+    @functools.cached_property
+    def _fuzzy(self) -> tuple[dict[str, int], dict[int, list[tuple[str, int, int]]], int]:
+        """The bit of each distinct 2-gram of the surfaces; per length, each
+        surface with the OR of its 2-grams' bits and their count; and the
+        longest length. Not a field, so == and repr see only the taxonomy."""
+        bits: dict[str, int] = {}
+        by_length: dict[int, list[tuple[str, int, int]]] = {}
+        for surface in self.surface_map:
+            grams = _grams(surface)
+            mask = 0
+            for gram in grams:
+                mask |= bits.setdefault(gram, 1 << len(bits))
+            by_length.setdefault(len(surface), []).append((surface, mask, len(grams)))
+        return bits, by_length, max(by_length, default=0)
 
     def coarse_categories(self) -> set[str]:
         fine_only = {
@@ -186,7 +179,7 @@ def categorize(name: str, ont: Ontology) -> str:
     if hit is not None:
         return hit
     size = len(surface)
-    bits, by_length = ont._fuzzy_table()
+    bits, by_length, longest = ont._fuzzy
     mine = _grams(surface)
     my_grams = len(mine)
     # the name's 2-grams that some surface holds, as one int of their bits
@@ -196,7 +189,7 @@ def categorize(name: str, ont: Ontology) -> str:
     best: tuple[float, str] | None = None
     # the budget of every length up to the name's own, where the name is the longer
     budget = max_edits(size, FUZZY_RATIO)
-    for n in range(max(1, size - budget), ont._longest_surface() + 1):
+    for n in range(max(1, size - budget), longest + 1):
         edits = budget if n <= size else max_edits(n, FUZZY_RATIO)
         # n - size - edits never falls as n grows (the budget grows by at
         # most 1 per character), so no longer surface can pass either
@@ -224,18 +217,15 @@ def category_stats(docs: list[AnnotatedDocument], ont: Ontology) -> CategoryStat
     """Per-category distinct surface forms, occurrences, and percentage share."""
     if not docs:
         raise EmptyCorpus("category_stats needs at least one document")
-    frequency: dict[str, int] = {}
-    surfaces: dict[str, set[str]] = {}
-    total = 0
+    # each category's sections, as their normalized labels
+    labels: dict[str, list[str]] = {}
     for doc in docs:
         for sec in doc.sections:
-            category = categorize(sec.label, ont)
-            frequency[category] = frequency.get(category, 0) + 1
-            surfaces.setdefault(category, set()).add(normalize_surface(sec.label))
-            total += 1
-    if total == 0:
+            labels.setdefault(categorize(sec.label, ont), []).append(normalize_surface(sec.label))
+    if not labels:
         raise EmptyCorpus("category_stats needs at least one section")
-    return _stats({cat: (len(surfaces[cat]), freq) for cat, freq in frequency.items()}, total)
+    total = sum(map(len, labels.values()))
+    return _stats({cat: (len(set(seen)), len(seen)) for cat, seen in labels.items()}, total)
 
 
 def _stats(counts: dict[str, tuple[int, int]], total: int) -> CategoryStats:

@@ -23,7 +23,7 @@ from sectionid.corpus import (
     load_gold_corpus,
     open_text,
 )
-from sectionid.errors import FormatError
+from sectionid.errors import EmptyCorpus, FormatError
 from sectionid.llm import LLMConfig, PromptStrategy, RecordingClient, extract_headers
 from sectionid.llm.client import ChatResult
 from sectionid.metrics import Counts, token_counts
@@ -273,6 +273,31 @@ def reference_categorize(name: str, ont: ontology.Ontology) -> str:
     scored = [(edit_ratio(surface, c), c) for c in ont.surface_map]
     best = min((key for key in scored if key[0] <= ontology.FUZZY_RATIO), default=None)
     return ontology.UNKNOWN if best is None else ont.surface_map[best[1]]
+
+
+def reference_category_stats(
+    docs: list[AnnotatedDocument], ont: ontology.Ontology
+) -> ontology.CategoryStats:
+    """Oracle for ``ontology.category_stats``: a frequency dict, a dict of
+    distinct normalized labels and a running total, kept side by side."""
+    if not docs:
+        raise EmptyCorpus("category_stats needs at least one document")
+    frequency: dict[str, int] = {}
+    surfaces: dict[str, set[str]] = {}
+    total = 0
+    for doc in docs:
+        for sec in doc.sections:
+            category = ontology.categorize(sec.label, ont)
+            frequency[category] = frequency.get(category, 0) + 1
+            surfaces.setdefault(category, set()).add(ontology.normalize_surface(sec.label))
+            total += 1
+    if total == 0:
+        raise EmptyCorpus("category_stats needs at least one section")
+    rows = {
+        cat: ontology.CategoryCount(len(surfaces[cat]), freq, freq / total * 100.0)
+        for cat, freq in frequency.items()
+    }
+    return ontology.CategoryStats(rows, total)
 
 
 def reference_load_ontology(src: Path | None = None) -> ontology.Ontology:

@@ -191,7 +191,7 @@ def test_ontology_keeps_no_shared_state():
     first = Ontology(categories, {"allergies": "A", "medications": "B"})
     second = Ontology(categories, {"allergies": "B", "medications": "A"})
     fresh = load_ontology()
-    assert fresh._fuzzy is None
+    assert "_fuzzy" not in vars(fresh)
     before = repr(first)
     for _ in range(2):
         assert categorize("Allergles", first) == "A"
@@ -213,7 +213,7 @@ def test_fuzzy_table_is_built_whole_at_first_use():
     social, chief = ont.surface_map["social history"], ont.surface_map["chief complaint"]
     with mock.patch.object(ontology, "_grams", wraps=ontology._grams) as grams:
         assert categorize("SOCIAL HISTORY:", ont) == social
-        assert (grams.call_count, ont._fuzzy) == (0, None)
+        assert (grams.call_count, "_fuzzy" in vars(ont)) == (0, False)
 
         assert categorize("Social Histroy", ont) == social
         assert grams.call_count == 1 + len(ont.surface_map)
@@ -233,7 +233,8 @@ def test_gram_masks_count_the_shared_grams(case, stranger):
     # what the set intersection counts, also for a name with 2-grams (those
     # of "xyz") that no surface holds
     ont, names = case
-    bits, by_length = ont._fuzzy_table()
+    bits, by_length, longest = ont._fuzzy
+    assert longest == max(map(len, ont.surface_map), default=0)
     gram_of = {bit: gram for gram, bit in bits.items()}
     assert sorted(gram_of) == [1 << i for i in range(len(bits))]
     entries = [(n, *entry) for n, group in by_length.items() for entry in group]
@@ -259,6 +260,12 @@ def test_length_window_stops_at_the_longest_surface():
     # the budget of the name's own length, then that of length 3, the only
     # longer one
     assert budgets.call_count == 2
+
+
+def test_an_empty_taxonomy_ends_the_length_window_at_zero():
+    ont = Ontology({UNKNOWN}, {})
+    assert categorize("plan", ont) == UNKNOWN
+    assert ont._fuzzy == ({}, {}, 0)
 
 
 def test_threads_sharing_a_cold_ontology_all_find_the_fuzzy_match():
@@ -517,6 +524,47 @@ def test_category_stats_empty():
     unsectioned = [AnnotatedDocument(Document(f"d{i}", "no headers here")) for i in range(2)]
     with pytest.raises(EmptyCorpus, match="^category_stats needs at least one section$"):
         category_stats(unsectioned, load_ontology())
+
+
+_BUNDLED_SURFACES = sorted(load_ontology().surface_map)
+
+
+@st.composite
+def _one_letter_typo(draw):
+    surface = draw(st.sampled_from(_BUNDLED_SURFACES))
+    pos = draw(st.integers(0, len(surface) - 1))
+    return surface[:pos] + draw(st.sampled_from("aeiouxz")) + surface[pos + 1:]
+
+
+# Bundled surfaces upper-cased, one-letter typos of them, names outside the
+# taxonomy, and labels that normalize to "" or to one surface.
+_STATS_LABELS = st.one_of(
+    st.sampled_from(_BUNDLED_SURFACES).map(str.upper),
+    _one_letter_typo(),
+    st.sampled_from(["Zebra Notes", "None", "", "  plan ", "PLAN:"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # 1-4 notes of 0-5 sections, each label drawn from a small pool so that
+    # labels repeat within and across notes
+    st.lists(_STATS_LABELS, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.lists(st.sampled_from(pool), max_size=5), min_size=1, max_size=4)
+    )
+)
+def test_category_stats_equals_the_two_dict_tally(ont, notes):
+    docs = [doc for labels in notes for doc in _corpus_with_labels(labels)]
+    try:
+        expected = conftest.reference_category_stats(docs, ont)
+    except EmptyCorpus as exc:
+        with pytest.raises(EmptyCorpus) as refused:
+            category_stats(docs, ont)
+        assert str(refused.value) == str(exc)
+        return
+    got = category_stats(docs, ont)
+    assert got == expected
+    assert list(got.rows) == list(expected.rows)
 
 
 def test_reference_counts_shape():
